@@ -344,6 +344,8 @@ def criterion_9_majorant_arithmetic() -> CriterionResult:
 
 
 def _reproduction_error(X, fam, k, P, grid):
+    """Relative reproduction error of the field and its number of holes;
+    a hole is NaN in the field, so it makes the error NaN too."""
     fv = np.real(P.eval_many(X.points))
     om = campanato.Majorant.power(1.0, k)
     chain = extension.build_chain(fv, X, fam, k, om)
@@ -351,7 +353,7 @@ def _reproduction_error(X, fam, k, P, grid):
     nodes = grid.nodes()
     truth = np.real(P.eval_many(nodes))
     scale = max(1.0, float(np.max(np.abs(truth))))
-    return float(np.nanmax(np.abs(fld.values - truth))) / scale
+    return float(np.max(np.abs(fld.values - truth))) / scale, len(fld.holes)
 
 
 def criterion_10_extension_operator() -> CriterionResult:
@@ -364,15 +366,18 @@ def criterion_10_extension_operator() -> CriterionResult:
     fam2 = campanato.build_cube_family(X2)
     grid2 = extension.GridSpec((-0.25, -0.25), (1.25, 1.25), (21, 21))
 
-    max_rep = 0.0
+    # plain max throughout, so that a NaN (a grid hole) fails the check
+    reps = []
     for i in range(12):
         k = 1 + i % 3
         P = Polynomial.random(rng, 1, max(k - 1, 0))
-        max_rep = max(max_rep, _reproduction_error(X1, fam1s, k, P, grid1))
+        reps.append(_reproduction_error(X1, fam1s, k, P, grid1))
     for i in range(8):
         k = 1 + i % 3
         P = Polynomial.random(rng, 2, max(k - 1, 0))
-        max_rep = max(max_rep, _reproduction_error(X2, fam2, k, P, grid2))
+        reps.append(_reproduction_error(X2, fam2, k, P, grid2))
+    max_rep = float(np.max([err for err, _ in reps]))
+    holes = sum(h for _, h in reps)
 
     # linearity of the full pipeline
     om2 = campanato.Majorant.power(1.0, 2)
@@ -382,11 +387,12 @@ def criterion_10_extension_operator() -> CriterionResult:
     ch_f = extension.build_chain(f, X1, fam1s, 2, om2)
     ch_g = extension.build_chain(g, X1, fam1s, 2, om2)
     ch_fg = extension.build_chain(a * f + b * g, X1, fam1s, 2, om2)
-    v_f = extension.whitney_extend(ch_f, X1, grid1).values
-    v_g = extension.whitney_extend(ch_g, X1, grid1).values
-    v_fg = extension.whitney_extend(ch_fg, X1, grid1).values
-    scale = max(1.0, float(np.nanmax(np.abs(v_fg))))
-    lin_err = float(np.nanmax(np.abs(v_fg - (a * v_f + b * v_g)))) / scale
+    fields = [extension.whitney_extend(ch, X1, grid1)
+              for ch in (ch_f, ch_g, ch_fg)]
+    holes += sum(len(fld.holes) for fld in fields)
+    v_f, v_g, v_fg = (fld.values for fld in fields)
+    scale = max(1.0, float(np.max(np.abs(v_fg))))
+    lin_err = float(np.max(np.abs(v_fg - (a * v_f + b * v_g)))) / scale
 
     # nonsmooth suite: operator-norm proxy finite, stable under grid halving
     stabs = []
@@ -403,22 +409,27 @@ def criterion_10_extension_operator() -> CriterionResult:
         ga = extension.GridSpec(lo, hi, (129,))
         gb = extension.GridSpec(lo, hi, (257,))
         h_min = 4.0 * ga.spacing
-        ra = extension.verify_extension(fv, extension.whitney_extend(chain, Xn, ga),
-                                        Xn, 2, om2, family=famn, h_min=h_min)
-        rb = extension.verify_extension(fv, extension.whitney_extend(chain, Xn, gb),
-                                        Xn, 2, om2, family=famn, h_min=h_min)
+        fa = extension.whitney_extend(chain, Xn, ga)
+        fb = extension.whitney_extend(chain, Xn, gb)
+        holes += len(fa.holes) + len(fb.holes)
+        ra = extension.verify_extension(fv, fa, Xn, 2, om2, family=famn,
+                                        h_min=h_min)
+        rb = extension.verify_extension(fv, fb, Xn, 2, om2, family=famn,
+                                        h_min=h_min)
         ratios.append((ra.ratio, rb.ratio))
         stabs.append(rb.ratio / ra.ratio)
     stable = all(0.5 <= st <= 2.0 for st in stabs)
     finite = all(np.isfinite(r) for pair in ratios for r in pair)
-    ok = max_rep <= 1e-8 and lin_err <= 1e-9 and stable and finite
+    ok = (max_rep <= 1e-8 and lin_err <= 1e-9 and stable and finite
+          and holes == 0)
     return CriterionResult(10, "extension_operator",
                            {"max_reproduction_err": max_rep,
                             "linearity_err": lin_err,
                             "ratios": ratios,
-                            "stability_factors": stabs},
+                            "stability_factors": stabs,
+                            "holes": holes},
                            "reproduction <= 1e-8, linearity <= 1e-9, "
-                           "ratio stable within factor 2", ok)
+                           "ratio stable within factor 2, no grid holes", ok)
 
 
 # -- 11 ---------------------------------------------------------------------

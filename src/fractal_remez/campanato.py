@@ -21,20 +21,25 @@ probing with |h| log-uniform across several decades.
 
 Best approximations: q = 2 is a weighted least-squares solve (minimum-norm
 on rank-deficient cubes); q = 1 and q = infinity are solved exactly as
-linear programs.  The basis is monomials in (x - c_Q)/r_Q for conditioning.
+linear programs.  The basis is monomials in (x - c_Q)/r_Q for conditioning,
+and results come back in that basis: `ApproxResult.coefs` together with
+the cube.  `ApproxResult.poly` is a lazy global view, converted on first
+access, so callers that only need the value never pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .fractals import FractalSet
 from .geometry import Cube, sobol_unit
-from .polynomials import Polynomial, binomial, multi_indices
+from .polynomials import (Polynomial, binomial, compose_affine_many,
+                          multi_indices)
 
 LN2 = math.log(2.0)
 
@@ -219,9 +224,36 @@ def majorant_sum_check(omega: Majorant, i: int, i_prime: int,
 
 @dataclass
 class ApproxResult:
+    """A local best approximation over Q cap X.
+
+    `coefs` are the coefficients of the achieved polynomial of degree
+    `degree` in the monomials of (x - c_Q)/r_Q, in graded order, so
+    coefs[0] is its value at c_Q.  `poly` is the same polynomial in global
+    monomials, built on first access.  `fallback` marks an L1 or L-infinity
+    fit whose linear program failed; its coefficients are the L2 fit's.
+    """
+
     value: float
-    poly: Polynomial
+    coefs: np.ndarray
+    cube: Cube
+    degree: int
     rank_deficient: bool
+    fallback: bool = False
+
+    @cached_property
+    def poly(self) -> Polynomial:
+        n = len(self.cube.center)
+        g = frames_to_global(self.coefs[None, :], [self.cube], self.degree)
+        return Polynomial(n, self.degree, g[0])
+
+
+def frames_to_global(rows: np.ndarray, cubes: list, degree: int) -> np.ndarray:
+    """Global monomial coefficients of rows given in the (x - c_Q)/r_Q
+    frames of `cubes`, one cube per row."""
+    centers = np.array([Q.center for Q in cubes], dtype=float)
+    radii = np.array([Q.radius for Q in cubes], dtype=float)[:, None]
+    return compose_affine_many(rows, centers.shape[1], degree, 1.0 / radii,
+                               -centers / radii)
 
 
 def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
@@ -230,17 +262,6 @@ def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
     z = (points - c) / cube.radius
     exps = np.array(multi_indices(points.shape[1], k - 1), dtype=int)
     return np.prod(np.power(z[:, None, :], exps[None, :, :]), axis=2)
-
-
-def _poly_from_scaled(coefs: np.ndarray, cube: Cube, k: int,
-                      num_vars: int) -> Polynomial:
-    c = np.asarray(cube.center)
-    p = Polynomial(num_vars, max(k - 1, 0),
-                   np.asarray(coefs, dtype=float)
-                   if len(coefs) else np.zeros(1))
-    if k <= 1:
-        return p
-    return p.compose_affine(1.0 / cube.radius, -c / cube.radius)
 
 
 def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
@@ -260,30 +281,30 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     w = X.masses[mask]
     w = w / w.sum()
     fv = f_values[mask]
-    n = X.ambient_dim
 
     if k == 0:
         value = _normalized_norm(fv, w, q)
-        return ApproxResult(value, Polynomial.zero(n), False)
+        return ApproxResult(value, np.zeros(1), Q, 0, False)
 
     A = _scaled_design(pts, Q, k)
-    dim = A.shape[1]
-    rank = int(np.linalg.matrix_rank(A))
-    deficient = rank < dim
-
     sw = np.sqrt(w)
-    coefs2, *_ = np.linalg.lstsq(A * sw[:, None], fv * sw, rcond=None)
+    # the weights are positive, so the weighted system has the rank of A
+    coefs2, _, rank, _ = np.linalg.lstsq(A * sw[:, None], fv * sw, rcond=None)
+    deficient = rank < A.shape[1]
     if q == 2:
         coefs = coefs2
     elif q == 1:
-        coefs = _l1_fit(A, fv, w, seed=coefs2)
+        coefs = _l1_fit(A, fv, w)
     elif q in (np.inf, math.inf, "inf"):
-        coefs = _linf_fit(A, fv, seed=coefs2)
+        coefs = _linf_fit(A, fv)
     else:
         raise ValueError("q must be 1, 2, or infinity")
+    fallback = coefs is None
+    if fallback:
+        coefs = coefs2
     res = fv - A @ coefs
     value = _normalized_norm(res, w, q)
-    return ApproxResult(value, _poly_from_scaled(coefs, Q, k, n), deficient)
+    return ApproxResult(value, coefs, Q, k - 1, deficient, fallback)
 
 
 def _normalized_norm(vals: np.ndarray, w: np.ndarray, q) -> float:
@@ -292,9 +313,9 @@ def _normalized_norm(vals: np.ndarray, w: np.ndarray, q) -> float:
     return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
 
 
-def _l1_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray,
-            seed: np.ndarray) -> np.ndarray:
-    """Weighted L1 coefficient fit as an exact linear program."""
+def _l1_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """Weighted L1 coefficient fit as an exact linear program (None if
+    the solver fails)."""
     m, d = A.shape
     c = np.concatenate([np.zeros(d), w])
     A_ub = np.block([[A, -np.eye(m)], [-A, -np.eye(m)]])
@@ -302,12 +323,13 @@ def _l1_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray,
     bounds = [(None, None)] * d + [(0, None)] * m
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
-        return seed
+        return None
     return res.x[:d]
 
 
-def _linf_fit(A: np.ndarray, f: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Chebyshev (minimax) coefficient fit as an exact linear program."""
+def _linf_fit(A: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """Chebyshev (minimax) coefficient fit as an exact linear program
+    (None if the solver fails)."""
     m, d = A.shape
     c = np.concatenate([np.zeros(d), [1.0]])
     ones = np.ones((m, 1))
@@ -316,7 +338,7 @@ def _linf_fit(A: np.ndarray, f: np.ndarray, seed: np.ndarray) -> np.ndarray:
     bounds = [(None, None)] * d + [(0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
-        return seed
+        return None
     return res.x[:d]
 
 

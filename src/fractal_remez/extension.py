@@ -6,12 +6,17 @@ The pipeline realizes a linear extension operator in four steps:
      polynomials of degree k-1 over Q cap X (linear, idempotent, exact on
      its range).
   2. trace_tilde:  the pointwise trace value at a cloud point x is the
-     limit of P_Q(f)(x) along shrinking dyadic cubes; the deepest
-     resolvable rung is used and the Cauchy increments are reported.
+     limit of P_Q(f)(x) along shrinking dyadic cubes centered at x; the
+     deepest resolvable rung is used and the Cauchy increments are
+     reported.  Fits come back in the cube's frame (x - c_Q)/r_Q, so
+     P_Q(f)(x) is the constant term of the deepest-rung fit.
   3. build_chain:  each cube receives the recentered polynomial
      P~_Q = P_Q(f) - P_Q(f)(c_Q) + trace(c_Q), so P~_Q(c_Q) interpolates
-     the trace; cubes larger than diam X borrow the projection over a
-     fixed cube of radius 2 diam X.  The map f -> chain is linear.
+     the trace; in Q's own frame this replaces the constant term by the
+     trace value.  Cubes larger than diam X borrow the projection over a
+     fixed cube of radius 2 diam X.  Each cube is solved once, and the
+     entries are converted to global monomials in one batch.  The map
+     f -> chain is linear.
   4. whitney_extend:  an ambient grid node y at distance d from X blends
      the chain polynomials of cubes with radius in [d, 4d] whose doubled
      cubes contain y, with smooth bump weights normalized to sum one;
@@ -34,11 +39,12 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial import cKDTree
 
 from .campanato import (CubeFamily, Majorant, build_cube_family,
-                        dyadic_radii, local_best_approx, campanato_seminorm,
-                        lipschitz_seminorm, quasipower_check)
+                        dyadic_radii, frames_to_global, local_best_approx,
+                        campanato_seminorm, lipschitz_seminorm,
+                        quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
-from .polynomials import Polynomial, multi_indices
+from .polynomials import Polynomial, compose_affine_many, multi_indices
 
 __all__ = [
     "Chain", "GridSpec", "ExtensionField", "project", "trace_tilde",
@@ -59,26 +65,32 @@ class TraceResult:
     radii: np.ndarray
 
 
+def _ladder(X: FractalSet, min_radius: float | None = None) -> list:
+    """Dyadic rung radii of the trace ladder, ascending; at least three."""
+    if min_radius is None:
+        min_radius = 4.0 * X.cell_diam
+    radii = dyadic_radii(min_radius, max(X.diam, 2.0 * min_radius))
+    if len(radii) < 3:
+        raise ValueError("fewer than three resolvable ladder rungs")
+    return radii
+
+
 def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
                 q=2, min_radius: float | None = None) -> TraceResult:
     """Pointwise trace at a cloud point via shrinking dyadic cubes.
 
     Returns the deepest-rung projection value P_Q(f)(x) together with the
     per-rung increments |P_{j+1}(x) - P_j(x)| as convergence diagnostics.
-    Requires at least three resolvable rungs above cell resolution.
+    Each rung cube is centered at x, so P_Q(f)(x) is the constant term of
+    its local fit.  Requires at least three resolvable rungs above cell
+    resolution.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if min_radius is None:
-        min_radius = 4.0 * X.cell_diam
-    radii = dyadic_radii(min_radius, max(X.diam, 2.0 * min_radius))
-    if len(radii) < 3:
-        raise ValueError("fewer than three resolvable ladder rungs")
-    vals = []
-    for r in radii:  # ascending; the deepest rung is first
-        res = local_best_approx(f_values, X, Cube(tuple(x), r), k, q)
-        vals.append(float(np.real(res.poly.eval(x))))
-    vals = np.array(vals)
-    return TraceResult(value=vals[0], increments=np.abs(np.diff(vals)),
+    radii = _ladder(X, min_radius)
+    vals = np.array([  # ascending; the deepest rung is first
+        local_best_approx(f_values, X, Cube(tuple(x), r), k, q).coefs[0]
+        for r in radii])
+    return TraceResult(value=float(vals[0]), increments=np.abs(np.diff(vals)),
                        radii=np.array(radii))
 
 
@@ -104,40 +116,56 @@ class Chain:
 
 
 def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
-                k: int, omega: Majorant, q=2) -> Chain:
+                k: int, omega: Majorant) -> Chain:
     """Recentered projection chain; linear in f throughout.
 
-    Cubes with radius above diam X all borrow the projection over the
-    fixed cube of radius 2 diam X centered at the first cloud point, so
-    only the interpolated constant varies across them.
+    Every cube is solved once.  The trace at c_Q is the constant term of
+    the fit over the deepest ladder rung centered at c_Q, and the entry of
+    Q is its fit, in its own frame, with the constant term replaced by
+    that trace.  Cubes with radius above diam X all borrow the projection
+    over the fixed cube of radius 2 diam X centered at the first cloud
+    point, re-expanded in their own frames, so only the interpolated
+    constant varies across them.
     """
     qp = quasipower_check(omega)
     if not qp.is_quasipower:
         raise ValueError(f"chain construction needs a quasipower majorant: "
                          f"{qp.reason}")
-    trace_cache: dict = {}
+    deepest = _ladder(X)[0]
+    fits: dict = {}
 
-    def trace_at(center: tuple) -> float:
-        if center not in trace_cache:
-            trace_cache[center] = trace_tilde(f_values, center, k, X, q).value
-        return trace_cache[center]
+    def fit(Q: Cube):
+        if Q not in fits:
+            fits[Q] = local_best_approx(f_values, X, Q, k, 2)
+        return fits[Q]
 
-    big_poly = None
-    entries: dict = {}
+    anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
+    deg = max(k - 1, 0)
+    cubes = family.cubes
+    rows = np.empty((len(cubes), len(multi_indices(X.ambient_dim, deg))))
+    big = []
     deficient = set()
-    for Q in family.cubes:
+    for i, Q in enumerate(cubes):
         if Q.radius > X.diam:
-            if big_poly is None:
-                anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
-                big_poly = local_best_approx(f_values, X, anchor, k, 2).poly
-            P = big_poly
+            big.append(i)
+            rows[i] = fit(anchor).coefs
         else:
-            res = local_best_approx(f_values, X, Q, k, 2)
-            P = res.poly
+            res = fit(Q)
+            rows[i] = res.coefs
             if res.rank_deficient:
                 deficient.add(Q)
-        shift = trace_at(Q.center) - float(np.real(P.eval(np.asarray(Q.center))))
-        entries[Q] = P + shift
+    if big:
+        # anchor frame -> Q's frame: z_anchor = (r_Q z + c_Q - c_a) / r_a
+        c_a = np.asarray(anchor.center)
+        offsets = np.array([cubes[i].center for i in big]) - c_a
+        scales = np.array([[cubes[i].radius] for i in big])
+        rows[big] = compose_affine_many(rows[big], X.ambient_dim, deg,
+                                        scales / anchor.radius,
+                                        offsets / anchor.radius)
+    rows[:, 0] = [fit(Cube(Q.center, deepest)).coefs[0] for Q in cubes]
+    coefs = frames_to_global(rows, cubes, deg) if cubes else rows
+    entries = {Q: Polynomial(X.ambient_dim, deg, c)
+               for Q, c in zip(cubes, coefs)}
     return Chain(entries=entries, k=k, omega=omega,
                  deficient=frozenset(deficient))
 

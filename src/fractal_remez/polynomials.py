@@ -28,6 +28,7 @@ __all__ = [
     "binomial",
     "chebyshev",
     "finite_difference",
+    "compose_affine_many",
 ]
 
 _PASCAL_MAX = 30
@@ -276,32 +277,48 @@ class Polynomial:
 
     def compose_affine(self, scale, offset) -> "Polynomial":
         """p(s * x + o) with per-coordinate scale s and offset o."""
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), (self.num_vars,))
-        offset = np.broadcast_to(np.asarray(offset, dtype=float), (self.num_vars,))
-        lin = [
-            Polynomial(self.num_vars, 1, {
-                tuple(1 if j == i else 0 for j in range(self.num_vars)): scale[i],
-                (0,) * self.num_vars: offset[i],
-            })
-            for i in range(self.num_vars)
-        ]
-        powers = [{0: Polynomial.constant(1.0, self.num_vars)} for _ in lin]
-        out = Polynomial.zero(self.num_vars)
-        for a, c in zip(multi_indices(self.num_vars, self.degree_bound), self.coeffs):
-            if c == 0:
-                continue
-            term = Polynomial.constant(c, self.num_vars)
-            for i, e in enumerate(a):
-                if e not in powers[i]:
-                    prev = max(k for k in powers[i] if k < e)
-                    acc = powers[i][prev]
-                    for _ in range(e - prev):
-                        acc = acc * lin[i]
-                    powers[i][e] = acc
-                if e > 0:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+        coeffs = compose_affine_many(self.coeffs[None, :], self.num_vars,
+                                     self.degree_bound, scale, offset)[0]
+        return Polynomial(self.num_vars, self.degree_bound, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _affine_structure(num_vars: int, degree: int):
+    """Integer data of the affine re-expansion for |a| <= degree.
+
+    Returns the binomial factors B[b, a] = prod_j C(a_j, b_j), the
+    exponents b (one row per output monomial) and the exponents a - b,
+    clipped at zero where some b_j > a_j (there B vanishes).
+    """
+    E = np.array(multi_indices(num_vars, degree), dtype=int)
+    pascal = np.array([[binomial(a, b) for b in range(degree + 1)]
+                       for a in range(degree + 1)], dtype=float)
+    B = np.prod(pascal[E[None, :, :], E[:, None, :]], axis=2)
+    D = np.maximum(E[None, :, :] - E[:, None, :], 0)
+    for arr in (B, E, D):
+        arr.setflags(write=False)
+    return B, E, D
+
+
+def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
+                        offset) -> np.ndarray:
+    """Coefficients of p_i(s_i * x + o_i) for a batch of polynomials.
+
+    `coeffs` holds one coefficient row per polynomial (graded order,
+    |a| <= degree); `scale` and `offset` broadcast to (rows, num_vars).
+    Each row is mapped by M[b, a] = prod_j C(a_j, b_j) s_j^b_j
+    o_j^(a_j - b_j); the integer data of M is built once per
+    (num_vars, degree), on first use.
+    """
+    coeffs = np.asarray(coeffs)
+    B, E, D = _affine_structure(num_vars, degree)
+    shape = (len(coeffs), num_vars)
+    s = np.broadcast_to(np.asarray(scale, dtype=float), shape)
+    o = np.broadcast_to(np.asarray(offset, dtype=float), shape)
+    s_pow = np.prod(s[:, None, :] ** E, axis=2)
+    o_pow = np.prod(o[:, None, None, :] ** D, axis=3)
+    M = B * s_pow[:, :, None] * o_pow
+    return (M @ coeffs[:, :, None])[:, :, 0]
 
 
 def chebyshev(k: int) -> Polynomial:

@@ -123,6 +123,45 @@ def test_rank_deficiency_flagged():
     assert res.value <= 1e-12  # two points are interpolated exactly
 
 
+def test_coefs_are_in_the_cube_frame():
+    X = build_preset("cube:1", 7)
+    Q = Cube((0.25,), 0.125)
+    P = Polynomial.from_dict(1, {(0,): 0.3, (1,): -1.2, (2,): 0.5})
+    fv = np.real(P.eval_many(X.points))
+    res = local_best_approx(fv, X, Q, 3, 2)
+    # P(c + r z) = 0.3 - 1.2 (c + r z) + 0.5 (c + r z)^2
+    c, r = 0.25, 0.125
+    want = [P.eval(np.array([c])), (-1.2 + c) * r, 0.5 * r ** 2]
+    assert res.cube == Q and res.degree == 2
+    assert np.max(np.abs(res.coefs - want)) <= 1e-12
+    assert np.max(np.abs((res.poly - P).coeffs)) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [1, INF])
+def test_lp_failure_is_flagged(monkeypatch, q):
+    from types import SimpleNamespace
+
+    from fractal_remez import campanato
+
+    X = build_preset("cube:1", 6)
+    Q = Cube((0.5,), 0.5)
+    fv = np.abs(X.points[:, 0] - 0.3)
+    assert not local_best_approx(fv, X, Q, 2, q).fallback
+    l2 = local_best_approx(fv, X, Q, 2, 2)
+    monkeypatch.setattr(campanato, "linprog",
+                        lambda *a, **kw: SimpleNamespace(success=False))
+    res = local_best_approx(fv, X, Q, 2, q)
+    assert res.fallback
+    assert np.array_equal(res.coefs, l2.coefs)
+    resid = fv[Q.contains(X.points)] - np.real(
+        l2.poly.eval_many(X.points[Q.contains(X.points)]))
+    w = X.masses[Q.contains(X.points)]
+    w = w / w.sum()
+    want = (np.max(np.abs(resid)) if q == INF
+            else float(np.sum(w * np.abs(resid))))
+    assert res.value == pytest.approx(want, rel=1e-9)
+
+
 # -- seminorm -----------------------------------------------------------------
 
 

@@ -117,6 +117,34 @@ def test_chain_interpolates_trace_at_centers():
             pytest.approx(t, abs=1e-10)
 
 
+def test_chain_solves_each_cube_once(monkeypatch):
+    from fractal_remez import extension
+
+    X = interval_set()
+    fam = build_cube_family(X, center_budget=16)
+    calls = []
+    fit = extension.local_best_approx
+
+    def counted(f_values, X_, Q, k, q):
+        calls.append(Q)
+        return fit(f_values, X_, Q, k, q)
+
+    monkeypatch.setattr(extension, "local_best_approx", counted)
+    build_chain(np.abs(X.points[:, 0] - 0.5), X, fam, 2,
+                Majorant.power(1.0, 2))
+    anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
+    expected = {Q for Q in fam.cubes if Q.radius <= X.diam} | {anchor}
+    assert len(calls) == len(expected)
+    assert set(calls) == expected
+
+
+def test_chain_needs_three_rungs():
+    X = three_point_set()  # ladder radii 1 and 2 only
+    fam = build_cube_family(X)
+    with pytest.raises(ValueError, match="three resolvable ladder rungs"):
+        build_chain(np.ones(3), X, fam, 1, Majorant.power(1.0, 1))
+
+
 def test_chain_rejects_non_quasipower_majorant():
     X = interval_set()
     fam = build_cube_family(X, center_budget=16)

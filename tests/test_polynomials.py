@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_remez.polynomials import (Polynomial, binomial, chebyshev,
-                                       finite_difference, multi_indices)
+                                       compose_affine_many, finite_difference,
+                                       multi_indices)
 
 
 def test_eval_simple():
@@ -176,6 +177,40 @@ def test_compose_affine():
     for x in (0.0, 0.25, 0.8):
         assert q.eval(np.array([x])) == pytest.approx(
             p.eval(np.array([2 * x - 1])), rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(1, 3), st.integers(0, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_compose_affine_many_matches_pointwise(n, deg, complex_coeffs, seed):
+    rng = np.random.default_rng(seed)
+    complex_coeffs = complex_coeffs and n == 1
+    rows, count = 4, len(multi_indices(n, deg))
+    coeffs = rng.uniform(-1, 1, (rows, count))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.uniform(-1, 1, (rows, count))
+    scale = rng.uniform(-3, 3, (rows, n))
+    offset = rng.uniform(-3, 3, (rows, n))
+    out = compose_affine_many(coeffs, n, deg, scale, offset)
+    assert np.iscomplexobj(out) == complex_coeffs
+    x = rng.uniform(-2, 2, (5, n))
+    exps = np.array(multi_indices(n, deg))
+    for i in range(rows):
+        y = scale[i] * x + offset[i]
+        want = Polynomial(n, deg, coeffs[i]).eval_many(y)
+        got = Polynomial(n, deg, out[i]).eval_many(x)
+        # rounding is relative to the terms of the expansion, not to p
+        bound = np.abs(scale[i] * x) + np.abs(offset[i])
+        terms = np.prod(bound[:, None, :] ** exps[None], axis=2) @ np.abs(
+            coeffs[i])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + terms))
+
+
+def test_compose_affine_keeps_degree_bound_and_kind():
+    p = Polynomial(2, 2, np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
+    assert p.compose_affine(2.0, 1.0).degree_bound == 2
+    z = Polynomial(1, 1, np.array([1.0 + 1.0j, 2.0]))
+    assert z.compose_affine(0.5, -1.0).is_complex
 
 
 def test_immutability():
