@@ -65,6 +65,9 @@ class DiscreteMeasureSpace:
         self.masses = np.asarray(self.masses, dtype=float)
         if len(self.masses) != len(self.points):
             raise ValueError("points and masses must have equal length")
+        if not (np.all(np.isfinite(self.points))
+                and np.all(np.isfinite(self.masses))):
+            raise ValueError("points and masses must be finite")
         if np.any(self.masses < 0):
             raise ValueError("masses must be non-negative")
         if self.metric is not None and len(self.points) >= 2:
@@ -88,7 +91,7 @@ class DiscreteMeasureSpace:
 
     def dist_from(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
         if self.metric is None:
-            return np.linalg.norm(targets - x, axis=1)
+            return _distances(x[None, :], targets)[0]
         return np.array([self.metric(x, y) for y in targets])
 
     def extent(self) -> float:
@@ -116,8 +119,9 @@ def _spot_check_pseudometric(space: DiscreteMeasureSpace, trials: int = 100):
 class MajorantFn:
     """Strictly increasing threshold phi with phi(0) = 0.
 
-    kind "power" is phi(t) = (p t)^s; kind "scaled_power" is t^s / H;
-    kind "table" interpolates a strictly increasing table.
+    kind "power" is phi(t) = (p t)^s; kind "table" interpolates a strictly
+    increasing table.  Both inverses are nondecreasing, which the tau
+    prune relies on.
     """
 
     kind: str
@@ -128,12 +132,6 @@ class MajorantFn:
         if p <= 0 or s <= 0:
             raise ValueError("power majorant needs p > 0, s > 0")
         return cls("power", (float(p), float(s)))
-
-    @classmethod
-    def scaled_power(cls, H: float, s: float) -> "MajorantFn":
-        if H <= 0 or s <= 0:
-            raise ValueError("scaled power majorant needs H > 0, s > 0")
-        return cls("scaled_power", (float(H), float(s)))
 
     @classmethod
     def table(cls, ts, vals) -> "MajorantFn":
@@ -152,9 +150,6 @@ class MajorantFn:
         if self.kind == "power":
             p, s = self.params
             return (p * t) ** s
-        if self.kind == "scaled_power":
-            H, s = self.params
-            return t ** s / H
         ts, vals = self.params
         return np.interp(t, ts, vals)
 
@@ -163,9 +158,6 @@ class MajorantFn:
         if self.kind == "power":
             p, s = self.params
             return y ** (1.0 / s) / p
-        if self.kind == "scaled_power":
-            H, s = self.params
-            return (y * H) ** (1.0 / s)
         ts, vals = self.params
         return np.interp(y, vals, ts)
 
@@ -180,36 +172,89 @@ class MajorantFn:
             raise ValueError("majorant never exceeds the total mass")
 
 
-# -- the regularity threshold tau ---------------------------------------
+# -- distances and the regularity threshold tau --------------------------
 
 
-def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
-             queries: np.ndarray) -> np.ndarray:
-    """Exact tau at each query point, by the step-function scan.
+def _distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distances as a (points x queries) array.
+
+    Summing the squared coordinate differences one coordinate at a time and
+    taking the square root in place rounds exactly like
+    np.linalg.norm(queries[:, None] - points[None], axis=2).T, without
+    holding the (queries, points, n) difference tensor.
+    """
+    D = np.subtract.outer(points[:, 0], queries[:, 0])
+    D *= D
+    for j in range(1, points.shape[1]):
+        diff = np.subtract.outer(points[:, j], queries[:, j])
+        diff *= diff
+        D += diff
+    return np.sqrt(D, out=D)
+
+
+def _atom_distances(space: DiscreteMeasureSpace, atoms: np.ndarray,
+                    queries: np.ndarray) -> np.ndarray:
+    """(atoms x queries) distances under the space's metric."""
+    if space.metric is None:
+        return _distances(atoms, queries)
+    D = np.array([space.dist_from(q, atoms) for q in queries])
+    return np.ascontiguousarray(D.reshape(len(queries), len(atoms)).T)
+
+
+def _step_scan(D: np.ndarray, masses: np.ndarray,
+               phi: MajorantFn) -> np.ndarray:
+    """Exact tau for each column of an (atoms x probes) distance array.
 
     xi(B_t(x)) jumps only at the atom distances; on each step interval
     [d_j, d_{j+1}) the condition xi >= phi(t) holds up to phi^{-1}(level_j),
     so tau is the largest valid min(phi^{-1}(level_j), d_{j+1}).
     """
+    order = np.argsort(D, axis=0)
+    Ds = np.take_along_axis(D, order, axis=0)
+    levels = masses[order]
+    del order
+    # the same sequential additions as np.cumsum(levels, axis=0)
+    for j in range(1, len(levels)):
+        levels[j] += levels[j - 1]
+    inv = phi.inverse(levels)
+    del levels
+    valid = inv >= Ds
+    # min(phi^{-1}(level_j), d_{j+1}), with d_{j+1} = inf on the last row
+    np.minimum(inv[:-1], Ds[1:], out=inv[:-1])
+    del Ds
+    inv[~valid] = 0.0
+    return np.max(inv, axis=0, initial=0.0)
+
+
+def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
+             queries: np.ndarray) -> np.ndarray:
+    """Exact tau at each query point: distances, prune, step scan.
+
+    The prune is exact.  Every step level is a partial sum of the masses,
+    so it is at most the total mass A and phi^{-1}(level) <= phi^{-1}(A).
+    A query whose nearest atom lies farther than phi^{-1}(A) fails
+    phi^{-1}(level_j) >= d_j at every jump and has tau = 0, so it skips the
+    scan.  The reach is widened by the rounding of the running sums (m eps
+    relative) and a few ulps of phi^{-1}: the prune may keep extra queries
+    but never drops one whose tau is positive.  Queries must be finite.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query points must be finite")
     keep = space.masses > 0
     atoms = space.points[keep]
     masses = space.masses[keep]
+    out = np.zeros(len(queries))
     if len(atoms) == 0:
-        return np.zeros(len(queries))
-    if space.metric is None:
-        D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
-    else:
-        D = np.array([space.dist_from(q, atoms) for q in queries])
-    order = np.argsort(D, axis=1)
-    Ds = np.take_along_axis(D, order, axis=1)
-    levels = np.cumsum(masses[order], axis=1)
-    d_next = np.concatenate([Ds[:, 1:], np.full((len(queries), 1), np.inf)],
-                            axis=1)
-    inv = phi.inverse(levels)
-    valid = inv >= Ds
-    cand = np.where(valid, np.minimum(inv, d_next), 0.0)
-    return np.max(cand, axis=1, initial=0.0)
+        return out
+    D = _atom_distances(space, atoms, queries)
+    slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
+    reach = float(phi.inverse(np.sum(masses) * slack)) * slack
+    # written as "not beyond" so that a NaN distance is scanned, not dropped
+    live = ~(D.min(axis=0) > reach)
+    D = D[:, live]  # rebinding frees the full array before the scan
+    out[live] = _step_scan(D, masses, phi)
+    return out
 
 
 def tau(space: DiscreteMeasureSpace, phi: MajorantFn, x) -> float:
@@ -241,7 +286,7 @@ class CoverOutput:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mask = np.zeros(len(pts), dtype=bool)
         for c, r in zip(self.centers, self.radii):
-            mask |= np.linalg.norm(pts - c, axis=1) <= r
+            mask |= _distances(c[None, :], pts)[0] <= r
         return mask
 
     def to_json(self) -> dict:
@@ -254,6 +299,17 @@ class CoverOutput:
             "beta": self.beta,
             "budget_used": self.budget_used,
         }
+
+
+def _candidates(space: DiscreteMeasureSpace,
+                probes: np.ndarray | None) -> np.ndarray:
+    """The atoms followed by the probe points, which must be finite."""
+    if probes is None or len(probes) == 0:
+        return space.points
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    if not np.all(np.isfinite(probes)):
+        raise ValueError("probe points must be finite")
+    return np.concatenate([space.points, probes])
 
 
 def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
@@ -279,19 +335,20 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         raise ValueError("parameters must satisfy gamma < alpha / beta")
     phi.validate(space.A, space.extent())
 
-    cands = space.points
-    if probes is not None and len(probes) > 0:
-        cands = np.concatenate([cands, np.atleast_2d(np.asarray(probes,
-                                                                dtype=float))])
+    cands = _candidates(space, probes)
     taus_all = tau_many(space, phi, cands)
+    # A regular candidate is never a witness and nothing reads whether it
+    # is covered, so the loop runs on the irregular ones only, kept in
+    # index order so that the lowest-index tie-break still holds.
+    irregular = taus_all > 0.0
+    cands, taus_all = cands[irregular], taus_all[irregular]
     uncovered = np.ones(len(cands), dtype=bool)
 
     centers, radii, taus = [], [], []
     for _ in range(len(cands) + 1):
-        active = uncovered & (taus_all > 0.0)
-        if not np.any(active):
+        if not np.any(uncovered):
             break
-        masked = np.where(active, taus_all, -np.inf)
+        masked = np.where(uncovered, taus_all, -np.inf)
         k = int(np.argmax(masked))
         tau_k = taus_all[k]
         t_k = beta * tau_k
@@ -299,10 +356,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         centers.append(x_k)
         radii.append(t_k)
         taus.append(tau_k)
-        if space.metric is None:
-            uncovered &= np.linalg.norm(cands - x_k, axis=1) > t_k
-        else:
-            uncovered &= space.dist_from(x_k, cands) > t_k
+        uncovered &= space.dist_from(x_k, cands) > t_k
 
     centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
     radii = np.array(radii)
@@ -323,13 +377,13 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         if cover.count else True,
         "ball_count_le_atoms": cover.count <= int(np.sum(space.masses > 0)),
     }
-    cands = space.points
-    if probes is not None and len(probes) > 0:
-        cands = np.concatenate([cands, np.atleast_2d(np.asarray(probes,
-                                                                dtype=float))])
+    cands = _candidates(space, probes)
     outside = ~cover.covers(cands)
-    taus_out = tau_many(space, phi, cands[outside]) if np.any(outside) else \
-        np.zeros(0)
+    # recompute tau with the unpruned scan, independently of tau_many
+    keep = space.masses > 0
+    taus_out = _step_scan(_atom_distances(space, space.points[keep],
+                                          cands[outside]),
+                          space.masses[keep], phi)
     checks["uncovered_points_regular"] = bool(np.all(taus_out == 0.0))
     # each tau-ball around its witness carries positive mass
     meets = []
@@ -366,7 +420,7 @@ def potential_many(space: DiscreteMeasureSpace,
         return np.zeros(len(queries))
     atoms = space.points[keep]
     masses = space.masses[keep]
-    D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
+    D = _distances(atoms, queries).T
     out = np.full(len(queries), -np.inf)
     ok = np.all(D > 0.0, axis=1)
     with np.errstate(divide="ignore"):

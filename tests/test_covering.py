@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_remez.covering import (CartanDiskReport, DiscreteMeasureSpace,
-                                    MajorantFn, cartan_exclusion_disks,
+                                    MajorantFn, _atom_distances, _distances,
+                                    _step_scan, cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
                                     potential, potential_bound_verify,
                                     potential_many, tau, tau_many,
@@ -92,6 +93,106 @@ def test_tau_against_brute_force():
             assert np.sum(sp.masses[d <= t]) < float(phi(t))
 
 
+def test_non_finite_measure_rejected():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    for bad_pts, bad_masses in [
+            (np.array([[0.0, np.nan], [1.0, 0.0]]), np.ones(2)),
+            (np.array([[0.0, 0.0], [np.inf, 0.0]]), np.ones(2)),
+            (pts, np.array([1.0, np.nan])),
+            (pts, np.array([np.inf, 1.0]))]:
+        with pytest.raises(ValueError):
+            DiscreteMeasureSpace(bad_pts, bad_masses)
+
+
+def test_non_finite_query_rejected():
+    sp = unit_atoms([[0.0, 0.0], [0.2, 0.0]])
+    phi = MajorantFn.power(1.0, 1.0)
+    for bad in ([[np.nan, 0.0]], [[0.1, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(ValueError):
+            tau_many(sp, phi, np.array(bad))
+        with pytest.raises(ValueError):
+            verify_cover(sp, phi, greedy_ball_cover(sp, phi),
+                         probes=np.array(bad))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distances_match_linalg_norm_bitwise(n):
+    rng = np.random.default_rng(20 + n)
+    for scale in (1e-3, 1.0, 1e6):
+        pts = scale * rng.normal(size=(7, n))
+        qs = scale * rng.normal(size=(300, n))
+        qs[:7] = pts  # zero distances
+        want = np.linalg.norm(qs[:, None, :] - pts[None, :, :], axis=2).T
+        assert np.array_equal(_distances(pts, qs), want)
+
+
+def dense_tau_many(space, phi, queries):
+    """Reference: the unpruned (queries x atoms) step scan."""
+    keep = space.masses > 0
+    atoms, masses = space.points[keep], space.masses[keep]
+    if len(atoms) == 0:
+        return np.zeros(len(queries))
+    if space.metric is None:
+        D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
+    else:
+        D = np.array([space.dist_from(q, atoms) for q in queries])
+    order = np.argsort(D, axis=1)
+    Ds = np.take_along_axis(D, order, axis=1)
+    levels = np.cumsum(masses[order], axis=1)
+    d_next = np.concatenate([Ds[:, 1:], np.full((len(queries), 1), np.inf)],
+                            axis=1)
+    inv = phi.inverse(levels)
+    cand = np.where(inv >= Ds, np.minimum(inv, d_next), 0.0)
+    return np.max(cand, axis=1, initial=0.0)
+
+
+def l1_metric(x, y):
+    return float(np.sum(np.abs(x - y)))
+
+
+@st.composite
+def pruning_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    atoms = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)))
+    dups = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    atoms[dups] = atoms[0]  # duplicate atoms tie in every distance profile
+    masses = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+        min_size=m, max_size=m)))
+    offset = st.floats(-0.3, 0.3, allow_nan=False)
+    near = atoms[draw(st.lists(st.integers(0, m - 1), max_size=12))] + \
+        np.array(draw(st.lists(st.lists(offset, min_size=n, max_size=n),
+                               min_size=1, max_size=1)))
+    far = np.array(draw(st.lists(
+        st.lists(st.floats(-40.0, 40.0, allow_nan=False),
+                 min_size=n, max_size=n), max_size=12))).reshape(-1, n)
+    probes = np.concatenate([near, far, atoms])
+    if draw(st.booleans()):
+        phi = MajorantFn.power(draw(st.floats(0.2, 5.0)),
+                               draw(st.floats(0.3, 3.0)))
+    else:
+        ts = np.linspace(0.0, 30.0, 61)
+        phi = MajorantFn.table(ts, draw(st.floats(0.2, 3.0))
+                               * ts ** draw(st.floats(0.5, 2.0)))
+    metric = l1_metric if draw(st.booleans()) else None
+    return DiscreteMeasureSpace(atoms, masses, metric=metric), phi, probes
+
+
+@given(pruning_cases())
+@settings(max_examples=200, deadline=None)
+def test_pruned_tau_matches_unpruned_scan_bitwise(case):
+    space, phi, probes = case
+    keep = space.masses > 0
+    unpruned = _step_scan(_atom_distances(space, space.points[keep], probes),
+                          space.masses[keep], phi)
+    pruned = tau_many(space, phi, probes)
+    assert np.array_equal(pruned, unpruned)
+    assert np.array_equal(unpruned, dense_tau_many(space, phi, probes))
+
+
 # -- the greedy cover ---------------------------------------------------------
 
 
@@ -136,6 +237,30 @@ def test_random_atomic_measures_postconditions():
         assert checks["ball_count_le_atoms"]
         assert checks["tau_balls_meet_support"]
         assert checks["emitted_balls_cover_support"]
+
+
+def test_greedy_cover_ignores_regular_probes():
+    # the loop runs only on irregular candidates: leaving the regular
+    # probes out of `probes` changes nothing
+    rng = np.random.default_rng(14)
+    gx, gy = np.meshgrid(np.linspace(-1.0, 2.0, 31), np.linspace(-1.0, 2.0, 31))
+    probes = np.column_stack([gx.ravel(), gy.ravel()])
+    most_balls = most_irregular = 0
+    for _ in range(20):
+        m = int(rng.integers(2, 16))
+        clusters = rng.random((3, 2))
+        pts = clusters[rng.integers(0, 3, m)] + 0.05 * rng.normal(size=(m, 2))
+        sp = DiscreteMeasureSpace(pts, rng.uniform(0.0, 1.0, m))
+        phi = MajorantFn.power(float(rng.uniform(1.0, 8.0)) * sp.A, 1.0)
+        irregular = tau_many(sp, phi, probes) > 0.0
+        full = greedy_ball_cover(sp, phi, probes=probes)
+        live = greedy_ball_cover(sp, phi, probes=probes[irregular])
+        assert np.array_equal(full.centers, live.centers)
+        assert np.array_equal(full.radii, live.radii)
+        assert np.array_equal(full.taus, live.taus)
+        most_balls = max(most_balls, full.count)
+        most_irregular = max(most_irregular, int(np.sum(irregular)))
+    assert most_balls >= 3 and 0 < most_irregular < len(probes)
 
 
 def test_parameter_validation():
