@@ -22,7 +22,7 @@ import numpy as np
 
 from . import campanato, covering, extension, fractals, remez
 from .geometry import Ball, Cube
-from .polynomials import Polynomial, chebyshev, multi_indices
+from .polynomials import Polynomial, chebyshev, exponent_array
 
 
 @dataclass
@@ -244,7 +244,7 @@ def criterion_7_markov_boundedness() -> CriterionResult:
 def _brute_force_best(points, masses, fvals, k, q, iters=40, grid=9):
     """Zooming coefficient-grid minimization of the normalized L_q error."""
     n = points.shape[1]
-    exps = np.array(multi_indices(n, max(k - 1, 0)), dtype=int)
+    exps = exponent_array(n, max(k - 1, 0))
     A = np.prod(np.power(points[:, None, :], exps[None, :, :]), axis=2)
     if k == 0:
         A = np.zeros((len(points), 0))

@@ -39,7 +39,7 @@ from scipy.optimize import linprog
 from .fractals import FractalSet
 from .geometry import Cube, sobol_unit
 from .polynomials import (Polynomial, binomial, compose_affine_many,
-                          multi_indices)
+                          exponent_array)
 
 LN2 = math.log(2.0)
 
@@ -260,7 +260,7 @@ def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
     """Design matrix of monomials in (x - c)/r of degree <= k-1."""
     c = np.asarray(cube.center)
     z = (points - c) / cube.radius
-    exps = np.array(multi_indices(points.shape[1], k - 1), dtype=int)
+    exps = exponent_array(points.shape[1], k - 1)
     return np.prod(np.power(z[:, None, :], exps[None, :, :]), axis=2)
 
 
@@ -347,29 +347,33 @@ def _linf_fit(A: np.ndarray, f: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class SeminormResult:
+    """The sup with its witness cube; `ratios[j]` is E_k / omega(r) on
+    family.cubes[j]."""
+
     value: float
     witness: Cube | None
     num_cubes: int
+    ratios: np.ndarray
 
 
 def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
                        omega: Majorant) -> SeminormResult:
-    """sup over the family of E_k(f; Q) / omega(r_Q), with the witness cube.
+    """sup over the family of E_k(f; Q) / omega(r_Q), with the witness cube
+    and every cube's ratio.
 
     Over a sampled family this is a certified lower bound for the full sup.
     """
     if not family.cubes:
         raise ValueError("empty cube family")
-    best = -math.inf
-    witness = None
     X = family.base_set
-    for Qc in family.cubes:
-        e_k = local_best_approx(f_values, X, Qc, k, q).value
-        ratio = e_k / float(omega(Qc.radius))
+    ratios = np.array([local_best_approx(f_values, X, Qc, k, q).value
+                       / float(omega(Qc.radius)) for Qc in family.cubes])
+    best, witness = -math.inf, None
+    for Qc, ratio in zip(family.cubes, ratios):
         if ratio > best:
-            best, witness = ratio, Qc
+            best, witness = float(ratio), Qc
     return SeminormResult(value=best, witness=witness,
-                          num_cubes=len(family.cubes))
+                          num_cubes=len(family.cubes), ratios=ratios)
 
 
 @dataclass

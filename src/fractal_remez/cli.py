@@ -218,12 +218,9 @@ def _run_campanato(config: dict, seed: int, out: str):
                       [{"experiment_id": "campanato", "n": X.ambient_dim,
                         "k": k, "s": X.s, "q": str(q),
                         "empirical_ratio": res.value}])
-    ratios = []
-    for rad in family.radii:
-        cubes_r = [Qc for Qc in family.cubes if Qc.radius == rad][:32]
-        vals = [campanato.local_best_approx(fvals, X, Qc, k, q).value
-                / float(omega(rad)) for Qc in cubes_r]
-        ratios.append(max(vals))
+    radii = np.array([Qc.radius for Qc in family.cubes])
+    ratios = [max(res.ratios[radii == rad][:32].tolist())
+              for rad in family.radii]
     write_plot_data(os.path.join(out, "ratio_vs_radius.dat"),
                     "cube radius", "max E_k / omega", family.radii, ratios)
     return []

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import golden_section_max
 from .polynomials import Polynomial
 
 DEFAULT_GAMMA = 1.0 / 3.0
@@ -523,24 +524,15 @@ def _circle_max_abs(f: Polynomial, radius: float, samples: int = 4096) -> float:
     th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     z = radius * np.exp(1j * th)
     vals = np.abs(f.eval_many(z))
-    best = float(vals.max())
     j = int(np.argmax(vals))
-    lo = th[j] - 2.0 * math.pi / samples
-    hi = th[j] + 2.0 * math.pi / samples
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
 
-    def val(theta: float) -> float:
-        return float(abs(f.eval_many(np.array([radius * np.exp(1j * theta)]))[0]))
+    def abs_f(theta):
+        return np.abs(f.eval_many(radius * np.exp(1j * theta.ravel()))
+                      ).reshape(theta.shape)
 
-    for _ in range(40):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        if val(c) > val(d):
-            b = d
-        else:
-            a = c
-    return max(best, val(0.5 * (a + b)))
+    step = 2.0 * math.pi / samples
+    theta = golden_section_max(abs_f, [th[j] - step], [th[j] + step], 40)
+    return max(float(vals.max()), float(abs_f(theta)[0]))
 
 
 @dataclass

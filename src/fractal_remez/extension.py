@@ -44,7 +44,8 @@ from .campanato import (CubeFamily, Majorant, build_cube_family,
                         quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
-from .polynomials import Polynomial, compose_affine_many, multi_indices
+from .polynomials import (Polynomial, compose_affine_many, exponent_array,
+                          multi_indices)
 
 __all__ = [
     "Chain", "GridSpec", "ExtensionField", "project", "trace_tilde",
@@ -410,7 +411,7 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
         raise ValueError("chain has no full-rank entries to blend")
     deg = max(chain.k - 1, 0)
     C = _coef_matrix([chain.entries[Q] for Q in cubes], n, deg)
-    exps = np.array(multi_indices(n, deg), dtype=int)
+    exps = exponent_array(n, deg)
     centers = np.array([Q.center for Q in cubes])
     radii = np.array([Q.radius for Q in cubes])
 

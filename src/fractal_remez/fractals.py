@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 MAX_CELLS = 10 ** 7
 BUCKET_THRESHOLD = 10 ** 5
@@ -129,7 +130,7 @@ class FractalSet:
     total_mass: float
     ifs: IFS | None = None
     depth: int | None = None
-    _bucket: object = field(default=None, repr=False, compare=False)
+    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -191,40 +192,15 @@ def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,
 # -- ball queries ------------------------------------------------------
 
 
-class _BucketIndex:
-    """Uniform grid over the cloud; an index only, never an approximation."""
-
-    def __init__(self, points: np.ndarray, cell: float):
-        self.cell = cell
-        self.lo = points.min(axis=0)
-        keys = np.floor((points - self.lo) / cell).astype(np.int64)
-        self.buckets: dict = {}
-        for i, k in enumerate(map(tuple, keys)):
-            self.buckets.setdefault(k, []).append(i)
-
-    def candidates(self, x: np.ndarray, r: float) -> np.ndarray:
-        lo_k = np.floor((x - r - self.lo) / self.cell).astype(np.int64)
-        hi_k = np.floor((x + r - self.lo) / self.cell).astype(np.int64)
-        idx: list = []
-        ranges = [range(a, b + 1) for a, b in zip(lo_k, hi_k)]
-        for key in itertools.product(*ranges):
-            idx.extend(self.buckets.get(key, ()))
-        return np.array(sorted(idx), dtype=np.int64)
-
-
-def _get_bucket(X: FractalSet) -> _BucketIndex:
-    if X._bucket is None:
-        cell = max(X.diam / max(int(round(X.size ** (1.0 / X.ambient_dim))), 1),
-                   X.cell_diam, 1e-12)
-        X._bucket = _BucketIndex(X.points, cell)
-    return X._bucket
-
-
 def ball_measure(X: FractalSet, x, r: float, method: str = "auto") -> float:
     """Mass of the open Euclidean ball B_r(x) under the cloud measure.
 
-    Brute force and the bucketed index visit the same points in the same
-    index order, so their results are bitwise identical.
+    "brute" scans the whole cloud.  "bucket" asks a k-d tree over the
+    cloud, built on the first query, for the indices within a slightly
+    widened radius, in increasing order, and keeps those with d < r by the
+    same distance formula; "auto" takes it from BUCKET_THRESHOLD points on.
+    Both sum the same masses in the same index order, so their results
+    are bitwise identical.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -235,7 +211,12 @@ def ball_measure(X: FractalSet, x, r: float, method: str = "auto") -> float:
         d = np.linalg.norm(X.points - x, axis=1)
         return float(np.sum(X.masses[d < r]))
     if method == "bucket":
-        cand = _get_bucket(X).candidates(x, r)
+        if X._tree is None:
+            X._tree = cKDTree(X.points)
+        # the tree compares squared distances, the filter their roots; the
+        # widened radius lets it return extra candidates, never miss one
+        cand = np.asarray(X._tree.query_ball_point(
+            x, r * (1.0 + 1e-9), return_sorted=True), dtype=np.int64)
         if len(cand) == 0:
             return 0.0
         d = np.linalg.norm(X.points[cand] - x, axis=1)

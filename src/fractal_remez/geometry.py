@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -27,8 +29,49 @@ def sobol_unit(dim: int, count: int, skip_zero: bool = False) -> np.ndarray:
     return eng.random(count)
 
 
+def golden_section_max(fn, a, b, steps: int) -> np.ndarray:
+    """Golden-section ascent of fn on the brackets [a_j, b_j], side by side.
+
+    Each step hands fn a (2, m) array with the lower and the upper trial
+    point of every bracket (fn must not keep it: it is reused) and fn
+    returns their values in the same shape.  A bracket keeps its lower
+    part when the lower trial is strictly larger, else its upper part.
+    Returns the midpoints of the final brackets.
+    """
+    ab = np.array([a, b], dtype=float)
+    trial = np.empty_like(ab)
+    for _ in range(steps):
+        w = GOLDEN * (ab[1] - ab[0])
+        np.subtract(ab[1], w, out=trial[0])
+        np.add(ab[0], w, out=trial[1])
+        v = fn(trial)
+        lower = v[0] > v[1]
+        np.copyto(ab[0], trial[0], where=~lower)
+        np.copyto(ab[1], trial[1], where=lower)
+    return 0.5 * (ab[0] + ab[1])
+
+
+class _Body:
+    """What cubes and balls share: a center and a radius."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.asarray(self.center)
+        return c - self.radius, c + self.radius
+
+    def axis_extremes(self) -> np.ndarray:
+        """The center, then center - r e_i and center + r e_i for each i."""
+        c = np.asarray(self.center)
+        shifts = self.radius * np.eye(self.dim)
+        return np.vstack([c, np.stack([c - shifts, c + shifts], axis=1)
+                          .reshape(-1, self.dim)])
+
+
 @dataclass(frozen=True)
-class Cube:
+class Cube(_Body):
     """Closed axis-aligned cube with center c and radius r (half side)."""
 
     center: tuple
@@ -40,47 +83,28 @@ class Cube:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
     def volume(self) -> float:
         return (2.0 * self.radius) ** self.dim
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         c = np.asarray(self.center)
         return np.max(np.abs(pts - c), axis=1) <= self.radius
 
-    def contains_cube(self, other: "Cube") -> bool:
-        dc = max(abs(a - b) for a, b in zip(self.center, other.center))
-        return dc <= self.radius - other.radius
-
     def sample(self, count: int) -> np.ndarray:
         lo, hi = self.bounds()
         u = sobol_unit(self.dim, count)
         return lo + u * (hi - lo)
 
-    def axis_extremes(self) -> np.ndarray:
-        c = np.asarray(self.center)
-        pts = [c]
-        for i in range(self.dim):
-            for sgn in (-1.0, 1.0):
-                p = c.copy()
-                p[i] += sgn * self.radius
-                pts.append(p)
-        return np.array(pts)
-
-    def coordinate_segment(self, x: np.ndarray, i: int) -> tuple[float, float]:
-        return self.center[i] - self.radius, self.center[i] + self.radius
+    def coordinate_segments(self, X: np.ndarray,
+                            i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ends of the cube's chords through the rows of X along axis i."""
+        return (np.full(len(X), self.center[i] - self.radius),
+                np.full(len(X), self.center[i] + self.radius))
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Body):
     """Closed Euclidean ball."""
 
     center: tuple
@@ -92,16 +116,8 @@ class Ball:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius ** self.dim
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
 
     def contains(self, points, rtol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -127,21 +143,15 @@ class Ball:
         r = self.radius * u[:, self.dim] ** (1.0 / self.dim)
         return c + z * r[:, None]
 
-    def axis_extremes(self) -> np.ndarray:
+    def coordinate_segments(self, X: np.ndarray,
+                            i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ends of the ball's chords through the rows of X along axis i; a
+        row whose other coordinates reach the sphere gets [X_i, X_i]."""
         c = np.asarray(self.center)
-        pts = [c]
-        for i in range(self.dim):
-            for sgn in (-1.0, 1.0):
-                p = c.copy()
-                p[i] += sgn * self.radius
-                pts.append(p)
-        return np.array(pts)
-
-    def coordinate_segment(self, x: np.ndarray, i: int) -> tuple[float, float]:
-        c = np.asarray(self.center)
-        rest = np.delete(x - c, i)
-        slack = self.radius ** 2 - float(rest @ rest)
-        if slack <= 0.0:
-            return float(x[i]), float(x[i])
-        w = math.sqrt(slack)
-        return c[i] - w, c[i] + w
+        rest = np.delete(X - c, i, axis=1)
+        # one dot product per row, rounded as rest @ rest is for one row
+        slack = self.radius ** 2 - (rest[:, None, :] @ rest[:, :, None])[:, 0, 0]
+        w = np.sqrt(np.maximum(slack, 0.0))
+        empty = slack <= 0.0
+        return (np.where(empty, X[:, i], c[i] - w),
+                np.where(empty, X[:, i], c[i] + w))

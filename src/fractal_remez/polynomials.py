@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "Polynomial",
     "multi_indices",
+    "exponent_array",
     "binomial",
     "chebyshev",
     "finite_difference",
@@ -73,6 +74,15 @@ def multi_indices(num_vars: int, max_degree: int) -> tuple[tuple[int, ...], ...]
         ]
         out.extend(sorted(block))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def exponent_array(num_vars: int, max_degree: int) -> np.ndarray:
+    """multi_indices(num_vars, max_degree) as a read-only (m, n) int array,
+    built once per (num_vars, max_degree) and shared by every caller."""
+    E = np.array(multi_indices(num_vars, max_degree), dtype=int)
+    E.setflags(write=False)
+    return E
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +162,7 @@ class Polynomial:
 
     @property
     def exponents(self) -> np.ndarray:
-        return np.array(multi_indices(self.num_vars, self.degree_bound), dtype=int)
+        return exponent_array(self.num_vars, self.degree_bound)
 
     @property
     def is_complex(self) -> bool:
@@ -185,10 +195,7 @@ class Polynomial:
                 f"points have dimension {x.shape[1]}, polynomial has "
                 f"{self.num_vars} variables"
             )
-        exps = self.exponents
-        monomials = np.prod(
-            np.power(x[:, None, :], exps[None, :, :]), axis=2
-        )
+        monomials = np.power(x[:, None, :], self.exponents).prod(axis=2)
         return monomials @ self.coeffs
 
     def eval(self, x):
@@ -290,12 +297,12 @@ def _affine_structure(num_vars: int, degree: int):
     exponents b (one row per output monomial) and the exponents a - b,
     clipped at zero where some b_j > a_j (there B vanishes).
     """
-    E = np.array(multi_indices(num_vars, degree), dtype=int)
+    E = exponent_array(num_vars, degree)
     pascal = np.array([[binomial(a, b) for b in range(degree + 1)]
                        for a in range(degree + 1)], dtype=float)
     B = np.prod(pascal[E[None, :, :], E[:, None, :]], axis=2)
     D = np.maximum(E[None, :, :] - E[:, None, :], 0)
-    for arr in (B, E, D):
+    for arr in (B, D):
         arr.setflags(write=False)
     return B, E, D
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fractals import FractalSet
-from .geometry import Ball, Cube
+from .geometry import golden_section_max
 from .polynomials import Polynomial
 
 SUP_BUDGET = 2 ** 14
@@ -60,31 +60,35 @@ def simple_bound(n: int, k: int, lam: float) -> float:
 # -- sup norms -----------------------------------------------------------
 
 
-def _refine_coordinate(p: Polynomial, domain, x: np.ndarray,
-                       sweeps: int = REFINE_SWEEPS) -> float:
-    """Per-coordinate golden-section ascent of |p| from x inside domain."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x = x.copy()
-    best = abs(p.eval(x))
+def _refine_coordinates(p: Polynomial, domain, X: np.ndarray,
+                        sweeps: int = REFINE_SWEEPS) -> np.ndarray:
+    """Per-coordinate golden-section ascent of |p| from each row of X.
+
+    All starts move together, each with its own bracket and running best;
+    a start moves only to a strictly larger value, and stays put on an
+    axis where its chord through the domain is empty.  Returns the best
+    value reached from each start.
+    """
+    X = np.array(X, dtype=float)
+    best = np.abs(p.eval_many(X))
     for _ in range(sweeps):
         for i in range(domain.dim):
-            a, b = domain.coordinate_segment(x, i)
-            if b <= a:
+            a, b = domain.coordinate_segments(X, i)
+            rows = np.flatnonzero(b > a)
+            if len(rows) == 0:
                 continue
-            for _ in range(24):
-                c = b - invphi * (b - a)
-                d = a + invphi * (b - a)
-                xc, xd = x.copy(), x.copy()
-                xc[i], xd[i] = c, d
-                if abs(p.eval(xc)) > abs(p.eval(xd)):
-                    b = d
-                else:
-                    a = c
-            xm = x.copy()
-            xm[i] = 0.5 * (a + b)
-            v = abs(p.eval(xm))
-            if v > best:
-                best, x = v, xm
+            trial = np.tile(X[rows], (2, 1))
+
+            def abs_p(t):
+                trial[:, i] = t.ravel()
+                return np.abs(p.eval_many(trial)).reshape(t.shape)
+
+            mid = X[rows]
+            mid[:, i] = golden_section_max(abs_p, a[rows], b[rows], 24)
+            v = np.abs(p.eval_many(mid))
+            up = v > best[rows]
+            best[rows[up]] = v[up]
+            X[rows[up]] = mid[up]
     return best
 
 
@@ -92,8 +96,11 @@ def sup_norm(p: Polynomial, domain, budget: int = SUP_BUDGET) -> float:
     """Max of |p| over a FractalSet cloud (exact) or a ball/cube.
 
     Continuous domains use a Sobol sample of the given budget plus the
-    center and axis extremes, then golden-section ascent from the best
-    starts.  Larger budgets extend the same Sobol prefix, so the result
+    center and axis extremes, then a golden-section ascent, one
+    coordinate at a time, from the REFINE_STARTS best sample points; the
+    starts are refined together, so each step costs one evaluation of
+    2 * REFINE_STARTS points.  The result is a sampled lower bound for the
+    true sup.  Larger budgets extend the same Sobol prefix, so the result
     is monotone nondecreasing in the budget.
     """
     if isinstance(domain, FractalSet):
@@ -102,11 +109,9 @@ def sup_norm(p: Polynomial, domain, budget: int = SUP_BUDGET) -> float:
         return float(np.max(np.abs(p.eval_many(domain.points))))
     pts = np.vstack([domain.sample(budget), domain.axis_extremes()])
     vals = np.abs(p.eval_many(pts))
-    best = float(vals.max())
     order = np.argsort(vals)[::-1][:REFINE_STARTS]
-    for j in order:
-        best = max(best, _refine_coordinate(p, domain, pts[j].astype(float)))
-    return best
+    return max(float(vals.max()),
+               float(_refine_coordinates(p, domain, pts[order]).max()))
 
 
 def _normalized_lq_cloud(p: Polynomial, X: FractalSet, q) -> float:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fractal_remez import acceptance, cli
+from fractal_remez import acceptance, campanato, cli
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -63,6 +63,37 @@ def test_run_covering_experiment(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["result"]["num_violations"] == 0
     assert (out / "ball_radii.dat").exists()
+
+
+def test_run_campanato_solves_each_cube_once(tmp_path, monkeypatch):
+    config = {"experiment": "campanato", "set": "cantor:1/3", "depth": 6,
+              "seed": 4, "params": {"k": 2, "q": 2, "function": "poly:3",
+                                    "center_budget": 40}}
+    cfg = write_config(tmp_path, config)
+    solved = []
+    solve = campanato.local_best_approx
+
+    def counting(f_values, X, Q, k, q):
+        solved.append(Q)
+        return solve(f_values, X, Q, k, q)
+
+    monkeypatch.setattr(campanato, "local_best_approx", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    X = cli._resolve_set(config)
+    fvals = cli._resolve_function("poly:3", X, 4)
+    family = campanato.build_cube_family(X, center_budget=40)
+    assert solved == family.cubes
+    # more than 32 cubes per radius: the plot keeps the first 32 of each
+    omega = campanato.Majorant.from_id("power:1", 2)
+    want = []
+    for rad in family.radii:
+        cubes = [Q for Q in family.cubes if Q.radius == rad][:32]
+        want.append(max(solve(fvals, X, Q, 2, 2).value / float(omega(rad))
+                        for Q in cubes))
+    rows = (out / "ratio_vs_radius.dat").read_text().splitlines()[1:]
+    assert [tuple(map(float, r.split())) for r in rows] == \
+        list(zip(family.radii.tolist(), want))
 
 
 def test_run_extension_experiment(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_remez.covering import (CartanDiskReport, DiscreteMeasureSpace,
-                                    MajorantFn, _atom_distances, _distances,
+                                    MajorantFn, _atom_distances,
+                                    _circle_max_abs, _distances,
                                     _step_scan, cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
                                     potential, potential_bound_verify,
@@ -395,6 +396,38 @@ def cartan_grid(R=2.0, n=101):
     axis = np.linspace(-R, R, n)
     gx, gy = np.meshgrid(axis, axis)
     return (gx + 1j * gy).ravel()
+
+
+def _circle_max_reference(f, radius, samples=4096):
+    """max |f| on |z| = radius, one trial point per evaluation."""
+    th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    vals = np.abs(f.eval_many(radius * np.exp(1j * th)))
+    j = int(np.argmax(vals))
+    a = th[j] - 2.0 * math.pi / samples
+    b = th[j] + 2.0 * math.pi / samples
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def val(theta):
+        return float(abs(f.eval_many(np.array([radius * np.exp(1j * theta)]))[0]))
+
+    for _ in range(40):
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        if val(c) > val(d):
+            b = d
+        else:
+            a = c
+    return max(float(vals.max()), val(0.5 * (a + b)))
+
+
+@given(st.integers(0, 10), st.floats(0.05, 20.0), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_circle_max_matches_scalar_search(deg, radius, complex_coeffs, seed):
+    f = Polynomial.random(np.random.default_rng(seed), 1, deg,
+                          complex_coeffs=complex_coeffs)
+    want = _circle_max_reference(f, radius)
+    assert abs(_circle_max_abs(f, radius) - want) <= 1e-13 * want
 
 
 def test_cartan_constant_one():

@@ -86,6 +86,20 @@ def test_bucket_index_agrees_exactly():
             ball_measure(X, x, r, method="bucket")
 
 
+def test_index_agrees_exactly_at_boundary_radii():
+    # radii one ulp above a cloud point's distance put it on the edge
+    for preset, depth in (("cantor:1/3", 10), ("dust2d:1/4", 5)):
+        X = build_preset(preset, depth)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            x = X.points[rng.integers(X.size)] + rng.normal(
+                scale=1e-3, size=X.ambient_dim)
+            d = np.linalg.norm(X.points[rng.integers(X.size)] - x)
+            for r in (d, np.nextafter(d, np.inf)):
+                assert ball_measure(X, x, r, method="brute") == \
+                    ball_measure(X, x, r, method="bucket")
+
+
 def test_regularity_unit_interval():
     X = build_preset("cube:1", 10)
     est = estimate_regularity(X, 500, (4 * 2.0 ** -10, 0.5),

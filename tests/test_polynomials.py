@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_remez.polynomials import (Polynomial, binomial, chebyshev,
-                                       compose_affine_many, finite_difference,
-                                       multi_indices)
+                                       compose_affine_many, exponent_array,
+                                       finite_difference, multi_indices)
 
 
 def test_eval_simple():
@@ -53,6 +53,15 @@ def test_multi_indices_graded_prefix():
     big = multi_indices(2, 4)
     assert big[: len(small)] == small
     assert all(sum(a) <= 4 for a in big)
+
+
+def test_exponent_array_is_shared_and_read_only():
+    E = exponent_array(2, 3)
+    assert E.tolist() == [list(a) for a in multi_indices(2, 3)]
+    assert exponent_array(2, 3) is E
+    assert Polynomial.random(np.random.default_rng(0), 2, 3).exponents is E
+    with pytest.raises(ValueError):
+        E[0, 0] = 1
 
 
 def test_chebyshev_t0_constant():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from fractal_remez import fractals
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Ball, Cube
 from fractal_remez.polynomials import Polynomial, chebyshev
-from fractal_remez.remez import (bg_bound, bmo_oscillation, empirical_remez,
+from fractal_remez.remez import (REFINE_SWEEPS, _refine_coordinates,
+                                 bg_bound, bmo_oscillation, empirical_remez,
                                  markov_check, reverse_holder, simple_bound,
                                  sup_norm)
 
@@ -95,6 +97,81 @@ def test_sup_norm_monotone_in_budget():
 def test_sup_norm_on_cube_domain():
     p = chebyshev(3)
     assert sup_norm(p, Cube((0.5,), 0.5)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _segment_reference(domain, x, i):
+    """Scalar chord of the domain through x along axis i."""
+    c = np.asarray(domain.center)
+    if isinstance(domain, Cube):
+        return c[i] - domain.radius, c[i] + domain.radius
+    rest = np.delete(x - c, i)
+    slack = domain.radius ** 2 - float(rest @ rest)
+    if slack <= 0.0:
+        return float(x[i]), float(x[i])
+    w = math.sqrt(slack)
+    return c[i] - w, c[i] + w
+
+
+def _refine_reference(p, domain, x, sweeps=REFINE_SWEEPS):
+    """The ascent one start and one trial point at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x = x.copy()
+    best = abs(p.eval(x))
+    for _ in range(sweeps):
+        for i in range(domain.dim):
+            a, b = _segment_reference(domain, x, i)
+            if b <= a:
+                continue
+            for _ in range(24):
+                c = b - invphi * (b - a)
+                d = a + invphi * (b - a)
+                xc, xd = x.copy(), x.copy()
+                xc[i], xd[i] = c, d
+                if abs(p.eval(xc)) > abs(p.eval(xd)):
+                    b = d
+                else:
+                    a = c
+            xm = x.copy()
+            xm[i] = 0.5 * (a + b)
+            v = abs(p.eval(xm))
+            if v > best:
+                best, x = v, xm
+    return best
+
+
+def _eval_rowwise(p, points):
+    """Polynomial.eval_many with one dot product per point."""
+    monomials = np.power(points[:, None, :], p.exponents).prod(axis=2)
+    return np.array([row @ p.coeffs for row in monomials])
+
+
+@given(st.integers(1, 3), st.integers(0, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_batched_ascent_matches_scalar_reference(n, deg, ball, seed):
+    # BLAS may round a point's value differently in a 1-row and a 16-row
+    # product.  On a ball's sphere the ascent can stall short of the max,
+    # and a 1-ulp flip of one comparison then leaves a start at another
+    # stall point (seen 7.7e-11 relative apart on a 3-D ball).  Evaluating
+    # point by point takes the rounding out, so any difference left is
+    # the batching.
+    rng = np.random.default_rng(seed)
+    p = Polynomial.random(rng, n, deg)
+    # eighths keep the axis extremes exact: on a ball their chords along
+    # the other axes are empty (b <= a), so those starts stay put there
+    domain = (Ball if ball else Cube)(tuple(rng.integers(-8, 9, n) / 8),
+                                      int(rng.integers(2, 17)) / 8)
+    dirs = rng.normal(size=(6, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # then interior points and points on the sphere
+    scale = domain.radius * np.concatenate([rng.uniform(0, 1, 3), np.ones(3)])
+    starts = np.vstack([domain.axis_extremes(), np.asarray(domain.center)
+                        + scale[:, None] * dirs])
+    with mock.patch.object(Polynomial, "eval_many", _eval_rowwise):
+        got = _refine_coordinates(p, domain, starts, sweeps=6)
+        want = np.array([_refine_reference(p, domain, x, sweeps=6)
+                         for x in starts])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 # -- empirical comparison -----------------------------------------------------
