@@ -37,9 +37,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fractals import FractalSet
-from .geometry import Cube, sobol_unit
+from .geometry import Cube, gaussian_directions, sobol_unit
 from .polynomials import (Polynomial, binomial, compose_affine_many,
-                          exponent_array)
+                          monomials)
 
 LN2 = math.log(2.0)
 
@@ -258,10 +258,7 @@ def frames_to_global(rows: np.ndarray, cubes: list, degree: int) -> np.ndarray:
 
 def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
     """Design matrix of monomials in (x - c)/r of degree <= k-1."""
-    c = np.asarray(cube.center)
-    z = (points - c) / cube.radius
-    exps = exponent_array(points.shape[1], k - 1)
-    return np.prod(np.power(z[:, None, :], exps[None, :, :]), axis=2)
+    return monomials((points - np.asarray(cube.center)) / cube.radius, k - 1)
 
 
 def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
@@ -414,14 +411,11 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box,
     x = lo + u[:, :n] * (hi - lo)
     if n == 1:
         dirs = np.where(u[:, n:n + 1] < 0.5, -1.0, 1.0)
-    else:
+    elif n == 2:
         th = 2.0 * math.pi * u[:, n]
-        dirs = np.column_stack([np.cos(th), np.sin(th)]) if n == 2 else None
-        if dirs is None:
-            from scipy.stats import norm
-
-            z = norm.ppf(np.clip(u[:, n:2 * n], 1e-12, 1 - 1e-12))
-            dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+    else:
+        dirs = gaussian_directions(u[:, n:2 * n])
     mags = h_max * 10.0 ** (-h_decades * u[:, -1])
     Hs = dirs * mags[:, None]
     inside = np.all((x + k * Hs >= lo) & (x + k * Hs <= hi), axis=1)

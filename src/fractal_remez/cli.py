@@ -219,7 +219,7 @@ def _run_campanato(config: dict, seed: int, out: str):
                         "k": k, "s": X.s, "q": str(q),
                         "empirical_ratio": res.value}])
     radii = np.array([Qc.radius for Qc in family.cubes])
-    ratios = [max(res.ratios[radii == rad][:32].tolist())
+    ratios = [max(res.ratios[radii == rad].tolist())
               for rad in family.radii]
     write_plot_data(os.path.join(out, "ratio_vs_radius.dat"),
                     "cube radius", "max E_k / omega", family.radii, ratios)

@@ -44,7 +44,7 @@ from .campanato import (CubeFamily, Majorant, build_cube_family,
                         quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
-from .polynomials import (Polynomial, compose_affine_many, exponent_array,
+from .polynomials import (Polynomial, compose_affine_many, monomials,
                           multi_indices)
 
 __all__ = [
@@ -402,8 +402,17 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+# node-cube tables of one block of nodes hold about this many entries
+_BLOCK_ENTRIES = 2 ** 15
+
+
 def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionField:
-    """Blend chain polynomials over an ambient grid with Whitney scaling."""
+    """Blend chain polynomials over an ambient grid with Whitney scaling.
+
+    Nodes are handled in blocks of about _BLOCK_ENTRIES node-cube pairs,
+    every step as one array operation over the block.  Provenance lists
+    (cube index, weight) in increasing index over the full-rank cubes.
+    """
     nodes = grid.nodes()
     n = grid.dim
     cubes = [Q for Q in chain.cubes if Q not in chain.deficient]
@@ -411,41 +420,45 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
         raise ValueError("chain has no full-rank entries to blend")
     deg = max(chain.k - 1, 0)
     C = _coef_matrix([chain.entries[Q] for Q in cubes], n, deg)
-    exps = exponent_array(n, deg)
     centers = np.array([Q.center for Q in cubes])
     radii = np.array([Q.radius for Q in cubes])
-
-    tree_X = cKDTree(X.points)
-    dist, _ = tree_X.query(nodes)
+    dist, _ = cKDTree(X.points).query(nodes)
 
     values = np.full(len(nodes), np.nan)
     provenance: list = [None] * len(nodes)
     holes: list = []
-    unique_radii = np.array(sorted(set(radii)))
-
-    for i, y in enumerate(nodes):
-        d = dist[i]
-        supd = np.max(np.abs(centers - y), axis=1)
+    step = max(1, _BLOCK_ENTRIES // len(cubes))
+    for lo in range(0, len(nodes), step):
+        y = nodes[lo:lo + step]
+        d = dist[lo:lo + step, None]
+        supd = np.abs(y[:, :1] - centers[:, 0])
+        for i in range(1, n):
+            np.maximum(supd, np.abs(y[:, i:i + 1] - centers[:, i]), out=supd)
         in_double = supd <= 2.0 * radii
         band = in_double & (radii >= d) & (radii <= 4.0 * d)
-        sel = np.nonzero(band)[0]
-        if len(sel) == 0:
-            # on-set nodes and band gaps: smallest covering scale
-            for r in unique_radii:
-                sel = np.nonzero(in_double & (radii == r))[0]
-                if len(sel):
-                    break
-        if len(sel) == 0:
-            holes.append(i)
+        # on-set nodes and band gaps: the covering cubes of smallest radius
+        r_min = np.where(in_double, radii, np.inf).min(axis=1, keepdims=True)
+        sel = np.where(band.any(axis=1, keepdims=True), band,
+                       in_double & (radii == r_min))
+        holes.extend((lo + np.flatnonzero(~sel.any(axis=1))).tolist())
+        rows, cols = np.nonzero(sel)
+        if not len(rows):
             continue
-        t = supd[sel] / (2.0 * radii[sel])
-        w = _bump(t)
-        if w.sum() == 0.0:
-            w = np.ones(len(sel))
-        w = w / w.sum()
-        mono = np.prod(np.power(y[None, :], exps), axis=1)
-        values[i] = float(w @ (C[sel] @ mono))
-        provenance[i] = list(zip(sel.tolist(), w.tolist()))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        counts = np.diff(starts, append=len(rows))
+        w = _bump(supd[rows, cols] / (2.0 * radii[cols]))
+        total = np.add.reduceat(w, starts)
+        flat = total == 0.0  # every bump vanishes: equal weights
+        w[np.repeat(flat, counts)] = 1.0
+        total[flat] = counts[flat]
+        w /= np.repeat(total, counts)
+        vals = (monomials(y, deg) @ C.T)[rows, cols]
+        owners = lo + rows[starts]
+        values[owners] = np.add.reduceat(w * vals, starts)
+        cl, wl = cols.tolist(), w.tolist()
+        for i, a, b in zip(owners.tolist(), starts.tolist(),
+                           (starts + counts).tolist()):
+            provenance[i] = list(zip(cl[a:b], wl[a:b]))
     return ExtensionField(grid=grid, values=values, provenance=provenance,
                           holes=holes, chain_k=chain.k)
 

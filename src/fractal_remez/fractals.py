@@ -105,17 +105,15 @@ class IFS:
     ambient_dim: int
     maps: tuple
     similarity_dim: float
-    osc_verified: bool = False
 
     @classmethod
-    def from_maps(cls, maps, osc_verified: bool = False) -> "IFS":
+    def from_maps(cls, maps) -> "IFS":
         maps = tuple(maps)
         dims = {len(m.translation) for m in maps}
         if len(dims) != 1:
             raise ValueError("maps have inconsistent ambient dimensions")
         s = solve_similarity_dim([m.ratio for m in maps])
-        return cls(ambient_dim=dims.pop(), maps=maps, similarity_dim=s,
-                   osc_verified=osc_verified)
+        return cls(ambient_dim=dims.pop(), maps=maps, similarity_dim=s)
 
 
 @dataclass
@@ -320,7 +318,7 @@ def _cantor_ifs(ratio: float) -> IFS:
     if not 0.0 < ratio < 0.5:
         raise ValueError(f"cantor ratio must lie in (0, 1/2), got {ratio}")
     maps = (Similarity(ratio, (0.0,)), Similarity(ratio, (1.0 - ratio,)))
-    return IFS.from_maps(maps, osc_verified=True)
+    return IFS.from_maps(maps)
 
 def _dust2d_ifs(ratio: float) -> IFS:
     if not 0.0 < ratio <= 0.5:
@@ -328,14 +326,14 @@ def _dust2d_ifs(ratio: float) -> IFS:
     c = 1.0 - ratio
     maps = tuple(Similarity(ratio, t) for t in
                  ((0.0, 0.0), (c, 0.0), (0.0, c), (c, c)))
-    return IFS.from_maps(maps, osc_verified=True)
+    return IFS.from_maps(maps)
 
 def _cube_ifs(n: int) -> IFS:
     if not 1 <= n <= 3:
         raise ValueError(f"cube dimension must be 1..3, got {n}")
     maps = tuple(Similarity(0.5, t)
                  for t in itertools.product((0.0, 0.5), repeat=n))
-    return IFS.from_maps(maps, osc_verified=True)
+    return IFS.from_maps(maps)
 
 
 def _parse_fraction(text: str) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.stats import norm, qmc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -27,6 +27,23 @@ def sobol_unit(dim: int, count: int, skip_zero: bool = False) -> np.ndarray:
     if skip_zero:
         eng.fast_forward(1)
     return eng.random(count)
+
+
+def gaussian_directions(u: np.ndarray) -> np.ndarray:
+    """Unit vectors from rows of uniforms in [0, 1]^n.
+
+    Each row goes through the normal quantile (clipped away from 0 and 1)
+    and is divided by its norm, so equidistributed rows give directions
+    equidistributed on the sphere.  A row that maps to the zero vector
+    (every entry 1/2, as in the second Sobol point) gets e_1 instead of
+    0/0.
+    """
+    z = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    length = np.linalg.norm(z, axis=1, keepdims=True)
+    zero = length[:, 0] == 0.0
+    z[zero, 0] = 1.0
+    length[zero] = 1.0
+    return z / length
 
 
 def golden_section_max(fn, a, b, steps: int) -> np.ndarray:
@@ -135,11 +152,8 @@ class Ball(_Body):
             r = self.radius * np.sqrt(u[:, 0])
             th = 2.0 * math.pi * u[:, 1]
             return c + np.column_stack([r * np.cos(th), r * np.sin(th)])
-        from scipy.stats import norm
-
         u = sobol_unit(self.dim + 1, count, skip_zero=True)
-        z = norm.ppf(np.clip(u[:, : self.dim], 1e-12, 1 - 1e-12))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = gaussian_directions(u[:, : self.dim])
         r = self.radius * u[:, self.dim] ** (1.0 / self.dim)
         return c + z * r[:, None]
 

@@ -11,6 +11,17 @@ the scalar kind is the dtype of the coefficient array (complex is used
 only for univariate polynomials here).  Degrees stay small (<= ~12), so
 dense storage and naive convolution multiplication are the right tools.
 
+Polynomials are evaluated through one kernel, `monomials(x, degree)`,
+which builds the (N, m) table of every graded monomial at N points: the
+constant and the linear columns are copied, and every column above them
+is its parent column times one variable, where the parent multi-index
+(the exponent with one power of that variable removed) and the variable
+come from a table cached per (num_vars, degree).  So a table costs one
+multiplication per column of degree >= 2, done one degree block at a
+time.  `Polynomial.eval_many`, the design matrices of the local fits,
+the Whitney assembly and the scale powers of `compose_affine_many` all
+go through it.
+
 All instances are immutable after construction and all operations are
 pure; sharing across threads is safe.
 """
@@ -30,6 +41,7 @@ __all__ = [
     "chebyshev",
     "finite_difference",
     "compose_affine_many",
+    "monomials",
 ]
 
 _PASCAL_MAX = 30
@@ -88,6 +100,59 @@ def exponent_array(num_vars: int, max_degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _index_positions(num_vars: int, max_degree: int) -> dict:
     return {a: i for i, a in enumerate(multi_indices(num_vars, max_degree))}
+
+
+def _as_slice(idx: list):
+    """idx as a slice when it is a run of consecutive columns, so that
+    indexing with it gives a view; otherwise as an index array."""
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx)
+
+
+@lru_cache(maxsize=None)
+def _monomial_parents(num_vars: int, degree: int) -> tuple:
+    """Per degree d = 2..degree: the column slice of that degree block,
+    and for each of its columns the column of its parent monomial and the
+    column of the variable that multiplies it (the last variable with a
+    positive exponent).  The degree-1 block holds x_{n-1}, ..., x_0."""
+    idx = multi_indices(num_vars, degree)
+    pos = _index_positions(num_vars, degree)
+    blocks = []
+    start = num_vars + 1
+    for d in range(2, degree + 1):
+        stop = start + sum(1 for a in idx[start:] if sum(a) == d)
+        parents, factors = [], []
+        for a in idx[start:stop]:
+            j = max(i for i, e in enumerate(a) if e > 0)
+            parents.append(pos[a[:j] + (a[j] - 1,) + a[j + 1:]])
+            factors.append(num_vars - j)
+        blocks.append((slice(start, stop), _as_slice(parents),
+                       _as_slice(factors)))
+        start = stop
+    return tuple(blocks)
+
+
+def monomials(x, degree: int) -> np.ndarray:
+    """The (N, m) table of the graded monomials |a| <= degree at the rows
+    of x, an (N, n) array of real or complex points.
+
+    Columns follow multi_indices(n, degree).  The table is built one
+    degree block at a time, one multiplication per column of degree >= 2,
+    and returned as the transposed view of an (m, N) array.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"points must be an (N, n) array, got shape {x.shape}")
+    num_points, n = x.shape
+    table = np.empty((len(multi_indices(n, degree)), num_points),
+                     dtype=complex if x.dtype.kind == "c" else float)
+    table[0] = 1.0
+    if degree >= 1:
+        table[1:n + 1] = x.T[::-1]
+    for cols, parents, factors in _monomial_parents(n, degree):
+        np.multiply(table[parents], table[factors], out=table[cols])
+    return table.T
 
 
 class Polynomial:
@@ -195,8 +260,7 @@ class Polynomial:
                 f"points have dimension {x.shape[1]}, polynomial has "
                 f"{self.num_vars} variables"
             )
-        monomials = np.power(x[:, None, :], self.exponents).prod(axis=2)
-        return monomials @ self.coeffs
+        return monomials(x, self.degree_bound) @ self.coeffs
 
     def eval(self, x):
         """Evaluate at a single point (scalar for n == 1)."""
@@ -293,18 +357,20 @@ class Polynomial:
 def _affine_structure(num_vars: int, degree: int):
     """Integer data of the affine re-expansion for |a| <= degree.
 
-    Returns the binomial factors B[b, a] = prod_j C(a_j, b_j), the
-    exponents b (one row per output monomial) and the exponents a - b,
+    Returns the binomial factors B[b, a] = prod_j C(a_j, b_j) and the
+    column G[b, a] of the monomial a - b in the graded table, with a - b
     clipped at zero where some b_j > a_j (there B vanishes).
     """
     E = exponent_array(num_vars, degree)
     pascal = np.array([[binomial(a, b) for b in range(degree + 1)]
                        for a in range(degree + 1)], dtype=float)
     B = np.prod(pascal[E[None, :, :], E[:, None, :]], axis=2)
+    pos = _index_positions(num_vars, degree)
     D = np.maximum(E[None, :, :] - E[:, None, :], 0)
-    for arr in (B, D):
+    G = np.array([[pos[tuple(d)] for d in row] for row in D.tolist()])
+    for arr in (B, G):
         arr.setflags(write=False)
-    return B, E, D
+    return B, G
 
 
 def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
@@ -314,16 +380,17 @@ def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
     `coeffs` holds one coefficient row per polynomial (graded order,
     |a| <= degree); `scale` and `offset` broadcast to (rows, num_vars).
     Each row is mapped by M[b, a] = prod_j C(a_j, b_j) s_j^b_j
-    o_j^(a_j - b_j); the integer data of M is built once per
-    (num_vars, degree), on first use.
+    o_j^(a_j - b_j), with the powers of s and o read from their monomial
+    tables; the integer data of M is built once per (num_vars, degree),
+    on first use.
     """
     coeffs = np.asarray(coeffs)
-    B, E, D = _affine_structure(num_vars, degree)
+    B, G = _affine_structure(num_vars, degree)
     shape = (len(coeffs), num_vars)
     s = np.broadcast_to(np.asarray(scale, dtype=float), shape)
     o = np.broadcast_to(np.asarray(offset, dtype=float), shape)
-    s_pow = np.prod(s[:, None, :] ** E, axis=2)
-    o_pow = np.prod(o[:, None, None, :] ** D, axis=3)
+    s_pow = monomials(s, degree)
+    o_pow = monomials(o, degree)[:, G]
     M = B * s_pow[:, :, None] * o_pow
     return (M @ coeffs[:, :, None])[:, :, 0]
 

@@ -9,7 +9,7 @@ from fractal_remez.campanato import (CubeFamily, Majorant, MajorantSumError,
                                      local_best_approx, majorant_sum_check,
                                      quasipower_check)
 from fractal_remez.fractals import FractalSet, build_preset
-from fractal_remez.geometry import Cube
+from fractal_remez.geometry import Cube, sobol_unit
 from fractal_remez.polynomials import Polynomial
 
 INF = math.inf
@@ -299,6 +299,25 @@ def test_lipschitz_square():
     est = lipschitz_seminorm(g, 2, om, (np.array([-1.0]), np.array([1.0])),
                              budget=2 ** 11)
     assert est.value == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lipschitz_probe_directions_are_finite(n):
+    # Sobol row 1 is (1/2, ..., 1/2): its normal quantiles are all zero
+    seen = []
+
+    def g(pts):
+        seen.append(pts.copy())
+        return pts.sum(axis=1)
+
+    box = (np.zeros(n), np.ones(n))
+    est = lipschitz_seminorm(g, 1, Majorant.power(1.0, 1), box, budget=64,
+                             h_max=1e-9)
+    assert all(np.all(np.isfinite(pts)) for pts in seen)
+    # with steps this short, only base points on the boundary are dropped
+    u = sobol_unit(2 * n + 1, 64)[:, :n]
+    assert est.num_probes == np.sum(np.all((u > 0) & (u < 1), axis=1))
+    assert est.value <= math.sqrt(n) * (1.0 + 1e-6)
 
 
 def test_lipschitz_monotone_in_budget():

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fractal_remez.campanato import Majorant, build_cube_family
 from fractal_remez.extension import (Chain, GridSpec, build_chain,
                                      chain_seminorm, local_decay_diagnostic,
                                      project, trace_tilde, verify_extension,
-                                     whitney_extend, _max_abs_deg2_interval,
+                                     whitney_extend, _bump, _coef_matrix,
+                                     _max_abs_deg2_interval,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
-from fractal_remez.polynomials import Polynomial, multi_indices
+from fractal_remez.polynomials import (Polynomial, exponent_array,
+                                       multi_indices)
 
 
 def interval_set(depth=8):
@@ -302,6 +305,75 @@ def test_trace_consistency_at_grid_resolution():
     fld = whitney_extend(chain, X, grid)
     vals = fld.interpolate(X.points)
     assert np.max(np.abs(vals - fv)) <= 5.0 * grid.spacing
+
+
+def _whitney_per_node(chain, X, grid):
+    """The Whitney assembly one node at a time, scanning every cube:
+    the reference for the blocked `whitney_extend`."""
+    nodes = grid.nodes()
+    cubes = [Q for Q in chain.cubes if Q not in chain.deficient]
+    deg = max(chain.k - 1, 0)
+    C = _coef_matrix([chain.entries[Q] for Q in cubes], grid.dim, deg)
+    exps = exponent_array(grid.dim, deg)
+    centers = np.array([Q.center for Q in cubes])
+    radii = np.array([Q.radius for Q in cubes])
+    dist, _ = cKDTree(X.points).query(nodes)
+    values = np.full(len(nodes), np.nan)
+    provenance = [None] * len(nodes)
+    holes, fallbacks = [], 0
+    for i, y in enumerate(nodes):
+        d = dist[i]
+        supd = np.max(np.abs(centers - y), axis=1)
+        in_double = supd <= 2.0 * radii
+        sel = np.nonzero(in_double & (radii >= d) & (radii <= 4.0 * d))[0]
+        if len(sel) == 0:
+            fallbacks += 1
+            for r in sorted(set(radii)):
+                sel = np.nonzero(in_double & (radii == r))[0]
+                if len(sel):
+                    break
+        if len(sel) == 0:
+            holes.append(i)
+            continue
+        w = _bump(supd[sel] / (2.0 * radii[sel]))
+        if w.sum() == 0.0:
+            w = np.ones(len(sel))
+        w = w / w.sum()
+        mono = np.prod(np.power(y[None, :], exps), axis=1)
+        values[i] = float(w @ (C[sel] @ mono))
+        provenance[i] = list(zip(sel.tolist(), w.tolist()))
+    return values, provenance, holes, fallbacks
+
+
+@pytest.mark.parametrize("preset,depth,grid", [
+    ("cantor:1/4", 4, GridSpec((-10.0,), (10.0,), (321,))),
+    ("dust2d:1/4", 3, GridSpec((-10.0, -10.0), (10.0, 10.0), (81, 81))),
+])
+def test_whitney_extend_matches_per_node_assembly(preset, depth, grid):
+    X = build_preset(preset, depth)
+    fam = build_cube_family(X, center_budget=48)
+    x = X.points
+    fv = np.sin(3.0 * x[:, 0]) + np.abs(x[:, -1] - 0.3)
+    chain = build_chain(fv, X, fam, 3, Majorant.power(1.0, 3))
+    values, provenance, holes, fallbacks = _whitney_per_node(chain, X, grid)
+    # deficient cubes, on-set nodes (dyadic grid), band fallbacks, holes
+    assert chain.deficient
+    on_set = cKDTree(x).query(grid.nodes())[0] == 0.0
+    assert on_set.any() and fallbacks > on_set.sum() and holes
+    fld = whitney_extend(chain, X, grid)
+    assert fld.holes == holes
+    assert np.array_equal(np.isnan(fld.values), np.isnan(values))
+    ok = ~np.isnan(values)
+    # relative to the value: quadratics far off the set reach about 200
+    assert np.all(np.abs(fld.values[ok] - values[ok])
+                  <= 1e-13 * np.maximum(1.0, np.abs(values[ok])))
+    for got, want in zip(fld.provenance, provenance):
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        assert [j for j, _ in got] == [j for j, _ in want]
+        assert np.max(np.abs(np.array([w for _, w in got])
+                             - [w for _, w in want])) <= 1e-13
 
 
 def test_far_nodes_reported_as_holes():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fractal_remez.polynomials import (Polynomial, binomial, chebyshev,
                                        compose_affine_many, exponent_array,
-                                       finite_difference, multi_indices)
+                                       finite_difference, monomials,
+                                       multi_indices)
 
 
 def test_eval_simple():
@@ -62,6 +63,37 @@ def test_exponent_array_is_shared_and_read_only():
     assert Polynomial.random(np.random.default_rng(0), 2, 3).exponents is E
     with pytest.raises(ValueError):
         E[0, 0] = 1
+
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-4.0, 4.0))
+
+
+@given(st.integers(1, 3), st.integers(0, 10), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_monomials_match_power_table(n, degree, complex_points, data):
+    count = data.draw(st.integers(1, 5))
+    size = count * n
+
+    def coordinates():
+        return np.array(data.draw(st.lists(_coordinate, min_size=size,
+                                           max_size=size))).reshape(count, n)
+
+    x = coordinates()
+    if complex_points:
+        x = x + 1j * coordinates()
+    want = np.prod(np.power(x[:, None, :], exponent_array(n, degree)), axis=2)
+    got = monomials(x, degree)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    low = len(multi_indices(n, min(degree, 1)))
+    assert np.array_equal(got[:, :low], want[:, :low])
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_monomials_rejects_flat_points():
+    with pytest.raises(ValueError):
+        monomials(np.zeros(3), 2)
 
 
 def test_chebyshev_t0_constant():

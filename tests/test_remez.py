@@ -77,6 +77,23 @@ def test_sup_norm_constant():
     assert sup_norm(Polynomial.constant(2.0, 1), X) == 2.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_sample_finite_and_inside(n):
+    # the first sample row comes from the all-1/2 Sobol point
+    ball = Ball(tuple(0.25 * np.arange(n)), 2.0)
+    pts = ball.sample(256)
+    assert np.all(np.isfinite(pts))
+    assert np.all(ball.contains(pts, rtol=1e-12))
+
+
+def test_sup_norm_on_3d_ball_is_finite():
+    p = Polynomial.random(np.random.default_rng(3), 3, 3)
+    center = (0.5, 0.0, -0.25)
+    val = sup_norm(p, Ball(center, 1.0))
+    assert math.isfinite(val)
+    assert val >= abs(p.eval(np.array(center)))
+
+
 def test_sup_norm_chebyshev_equioscillation():
     val = sup_norm(chebyshev(4), Ball((0.0,), 1.0))
     assert val == pytest.approx(1.0, abs=1e-6)
