@@ -38,8 +38,8 @@ from scipy.optimize import linprog
 
 from .fractals import FractalSet
 from .geometry import Cube, gaussian_directions, sobol_unit
-from .polynomials import (Polynomial, binomial, compose_affine_many,
-                          monomials)
+from .polynomials import (Polynomial, compose_affine_many,
+                          finite_difference_many, monomials)
 
 LN2 = math.log(2.0)
 
@@ -242,18 +242,11 @@ class ApproxResult:
 
     @cached_property
     def poly(self) -> Polynomial:
-        n = len(self.cube.center)
-        g = frames_to_global(self.coefs[None, :], [self.cube], self.degree)
-        return Polynomial(n, self.degree, g[0])
-
-
-def frames_to_global(rows: np.ndarray, cubes: list, degree: int) -> np.ndarray:
-    """Global monomial coefficients of rows given in the (x - c_Q)/r_Q
-    frames of `cubes`, one cube per row."""
-    centers = np.array([Q.center for Q in cubes], dtype=float)
-    radii = np.array([Q.radius for Q in cubes], dtype=float)[:, None]
-    return compose_affine_many(rows, centers.shape[1], degree, 1.0 / radii,
-                               -centers / radii)
+        c = np.asarray(self.cube.center, dtype=float)
+        r = self.cube.radius
+        g = compose_affine_many(self.coefs[None, :], len(c), self.degree,
+                                1.0 / r, -c / r)
+        return Polynomial(len(c), self.degree, g[0])
 
 
 def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
@@ -379,15 +372,6 @@ class LipschitzEstimate:
     argmax_x: np.ndarray
     argmax_h: np.ndarray
     num_probes: int
-
-
-def finite_difference_many(g, k: int, X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Vectorized delta_h^k g(x) for batches of base points and steps."""
-    total = np.zeros(len(X))
-    for j in range(k + 1):
-        sign = -1.0 if (k - j) % 2 else 1.0
-        total += sign * binomial(k, j) * np.asarray(g(X + j * H), dtype=float)
-    return total
 
 
 def lipschitz_seminorm(g, k: int, omega: Majorant, box,

@@ -249,7 +249,7 @@ def _run_extension(config: dict, seed: int, out: str):
     report = {"experiment": "extension", "config": config,
               "result": {"chain_seminorm": sem.value,
                          "chain_pairs_checked": sem.num_pairs,
-                         "deficient_cubes": len(chain.deficient),
+                         "deficient_cubes": int(chain.deficient.sum()),
                          "trace_error": rep.trace_error,
                          "lipschitz_seminorm": rep.lipschitz,
                          "campanato_seminorm": rep.campanato,

@@ -14,9 +14,9 @@ The pipeline realizes a linear extension operator in four steps:
      P~_Q = P_Q(f) - P_Q(f)(c_Q) + trace(c_Q), so P~_Q(c_Q) interpolates
      the trace; in Q's own frame this replaces the constant term by the
      trace value.  Cubes larger than diam X borrow the projection over a
-     fixed cube of radius 2 diam X.  Each cube is solved once, and the
-     entries are converted to global monomials in one batch.  The map
-     f -> chain is linear.
+     fixed cube of radius 2 diam X.  Each cube is solved once, and every
+     entry stays in its cube's frame; nothing is converted to global
+     monomials.  The map f -> chain is linear.
   4. whitney_extend:  an ambient grid node y at distance d from X blends
      the chain polynomials of cubes with radius in [d, 4d] whose doubled
      cubes contain y, with smooth bump weights normalized to sum one;
@@ -24,28 +24,30 @@ The pipeline realizes a linear extension operator in four steps:
 
 The chain seminorm is the max over nested cube pairs Q inside Q', with
 radii within two rungs of the same dyadic window, of
-max_Q |P_Q - P_Q'| / omega(r_Q').  For entries of degree <= 2 the inner
-max over the closed cube is computed exactly from corner, edge-vertex,
-and interior critical values; higher degrees fall back to sampling.
+max_Q |P_Q - P_Q'| / omega(r_Q').  P_Q' is re-expanded into Q's frame, so
+the inner max runs over [-1, 1]^n.  For entries of degree <= 2 in
+dimension n <= 2 it is computed exactly from corner, edge-vertex, and
+interior critical values; higher degrees or dimensions fall back to
+sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial import cKDTree
 
 from .campanato import (CubeFamily, Majorant, build_cube_family,
-                        dyadic_radii, frames_to_global, local_best_approx,
-                        campanato_seminorm, lipschitz_seminorm,
-                        quasipower_check)
+                        dyadic_radii, local_best_approx, campanato_seminorm,
+                        lipschitz_seminorm, quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
 from .polynomials import (Polynomial, compose_affine_many, monomials,
                           multi_indices)
+from .remez import sup_norm
 
 __all__ = [
     "Chain", "GridSpec", "ExtensionField", "project", "trace_tilde",
@@ -97,23 +99,21 @@ def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
 
 @dataclass
 class Chain:
-    """Cube-indexed family of degree-(k-1) polynomials.
+    """Cube-indexed family of degree-(k-1) polynomials in cube frames.
 
-    Cubes whose local systems were rank-deficient (too few cloud points,
-    or degenerate geometry, for the polynomial space) are listed in
-    `deficient`; their minimum-norm entries interpolate the data but do
-    not determine the polynomial, so the Whitney assembly skips them.
+    Row i of `coefs` is the entry of cubes[i] in the graded monomials of
+    (x - c_Q)/r_Q, so coefs[i, 0] is its value at c_Q.  `deficient[i]`
+    marks a cube whose local system was rank-deficient (too few cloud
+    points, or degenerate geometry, for the polynomial space); its
+    minimum-norm entry interpolates the data but does not determine the
+    polynomial, so the Whitney assembly skips it.
     """
 
-    entries: dict
+    cubes: list
+    coefs: np.ndarray
+    deficient: np.ndarray
     k: int
     omega: Majorant
-    seminorm_estimate: float | None = None
-    deficient: frozenset = frozenset()
-
-    @property
-    def cubes(self) -> list:
-        return list(self.entries.keys())
 
 
 def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
@@ -145,7 +145,7 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
     cubes = family.cubes
     rows = np.empty((len(cubes), len(multi_indices(X.ambient_dim, deg))))
     big = []
-    deficient = set()
+    deficient = np.zeros(len(cubes), dtype=bool)
     for i, Q in enumerate(cubes):
         if Q.radius > X.diam:
             big.append(i)
@@ -153,8 +153,7 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
         else:
             res = fit(Q)
             rows[i] = res.coefs
-            if res.rank_deficient:
-                deficient.add(Q)
+            deficient[i] = res.rank_deficient
     if big:
         # anchor frame -> Q's frame: z_anchor = (r_Q z + c_Q - c_a) / r_a
         c_a = np.asarray(anchor.center)
@@ -164,44 +163,28 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                                         scales / anchor.radius,
                                         offsets / anchor.radius)
     rows[:, 0] = [fit(Cube(Q.center, deepest)).coefs[0] for Q in cubes]
-    coefs = frames_to_global(rows, cubes, deg) if cubes else rows
-    entries = {Q: Polynomial(X.ambient_dim, deg, c)
-               for Q, c in zip(cubes, coefs)}
-    return Chain(entries=entries, k=k, omega=omega,
-                 deficient=frozenset(deficient))
+    return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
+                 omega=omega)
 
 
-# -- exact sup of low-degree polynomials over cubes -------------------------
+# -- exact sup of low-degree polynomials over [-1, 1]^n -----------------------
 
 
-def _coef_matrix(polys: list, num_vars: int, deg: int) -> np.ndarray:
-    m = len(multi_indices(num_vars, deg))
-    C = np.zeros((len(polys), m))
-    for i, p in enumerate(polys):
-        if p.degree_bound > deg:
-            raise ValueError("polynomial exceeds the common degree bound")
-        C[i, : len(p.coeffs)] = np.real(p.coeffs)
-    return C
-
-
-def _max_abs_deg2_interval(C: np.ndarray, lo: np.ndarray,
-                           hi: np.ndarray) -> np.ndarray:
-    """Exact max of |c0 + c1 t + c2 t^2| over [lo, hi], rowwise."""
+def _max_abs_deg2_interval(C: np.ndarray) -> np.ndarray:
+    """Exact max of |c0 + c1 t + c2 t^2| over [-1, 1], rowwise."""
     c0, c1, c2 = (C[:, j] if C.shape[1] > j else np.zeros(len(C))
                   for j in range(3))
-    vals = [np.abs(c0 + c1 * lo + c2 * lo ** 2),
-            np.abs(c0 + c1 * hi + c2 * hi ** 2)]
+    vals = [np.abs(c0 - c1 + c2), np.abs(c0 + c1 + c2)]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(c2 != 0.0, -c1 / (2.0 * c2), np.nan)
-    ok = np.isfinite(t) & (t >= lo) & (t <= hi)
+    ok = np.isfinite(t) & (np.abs(t) <= 1.0)
     v = np.where(ok, np.abs(c0 + c1 * t + c2 * t ** 2), -np.inf)
     vals.append(v)
     return np.max(vals, axis=0)
 
 
-def _max_abs_deg2_square(C: np.ndarray, centers: np.ndarray,
-                         radii: np.ndarray) -> np.ndarray:
-    """Exact max of |quadratic| over sup-metric squares, rowwise (n = 2).
+def _max_abs_deg2_square(C: np.ndarray) -> np.ndarray:
+    """Exact max of |quadratic| over [-1, 1]^2, rowwise.
 
     Basis order follows multi_indices(2, 2):
     1, y, x, y^2, xy, x^2.
@@ -209,44 +192,31 @@ def _max_abs_deg2_square(C: np.ndarray, centers: np.ndarray,
     pad = np.zeros((len(C), 6))
     pad[:, : C.shape[1]] = C
     a, by, cx, dyy, exy, fxx = (pad[:, j] for j in range(6))
-    x0, y0 = centers[:, 0], centers[:, 1]
-    r = radii
-    xs = np.stack([x0 - r, x0 + r])
-    ys = np.stack([y0 - r, y0 + r])
 
     def val(x, y):
         return np.abs(a + by * y + cx * x + dyy * y ** 2 + exy * x * y
                       + fxx * x ** 2)
 
     best = np.full(len(C), -np.inf)
-    for xi in range(2):
-        for yi in range(2):
-            best = np.maximum(best, val(xs[xi], ys[yi]))
+    for x in (-1.0, 1.0):
+        for y in (-1.0, 1.0):
+            best = np.maximum(best, val(x, y))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for xi in range(2):  # edges x fixed, vertex in y
-            x = xs[xi]
+        for x in (-1.0, 1.0):  # edges x fixed, vertex in y
             ystar = -(by + exy * x) / (2.0 * dyy)
-            ok = np.isfinite(ystar) & (ystar >= ys[0]) & (ystar <= ys[1])
+            ok = np.isfinite(ystar) & (np.abs(ystar) <= 1.0)
             best = np.maximum(best, np.where(ok, val(x, ystar), -np.inf))
-        for yi in range(2):  # edges y fixed, vertex in x
-            y = ys[yi]
+        for y in (-1.0, 1.0):  # edges y fixed, vertex in x
             xstar = -(cx + exy * y) / (2.0 * fxx)
-            ok = np.isfinite(xstar) & (xstar >= xs[0]) & (xstar <= xs[1])
+            ok = np.isfinite(xstar) & (np.abs(xstar) <= 1.0)
             best = np.maximum(best, np.where(ok, val(xstar, y), -np.inf))
         det = 4.0 * fxx * dyy - exy ** 2
         xstar = (-2.0 * dyy * cx + exy * by) / det
         ystar = (exy * cx - 2.0 * fxx * by) / det
         ok = (np.isfinite(xstar) & np.isfinite(ystar)
-              & (xstar >= xs[0]) & (xstar <= xs[1])
-              & (ystar >= ys[0]) & (ystar <= ys[1]))
+              & (np.abs(xstar) <= 1.0) & (np.abs(ystar) <= 1.0))
         best = np.maximum(best, np.where(ok, val(xstar, ystar), -np.inf))
     return best
-
-
-def _max_abs_sampled(p: Polynomial, Q: Cube, budget: int = 256) -> float:
-    from .remez import sup_norm
-
-    return sup_norm(p, Q, budget=budget)
 
 
 @dataclass
@@ -263,24 +233,25 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
     (the two-rung window t_i <= r_Q < r_Q' <= t_{i+2} for family radii that
     are exact powers of two).
     """
-    cubes = [Q for Q in family.cubes if Q in chain.entries]
-    if not cubes:
-        return ChainSeminormResult(0.0, None, 0)
-    n = len(cubes[0].center)
-    deg = max(chain.k - 1, 0)
+    row = {Q: i for i, Q in enumerate(chain.cubes)}
     by_radius: dict = {}
-    for Q in cubes:
-        by_radius.setdefault(Q.radius, []).append(Q)
+    for Q in family.cubes:
+        if Q in row:
+            by_radius.setdefault(Q.radius, []).append(Q)
+    if not by_radius:
+        return ChainSeminormResult(0.0, None, 0)
+    n = len(chain.cubes[0].center)
+    deg = max(chain.k - 1, 0)
     radii = sorted(by_radius)
     exact = deg <= 2 and n <= 2
+    unit = Cube((0.0,) * n, 1.0)
 
     best = -math.inf
     witness = None
     num_pairs = 0
-    C_cache = {r: _coef_matrix([chain.entries[Q] for Q in by_radius[r]], n, deg)
-               for r in by_radius}
-    trees = {r: cKDTree(np.array([Q.center for Q in by_radius[r]]))
-             for r in by_radius}
+    coefs = {r: chain.coefs[[row[Q] for Q in by_radius[r]]] for r in radii}
+    centers = {r: np.array([Q.center for Q in by_radius[r]]) for r in radii}
+    trees = {r: cKDTree(centers[r]) for r in radii}
 
     for bi, r_big in enumerate(radii):
         for r_small in radii[max(0, bi - 2): bi]:
@@ -290,9 +261,9 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
             tree = trees[r_small]
             big = by_radius[r_big]
             pairs_small, pairs_big = [], []
-            for j, Qb in enumerate(big):
-                idx = tree.query_ball_point(np.asarray(Qb.center),
-                                            r_big - r_small + 1e-12, p=np.inf)
+            for j, c in enumerate(centers[r_big]):
+                idx = tree.query_ball_point(c, r_big - r_small + 1e-12,
+                                            p=np.inf)
                 pairs_small.extend(idx)
                 pairs_big.extend([j] * len(idx))
             if not pairs_small:
@@ -300,30 +271,25 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
             num_pairs += len(pairs_small)
             si = np.array(pairs_small)
             bj = np.array(pairs_big)
-            D = C_cache[r_small][si] - C_cache[r_big][bj]
-            centers = np.array([small[i].center for i in si])
+            # P_Q' in Q's frame: (x - c_Q')/r_Q' = (r_Q z + c_Q - c_Q')/r_Q'
+            outer = compose_affine_many(
+                coefs[r_big][bj], n, deg, r_small / r_big,
+                (centers[r_small][si] - centers[r_big][bj]) / r_big)
+            D = coefs[r_small][si] - outer
             if exact and n == 1:
-                lo = centers[:, 0] - r_small
-                hi = centers[:, 0] + r_small
-                sups = _max_abs_deg2_interval(D, lo, hi)
+                sups = _max_abs_deg2_interval(D)
             elif exact:
-                sups = _max_abs_deg2_square(D, centers,
-                                            np.full(len(si), r_small))
+                sups = _max_abs_deg2_square(D)
             else:
-                sups = np.array([
-                    _max_abs_sampled(chain.entries[small[i]]
-                                     - chain.entries[big[j]], small[i])
-                    for i, j in zip(si, bj)
-                ])
+                sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
+                                          budget=256) for d in D])
             ratios = sups / float(chain.omega(r_big))
             jbest = int(np.argmax(ratios))
             if ratios[jbest] > best:
                 best = float(ratios[jbest])
                 witness = (small[si[jbest]], big[bj[jbest]])
     if witness is None:
-        chain.seminorm_estimate = 0.0
         return ChainSeminormResult(0.0, None, 0)
-    chain.seminorm_estimate = best
     return ChainSeminormResult(best, witness, num_pairs)
 
 
@@ -363,10 +329,7 @@ class ExtensionField:
     chain_k: int
 
     def interpolate(self, points) -> np.ndarray:
-        interp = RegularGridInterpolator(tuple(self.grid.axes()),
-                                         self.values.reshape(self.grid.shape),
-                                         method="linear")
-        return interp(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self.as_callable()(points)
 
     def as_callable(self):
         interp = RegularGridInterpolator(tuple(self.grid.axes()),
@@ -415,19 +378,19 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
     """
     nodes = grid.nodes()
     n = grid.dim
-    cubes = [Q for Q in chain.cubes if Q not in chain.deficient]
-    if not cubes:
+    keep = np.flatnonzero(~chain.deficient)
+    if not len(keep):
         raise ValueError("chain has no full-rank entries to blend")
     deg = max(chain.k - 1, 0)
-    C = _coef_matrix([chain.entries[Q] for Q in cubes], n, deg)
-    centers = np.array([Q.center for Q in cubes])
-    radii = np.array([Q.radius for Q in cubes])
+    C = chain.coefs[keep]
+    centers = np.array([chain.cubes[i].center for i in keep])
+    radii = np.array([chain.cubes[i].radius for i in keep])
     dist, _ = cKDTree(X.points).query(nodes)
 
     values = np.full(len(nodes), np.nan)
     provenance: list = [None] * len(nodes)
     holes: list = []
-    step = max(1, _BLOCK_ENTRIES // len(cubes))
+    step = max(1, _BLOCK_ENTRIES // len(keep))
     for lo in range(0, len(nodes), step):
         y = nodes[lo:lo + step]
         d = dist[lo:lo + step, None]
@@ -452,7 +415,8 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
         w[np.repeat(flat, counts)] = 1.0
         total[flat] = counts[flat]
         w /= np.repeat(total, counts)
-        vals = (monomials(y, deg) @ C.T)[rows, cols]
+        local = (y[rows] - centers[cols]) / radii[cols, None]
+        vals = np.einsum("ij,ij->i", monomials(local, deg), C[cols])
         owners = lo + rows[starts]
         values[owners] = np.add.reduceat(w * vals, starts)
         cl, wl = cols.tolist(), w.tolist()
@@ -488,12 +452,11 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
     grid spacings.  When comparing fields across grid refinements, pass the
     same explicit range so both runs probe identical scales.
     """
-    interp_vals = fld.interpolate(X.points)
-    trace_err = float(np.max(np.abs(interp_vals - np.asarray(f_values))))
+    g = fld.as_callable()
+    trace_err = float(np.max(np.abs(g(X.points) - np.asarray(f_values))))
 
     lo = np.asarray(fld.grid.lo) + fld.grid.spacing
     hi = np.asarray(fld.grid.hi) - fld.grid.spacing
-    g = fld.as_callable()
     hm = h_max if h_max is not None else float(np.min(hi - lo)) / (2.0 * k)
     hmin = h_min if h_min is not None else 4.0 * fld.grid.spacing
     decades = max(math.log10(hm / hmin), 0.5)

@@ -40,6 +40,7 @@ __all__ = [
     "binomial",
     "chebyshev",
     "finite_difference",
+    "finite_difference_many",
     "compose_affine_many",
     "monomials",
 ]
@@ -409,10 +410,23 @@ def chebyshev(k: int) -> Polynomial:
     return t
 
 
+def finite_difference_many(g, k: int, X: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Vectorized delta_h^k g(x) for batches of base points and steps.
+
+    g must accept an (N, n) array of points and return (N,) values.
+    """
+    total = np.zeros(len(X))
+    for j in range(k + 1):
+        sign = -1.0 if (k - j) % 2 else 1.0
+        total += sign * binomial(k, j) * np.asarray(g(X + j * H), dtype=float)
+    return total
+
+
 def finite_difference(f, k: int, x, h) -> float:
     """k-th forward difference of f at x with step vector h.
 
-    Annihilates polynomials of degree <= k - 1 exactly.
+    f takes one point, a scalar when x has one coordinate.  Annihilates
+    polynomials of degree <= k - 1 exactly.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -420,9 +434,8 @@ def finite_difference(f, k: int, x, h) -> float:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if x.shape != h.shape:
         raise ValueError("x and h must have the same dimension")
-    total = 0.0
-    for j in range(k + 1):
-        sign = -1.0 if (k - j) % 2 else 1.0
-        arg = x + j * h
-        total += sign * binomial(k, j) * float(f(arg if len(arg) > 1 else arg[0]))
-    return total
+
+    def g(points):
+        return [float(f(p if len(p) > 1 else p[0])) for p in points]
+
+    return float(finite_difference_many(g, k, x[None, :], h[None, :])[0])
