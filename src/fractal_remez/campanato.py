@@ -263,6 +263,8 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     polynomial space dimension) is flagged; the q=2 solve then returns the
     minimum-norm coefficient vector so results stay reproducible.
     """
+    if q not in (1, 2, math.inf, "inf"):
+        raise ValueError("q must be 1, 2, or infinity")
     f_values = np.asarray(f_values, dtype=float)
     mask = Q.contains(X.points)
     if not np.any(mask):
@@ -285,10 +287,8 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
         coefs = coefs2
     elif q == 1:
         coefs = _l1_fit(A, fv, w)
-    elif q in (np.inf, math.inf, "inf"):
-        coefs = _linf_fit(A, fv)
     else:
-        raise ValueError("q must be 1, 2, or infinity")
+        coefs = _linf_fit(A, fv)
     fallback = coefs is None
     if fallback:
         coefs = coefs2

@@ -81,6 +81,16 @@ def _resolve_set(config: dict, default_depth: int = 8):
         raise ConfigError(f"bad set id {set_id!r}: {exc}")
 
 
+def _resolve_majorant(params: dict, k: int) -> campanato.Majorant:
+    omega_id = params.get("omega", "power:1")
+    try:
+        return campanato.Majorant.from_id(omega_id, k)
+    except KeyError:
+        raise ConfigError(f"unknown majorant id {omega_id!r}")
+    except ValueError as exc:
+        raise ConfigError(f"bad majorant id {omega_id!r}: {exc}")
+
+
 def _resolve_function(fid: str, X, seed: int) -> np.ndarray:
     x1 = X.points[:, 0]
     if fid == "abs":
@@ -199,7 +209,7 @@ def _run_campanato(config: dict, seed: int, out: str):
     X = _resolve_set(config)
     k = params.get("k", 2)
     q = _parse_qr(params.get("q", 2))
-    omega = campanato.Majorant.from_id(params.get("omega", "power:1"), k)
+    omega = _resolve_majorant(params, k)
     fvals = _resolve_function(params.get("function", "abs"), X, seed)
     family = campanato.build_cube_family(
         X, center_budget=params.get("center_budget"))
@@ -230,11 +240,14 @@ def _run_extension(config: dict, seed: int, out: str):
     params = config.get("params", {})
     X = _resolve_set(config, default_depth=8)
     k = params.get("k", 2)
-    omega = campanato.Majorant.from_id(params.get("omega", "power:1"), k)
+    omega = _resolve_majorant(params, k)
     fvals = _resolve_function(params.get("function", "abs"), X, seed)
     family = campanato.build_cube_family(
         X, center_budget=params.get("center_budget"))
-    chain = extension.build_chain(fvals, X, family, k, omega)
+    try:
+        chain = extension.build_chain(fvals, X, family, k, omega)
+    except ValueError as exc:  # a majorant or a set the chain cannot use
+        raise ConfigError(str(exc))
     sem = extension.chain_seminorm(chain, family)
     pad = params.get("pad", 0.25)
     nodes = params.get("grid_nodes", 65)

@@ -23,16 +23,20 @@ radius tau_k around its witness carries positive mass and these balls are
 pairwise disjoint).
 
 The two corollaries turn this into quantitative statements about the
-log-potential u(x) = sum m_i ln|x - x_i|: a radius-sum budget with a
+log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
 pointwise lower bound on u off the balls, and, for a univariate f with
 f(0) = 1, exclusion disks outside which ln|f| >= -H(eta) ln M(2eR) with
 H(eta) = 2 + ln(3e / (2 eta)).
+
+Every distance d here is the space's metric, Euclidean by default: tau,
+the greedy cover and its audit, the potentials, and the ball and disk
+membership tests all go through _atom_distances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +93,6 @@ class DiscreteMeasureSpace:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def dist_from(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        if self.metric is None:
-            return _distances(x[None, :], targets)[0]
-        return np.array([self.metric(x, y) for y in targets])
 
     def extent(self) -> float:
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
@@ -195,11 +194,25 @@ def _distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def _atom_distances(space: DiscreteMeasureSpace, atoms: np.ndarray,
                     queries: np.ndarray) -> np.ndarray:
-    """(atoms x queries) distances under the space's metric."""
+    """(atoms x queries) distances under the space's metric, which is
+    called as metric(query, atom)."""
     if space.metric is None:
         return _distances(atoms, queries)
-    D = np.array([space.dist_from(q, atoms) for q in queries])
+    D = np.array([[space.metric(q, a) for a in atoms] for q in queries])
     return np.ascontiguousarray(D.reshape(len(queries), len(atoms)).T)
+
+
+def _in_balls(space: DiscreteMeasureSpace, centers: np.ndarray,
+              radii: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of points lying in the union of the closed balls.
+
+    One distance row per ball: a single (balls x points) array is slower
+    on large grids.
+    """
+    mask = np.zeros(len(points), dtype=bool)
+    for c, r in zip(centers, radii):
+        mask |= _atom_distances(space, c[None, :], points)[0] <= r
+    return mask
 
 
 def _step_scan(D: np.ndarray, masses: np.ndarray,
@@ -282,14 +295,6 @@ class CoverOutput:
     def count(self) -> int:
         return len(self.radii)
 
-    def covers(self, points: np.ndarray) -> np.ndarray:
-        """Mask of points lying in the union of the closed balls."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mask = np.zeros(len(pts), dtype=bool)
-        for c, r in zip(self.centers, self.radii):
-            mask |= _distances(c[None, :], pts)[0] <= r
-        return mask
-
     def to_json(self) -> dict:
         return {
             "centers": [list(map(float, c)) for c in self.centers],
@@ -357,7 +362,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         centers.append(x_k)
         radii.append(t_k)
         taus.append(tau_k)
-        uncovered &= space.dist_from(x_k, cands) > t_k
+        uncovered &= _atom_distances(space, x_k[None], cands)[0] > t_k
 
     centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
     radii = np.array(radii)
@@ -379,22 +384,19 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         "ball_count_le_atoms": cover.count <= int(np.sum(space.masses > 0)),
     }
     cands = _candidates(space, probes)
-    outside = ~cover.covers(cands)
+    outside = ~_in_balls(space, cover.centers, cover.radii, cands)
     # recompute tau with the unpruned scan, independently of tau_many
     keep = space.masses > 0
-    taus_out = _step_scan(_atom_distances(space, space.points[keep],
-                                          cands[outside]),
+    support = space.points[keep]
+    taus_out = _step_scan(_atom_distances(space, support, cands[outside]),
                           space.masses[keep], phi)
     checks["uncovered_points_regular"] = bool(np.all(taus_out == 0.0))
     # each tau-ball around its witness carries positive mass
-    meets = []
-    for c, t in zip(cover.centers, cover.taus):
-        d = space.dist_from(c, space.points[space.masses > 0])
-        meets.append(bool(np.any(d <= t + 1e-12)))
-    checks["tau_balls_meet_support"] = all(meets)
+    D = _atom_distances(space, cover.centers, support)
+    checks["tau_balls_meet_support"] = bool(np.all(np.any(
+        D <= cover.taus[:, None] + 1e-12, axis=1)))
     checks["emitted_balls_cover_support"] = bool(np.all(
-        cover.covers(space.points[space.masses > 0]))) if cover.count else \
-        bool(np.sum(space.masses > 0) == 0)
+        _in_balls(space, cover.centers, cover.radii, support)))
     return checks
 
 
@@ -404,29 +406,41 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
 def potential(space: DiscreteMeasureSpace, x) -> float:
     """u(x) = sum m_i ln d(x, x_i); -inf when positive mass sits at x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    keep = space.masses > 0
-    if not np.any(keep):
-        return 0.0
-    d = space.dist_from(x, space.points[keep])
-    if np.any(d == 0.0):
-        return -math.inf
-    return float(np.sum(space.masses[keep] * np.log(d)))
+    return float(potential_many(space, x[None, :])[0])
 
 
 def potential_many(space: DiscreteMeasureSpace,
                    queries: np.ndarray) -> np.ndarray:
+    """The potential u at each query point under the space's metric."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     keep = space.masses > 0
     if not np.any(keep):
         return np.zeros(len(queries))
-    atoms = space.points[keep]
-    masses = space.masses[keep]
-    D = _distances(atoms, queries).T
+    D = _atom_distances(space, space.points[keep], queries).T
     out = np.full(len(queries), -np.inf)
     ok = np.all(D > 0.0, axis=1)
     with np.errstate(divide="ignore"):
-        out[ok] = np.log(D[ok]) @ masses
+        out[ok] = np.log(D[ok]) @ space.masses[keep]
     return out
+
+
+def _off_ball_floor(space: DiscreteMeasureSpace, centers: np.ndarray,
+                    radii: np.ndarray, points: np.ndarray, values,
+                    bound: float, rtol: float) -> tuple:
+    """Check values(x) >= bound at the points outside the closed balls.
+
+    Returns (number checked, violations, worst margin).  A point violates
+    the floor when its margin falls below -rtol (1 + |bound|); the worst
+    margin is None when no point is checked.
+    """
+    outside = np.compress(~_in_balls(space, centers, radii, points), points,
+                          axis=0)  # far faster than boolean row indexing
+    margins = values(outside) - bound
+    worst = float(margins.min()) if len(margins) else None
+    bad = margins < -rtol * (1.0 + abs(bound))
+    violations = [{"point": list(map(float, pt)), "margin": float(m)}
+                  for pt, m in zip(outside[bad], margins[bad])]
+    return len(outside), violations, worst
 
 
 # -- corollary: radius-sum budget + potential lower bound -----------------
@@ -474,21 +488,12 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
                               probes=grid)
     radius_sum_s = float(np.sum(cover.radii ** s))
     bound = k * math.log(H / math.e)
-    violations = []
-    worst = None
-    checked = 0
+    checked, violations, worst = 0, [], None
     if grid is not None and len(grid):
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        outside = ~cover.covers(grid)
-        checked = int(np.sum(outside))
-        u = potential_many(space, grid[outside])
-        margins = u - bound
-        worst = float(margins.min()) if len(margins) else None
-        grace = rtol * (1.0 + abs(bound))
-        bad = margins < -grace
-        for pt, m in zip(grid[outside][bad], margins[bad]):
-            violations.append({"point": list(map(float, pt)),
-                               "margin": float(m)})
+        checked, violations, worst = _off_ball_floor(
+            space, cover.centers, cover.radii,
+            np.atleast_2d(np.asarray(grid, dtype=float)),
+            lambda pts: potential_many(space, pts), bound, rtol)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
                                 radius_cap=cap, lower_bound=bound,
                                 num_checked=checked, violations=violations,
@@ -601,60 +606,45 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         else:
             grid_pts = np.atleast_2d(grid.astype(float))
 
-    disks: list = []
+    space = DiscreteMeasureSpace.from_complex(zeros_in)
+    centers, radii = np.zeros((0, 2)), np.zeros(0)
     radius_sum = 0.0
-    cover = None
     if len(zeros_in):
-        space = DiscreteMeasureSpace.from_complex(zeros_in)
         H_c = 4.0 * gamma * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)
         cover = greedy_ball_cover(space, phi, gamma=gamma, alpha=alpha,
                                   beta=beta, probes=grid_pts)
-        disks = [(complex(c[0], c[1]), float(r))
-                 for c, r in zip(cover.centers, cover.radii)]
-        radius_sum = float(np.sum(cover.radii))
+        centers, radii = cover.centers, cover.radii
+        radius_sum = float(np.sum(radii))
         # A ball can swallow a zero in its outer half, where the halved
         # disk misses it.  Such zeros get their own disks, paid for out
         # of the strict slack left in the radius-sum budget; excluding
         # more points never weakens the off-disk lower bound.
-        stranded = [z for z in zeros_in
-                    if not any(abs(z - c) <= r / 2.0 for c, r in disks)]
+        stranded = space.points[~_in_balls(space, centers, radii / 2.0,
+                                           space.points)]
         slack = 4.0 * eta * R - radius_sum
-        if stranded and slack > 0.0:
-            taus_z = tau_many(space, phi,
-                              np.column_stack([[z.real for z in stranded],
-                                               [z.imag for z in stranded]]))
+        if len(stranded) and slack > 0.0:
             share = 0.5 * slack / len(stranded)
-            for z, tz in zip(stranded, taus_z):
-                r_extra = min(beta * float(tz), share)
-                disks.append((complex(z), r_extra))
-                radius_sum += r_extra
+            r_extra = np.minimum(beta * tau_many(space, phi, stranded), share)
+            centers = np.concatenate([centers, stranded])
+            radii = np.concatenate([radii, r_extra])
+            for r in r_extra:
+                radius_sum += float(r)
 
-    violations = []
-    worst = None
-    checked = 0
+    checked, violations, worst = 0, [], None
     if grid_pts is not None:
-        zs = grid_pts[:, 0] + 1j * grid_pts[:, 1]
-        sel = np.abs(zs) <= R
-        for c, r in disks:
-            sel &= np.abs(zs - c) > r
-        checked = int(np.sum(sel))
-        vals = np.abs(f.eval_many(zs[sel]))
-        with np.errstate(divide="ignore"):
-            logs = np.log(vals)
-        margins = logs - lower
-        worst = float(margins.min()) if len(margins) else None
-        grace = rtol * (1.0 + abs(lower))
-        bad = margins < -grace
-        for z, m in zip(zs[sel][bad], margins[bad]):
-            violations.append({"point": [float(z.real), float(z.imag)],
-                               "margin": float(m)})
+        def log_abs_f(pts):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(f.eval_many(pts[:, 0] + 1j * pts[:, 1])))
 
-    half_ok = True
-    for z in zeros_in:
-        if not any(abs(z - c) <= r / 2.0 + 1e-12 for c, r in disks):
-            half_ok = False
-            break
+        in_R = np.abs(grid_pts[:, 0] + 1j * grid_pts[:, 1]) <= R
+        checked, violations, worst = _off_ball_floor(
+            space, centers, radii, np.compress(in_R, grid_pts, axis=0),
+            log_abs_f, lower, rtol)
+
+    half_ok = bool(np.all(_in_balls(space, centers, radii / 2.0 + 1e-12,
+                                    space.points)))
+    disks = [(complex(c[0], c[1]), float(r)) for c, r in zip(centers, radii)]
 
     return CartanDiskReport(disks=disks, zeros=zeros_in, eta=eta, R=R,
                             H_eta=H_eta, log_max=log_max, lower_bound=lower,

@@ -40,9 +40,9 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial import cKDTree
 
-from .campanato import (CubeFamily, Majorant, build_cube_family,
-                        dyadic_radii, local_best_approx, campanato_seminorm,
-                        lipschitz_seminorm, quasipower_check)
+from .campanato import (CubeFamily, Majorant, campanato_seminorm,
+                        dyadic_radii, lipschitz_seminorm, local_best_approx,
+                        quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
 from .polynomials import (Polynomial, compose_affine_many, monomials,
@@ -79,7 +79,7 @@ def _ladder(X: FractalSet, min_radius: float | None = None) -> list:
 
 
 def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
-                q=2, min_radius: float | None = None) -> TraceResult:
+                min_radius: float | None = None) -> TraceResult:
     """Pointwise trace at a cloud point via shrinking dyadic cubes.
 
     Returns the deepest-rung projection value P_Q(f)(x) together with the
@@ -91,7 +91,7 @@ def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radii = _ladder(X, min_radius)
     vals = np.array([  # ascending; the deepest rung is first
-        local_best_approx(f_values, X, Cube(tuple(x), r), k, q).coefs[0]
+        local_best_approx(f_values, X, Cube(tuple(x), r), k, 2).coefs[0]
         for r in radii])
     return TraceResult(value=float(vals[0]), increments=np.abs(np.diff(vals)),
                        radii=np.array(radii))
@@ -168,19 +168,6 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
 
 
 # -- exact sup of low-degree polynomials over [-1, 1]^n -----------------------
-
-
-def _max_abs_deg2_interval(C: np.ndarray) -> np.ndarray:
-    """Exact max of |c0 + c1 t + c2 t^2| over [-1, 1], rowwise."""
-    c0, c1, c2 = (C[:, j] if C.shape[1] > j else np.zeros(len(C))
-                  for j in range(3))
-    vals = [np.abs(c0 - c1 + c2), np.abs(c0 + c1 + c2)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(c2 != 0.0, -c1 / (2.0 * c2), np.nan)
-    ok = np.isfinite(t) & (np.abs(t) <= 1.0)
-    v = np.where(ok, np.abs(c0 + c1 * t + c2 * t ** 2), -np.inf)
-    vals.append(v)
-    return np.max(vals, axis=0)
 
 
 def _max_abs_deg2_square(C: np.ndarray) -> np.ndarray:
@@ -277,8 +264,11 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
                 (centers[r_small][si] - centers[r_big][bj]) / r_big)
             D = coefs[r_small][si] - outer
             if exact and n == 1:
-                sups = _max_abs_deg2_interval(D)
-            elif exact:
+                # 1, t, t^2 are the square's 1, x, x^2 (columns 0, 2, 5)
+                sq = np.zeros((len(D), 6))
+                sq[:, [0, 2, 5][:D.shape[1]]] = D
+                D = sq
+            if exact:
                 sups = _max_abs_deg2_square(D)
             else:
                 sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
@@ -440,32 +430,28 @@ class ExtensionReport:
 
 
 def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
-                     k: int, omega: Majorant, q=2,
-                     family: CubeFamily | None = None,
-                     lip_budget: int = 2 ** 12,
-                     h_max: float | None = None,
+                     k: int, omega: Majorant, family: CubeFamily,
                      h_min: float | None = None) -> ExtensionReport:
     """Trace error, Lipschitz seminorm of the field, and the operator-norm
-    proxy ratio against the trace seminorm of f.
+    proxy ratio against the trace seminorm of f over the family (q = 2).
 
-    The Lipschitz probe keeps |h| in [h_min, h_max]; h_min defaults to four
-    grid spacings.  When comparing fields across grid refinements, pass the
-    same explicit range so both runs probe identical scales.
+    The Lipschitz probe keeps |h| in [h_min, h_max], where h_max is the
+    shortest side of the probe box (the grid box less one spacing at each
+    end) over 2k and h_min defaults to four grid spacings.  When comparing
+    fields across grid refinements, pass the same explicit h_min so both
+    runs probe the same smallest scale.
     """
     g = fld.as_callable()
     trace_err = float(np.max(np.abs(g(X.points) - np.asarray(f_values))))
 
     lo = np.asarray(fld.grid.lo) + fld.grid.spacing
     hi = np.asarray(fld.grid.hi) - fld.grid.spacing
-    hm = h_max if h_max is not None else float(np.min(hi - lo)) / (2.0 * k)
+    hm = float(np.min(hi - lo)) / (2.0 * k)
     hmin = h_min if h_min is not None else 4.0 * fld.grid.spacing
     decades = max(math.log10(hm / hmin), 0.5)
-    lip = lipschitz_seminorm(g, k, omega, (lo, hi), budget=lip_budget,
-                             h_decades=decades, h_max=hm).value
-
-    if family is None:
-        family = build_cube_family(X, center_budget=128)
-    camp = campanato_seminorm(f_values, family, k, q, omega).value
+    lip = lipschitz_seminorm(g, k, omega, (lo, hi), h_decades=decades,
+                             h_max=hm).value
+    camp = campanato_seminorm(f_values, family, k, 2, omega).value
 
     scale = float(np.max(np.abs(f_values))) if len(f_values) else 1.0
     na = camp <= 1e-12 * max(scale, 1.0)
@@ -475,21 +461,21 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
 
 
 def local_decay_diagnostic(f_values: np.ndarray, X: FractalSet, Q: Cube,
-                           K: Cube, omega: Majorant, q=2) -> dict:
+                           K: Cube, omega: Majorant) -> dict:
     """Both sides of the first-order decay estimate on nested cubes.
 
     Compares E_1(f; Q) with r * int_r^{2R} omega(t)/t^2 dt plus
-    (r/R) times the normalized norm of f over the doubled outer cube; no
+    (r/R) times the normalized L2 norm of f over the doubled outer cube; no
     constant is asserted, the two sides are reported for inspection.
     """
     r, R = Q.radius, K.radius
     if not r < R:
         raise ValueError("need r_Q < r_K")
-    e1 = local_best_approx(f_values, X, Q, 1, q).value
+    e1 = local_best_approx(f_values, X, Q, 1, 2).value
     ts = np.exp(np.linspace(math.log(r), math.log(2.0 * R), 400))
     integral = float(np.trapezoid(omega(ts) / ts ** 2, ts))
     ktilde = Cube(K.center, 2.0 * R)
-    norm_term = local_best_approx(f_values, X, ktilde, 0, q).value
+    norm_term = local_best_approx(f_values, X, ktilde, 0, 2).value
     return {
         "E1": e1,
         "integral_term": r * integral,

@@ -68,6 +68,14 @@ def test_e0_is_the_norm():
     res = local_best_approx(fv, X, Cube((0.0,), 2.0), 0, 2)
     assert res.value == pytest.approx(2.5, abs=1e-12)
     assert res.poly.degree_bound == 0
+    for q in (1, 2.0, INF, np.inf, "inf"):
+        assert local_best_approx(fv, X, Cube((0.0,), 2.0), 0, q).value == \
+            pytest.approx(2.5, abs=1e-12)
+    # q is checked first, for every k: the far cube is never reached
+    for q in (3, -1, 0.5, 0, "2", None):
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError, match="q must be"):
+                local_best_approx(fv, X, Cube((10.0,), 0.1), k, q)
 
 
 def test_closed_form_least_squares_example():

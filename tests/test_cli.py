@@ -40,10 +40,27 @@ def test_run_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_run_unknown_set_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"experiment": "remez", "set": "cantorr:1/3"})
+@pytest.mark.parametrize("config, needle", [
+    pytest.param({"experiment": "remez", "set": "cantorr:1/3"},
+                 "cantorr:1/3", id="unknown-set"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"omega": "foo:1"}}, "foo:1",
+                 id="unknown-majorant"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"omega": "power:-1"}}, "power:-1",
+                 id="bad-majorant"),
+    pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
+                  "params": {"omega": "const:1"}}, "quasipower",
+                 id="not-quasipower"),
+    pytest.param({"experiment": "extension",
+                  "set": "cantor:1/3*cantor:1/3*cantor:1/3", "depth": 2},
+                 "ladder rungs", id="short-ladder"),
+])
+def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
+    cfg = write_config(tmp_path, config)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "cantorr:1/3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and needle in err
 
 
 def test_run_schema_violation_exits_2(tmp_path, capsys):

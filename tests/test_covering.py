@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractal_remez.covering import (CartanDiskReport, DiscreteMeasureSpace,
@@ -136,7 +136,7 @@ def dense_tau_many(space, phi, queries):
     if space.metric is None:
         D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
     else:
-        D = np.array([space.dist_from(q, atoms) for q in queries])
+        D = np.array([[space.metric(q, a) for a in atoms] for q in queries])
     order = np.argsort(D, axis=1)
     Ds = np.take_along_axis(D, order, axis=1)
     levels = np.cumsum(masses[order], axis=1)
@@ -149,6 +149,17 @@ def dense_tau_many(space, phi, queries):
 
 def l1_metric(x, y):
     return float(np.sum(np.abs(x - y)))
+
+
+def sup_metric(x, y):
+    return float(np.max(np.abs(x - y)))
+
+
+def half_euclidean_metric(x, y):
+    return 0.5 * float(np.linalg.norm(x - y))
+
+
+METRICS = [None, l1_metric, sup_metric, half_euclidean_metric]
 
 
 @st.composite
@@ -178,7 +189,7 @@ def pruning_cases(draw):
         ts = np.linspace(0.0, 30.0, 61)
         phi = MajorantFn.table(ts, draw(st.floats(0.2, 3.0))
                                * ts ** draw(st.floats(0.5, 2.0)))
-    metric = l1_metric if draw(st.booleans()) else None
+    metric = draw(st.sampled_from(METRICS))
     return DiscreteMeasureSpace(atoms, masses, metric=metric), phi, probes
 
 
@@ -192,6 +203,39 @@ def test_pruned_tau_matches_unpruned_scan_bitwise(case):
     pruned = tau_many(space, phi, probes)
     assert np.array_equal(pruned, unpruned)
     assert np.array_equal(unpruned, dense_tau_many(space, phi, probes))
+
+
+# A heavy atom (tau 1) whose emitted ball of radius 2.5 holds a light
+# irregular atom at metric distance 2, which lies at Euclidean distance 4
+# (0.5 Euclidean) or 2 sqrt 2 (sup), outside the Euclidean ball.
+@example((DiscreteMeasureSpace(np.array([[0.0], [4.0]]), np.array([1.0, 0.1]),
+                               metric=half_euclidean_metric),
+          MajorantFn.power(1.0, 1.0), np.array([[40.0]])))
+@example((DiscreteMeasureSpace(np.array([[0.0, 0.0], [2.0, 2.0]]),
+                               np.array([1.0, 0.1]), metric=sup_metric),
+          MajorantFn.power(1.0, 1.0), np.array([[-20.0, 30.0]])))
+@given(pruning_cases())
+@settings(max_examples=200, deadline=None)
+def test_metric_cover_audit_and_potential(case):
+    # the cover, its audit and the potential all measure with the metric
+    space, phi, probes = case
+    try:
+        phi.validate(space.A, space.extent())
+    except ValueError:
+        assume(False)  # a table majorant that never exceeds the mass
+    keep = space.masses > 0
+    # phi^{-1} of a tiny mass can underflow to 0, making its atom regular
+    assume(np.all(phi.inverse(space.masses[keep]) > 0.0))
+    cover = greedy_ball_cover(space, phi, probes=probes)
+    assert all(verify_cover(space, phi, cover, probes=probes).values())
+    metric = space.metric or (lambda x, y: float(np.linalg.norm(x - y)))
+    for q, u in zip(probes, potential_many(space, probes)):
+        d = [metric(q, a) for a in space.points[keep]]
+        if min(d, default=1.0) == 0.0:
+            assert u == -math.inf
+            continue
+        terms = [m * math.log(di) for m, di in zip(space.masses[keep], d)]
+        assert abs(u - sum(terms)) <= 1e-13 * (1.0 + sum(map(abs, terms)))
 
 
 # -- the greedy cover ---------------------------------------------------------

@@ -9,7 +9,6 @@ from fractal_remez.extension import (Chain, GridSpec, build_chain,
                                      chain_seminorm, local_decay_diagnostic,
                                      project, trace_tilde, verify_extension,
                                      whitney_extend, _bump,
-                                     _max_abs_deg2_interval,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
@@ -236,7 +235,9 @@ def test_chain_certificate_normalized_and_density_stable():
 def test_exact_quadratic_sup_oracle_1d():
     rng = np.random.default_rng(2)
     C = rng.uniform(-2, 2, (40, 3))
-    exact = _max_abs_deg2_interval(C)
+    sq = np.zeros((40, 6))
+    sq[:, [0, 2, 5]] = C  # 1, t, t^2 as the square's 1, x, x^2
+    exact = _max_abs_deg2_square(sq)
     ts = np.linspace(-1.0, 1.0, 20001)
     for c, e in zip(C, exact):
         dense = np.max(np.abs(c[0] + c[1] * ts + c[2] * ts ** 2))
