@@ -70,7 +70,6 @@ def dyadic_radii(r_min: float, r_max: float) -> list[float]:
 
 
 def build_cube_family(X: FractalSet, center_budget: int | None = None,
-                      min_radius: float | None = None,
                       rng=None) -> CubeFamily:
     """Cubes centered at cloud points with dyadic radii up to 4 diam X.
 
@@ -79,9 +78,7 @@ def build_cube_family(X: FractalSet, center_budget: int | None = None,
     is a sample, any sup over it is a certified lower bound.
     """
     cap = 4.0 * X.diam
-    if min_radius is None:
-        min_radius = 4.0 * X.cell_diam
-    radii = dyadic_radii(min_radius, cap)
+    radii = dyadic_radii(4.0 * X.cell_diam, cap)
     centers = X.points
     budget = center_budget if center_budget is not None else 1000
     if X.size > budget:
@@ -286,9 +283,9 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     if q == 2:
         coefs = coefs2
     elif q == 1:
-        coefs = _l1_fit(A, fv, w)
+        coefs = _lp_fit(A, fv, w, np.eye(len(fv)))
     else:
-        coefs = _linf_fit(A, fv)
+        coefs = _lp_fit(A, fv, np.ones(1), np.ones((len(fv), 1)))
     fallback = coefs is None
     if fallback:
         coefs = coefs2
@@ -303,33 +300,17 @@ def _normalized_norm(vals: np.ndarray, w: np.ndarray, q) -> float:
     return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
 
 
-def _l1_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """Weighted L1 coefficient fit as an exact linear program (None if
-    the solver fails)."""
-    m, d = A.shape
-    c = np.concatenate([np.zeros(d), w])
-    A_ub = np.block([[A, -np.eye(m)], [-A, -np.eye(m)]])
-    b_ub = np.concatenate([f, -f])
-    bounds = [(None, None)] * d + [(0, None)] * m
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return res.x[:d]
-
-
-def _linf_fit(A: np.ndarray, f: np.ndarray) -> np.ndarray | None:
-    """Chebyshev (minimax) coefficient fit as an exact linear program
-    (None if the solver fails)."""
-    m, d = A.shape
-    c = np.concatenate([np.zeros(d), [1.0]])
-    ones = np.ones((m, 1))
-    A_ub = np.block([[A, -ones], [-A, -ones]])
-    b_ub = np.concatenate([f, -f])
-    bounds = [(None, None)] * d + [(0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return res.x[:d]
+def _lp_fit(A: np.ndarray, f: np.ndarray, cost: np.ndarray,
+            slack: np.ndarray) -> np.ndarray | None:
+    """Coefficients c of the linear program min cost.t subject to
+    |f - A c| <= slack t, t >= 0 (None if the solver fails).  q = 1 takes
+    the weights and one slack per point, q = inf one slack for all."""
+    d = A.shape[1]
+    A_ub = np.block([[A, -slack], [-A, -slack]])
+    bounds = [(None, None)] * d + [(0, None)] * len(cost)
+    res = linprog(np.concatenate([np.zeros(d), cost]), A_ub=A_ub,
+                  b_ub=np.concatenate([f, -f]), bounds=bounds, method="highs")
+    return res.x[:d] if res.success else None
 
 
 # -- seminorms -------------------------------------------------------------

@@ -250,7 +250,9 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     phi^{-1}(level_j) >= d_j at every jump and has tau = 0, so it skips the
     scan.  The reach is widened by the rounding of the running sums (m eps
     relative) and a few ulps of phi^{-1}: the prune may keep extra queries
-    but never drops one whose tau is positive.  Queries must be finite.
+    but never drops one whose tau is positive.  Queries must be finite,
+    and phi^{-1} of the smallest positive mass must not underflow to 0:
+    the scan would then read an irregular atom as regular.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if not np.all(np.isfinite(queries)):
@@ -261,6 +263,10 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     out = np.zeros(len(queries))
     if len(atoms) == 0:
         return out
+    # phi^{-1} is nondecreasing, so the smallest mass decides
+    if float(phi.inverse(masses.min())) == 0.0:
+        raise ValueError("phi^{-1} of the smallest positive mass underflows "
+                         "to 0; rescale the masses")
     D = _atom_distances(space, atoms, queries)
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
@@ -503,21 +509,19 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
 # -- corollary: exclusion disks for univariate polynomials ---------------
 
 
-def polynomial_zeros(f: Polynomial, polish_steps: int = 3) -> np.ndarray:
+def polynomial_zeros(f: Polynomial) -> np.ndarray:
     """Zeros of a univariate polynomial via the companion matrix, polished
-    by a few Newton steps."""
+    by three Newton steps."""
     if f.num_vars != 1:
         raise ValueError("zeros are computed for univariate polynomials only")
-    coeffs = np.asarray(f.coeffs, dtype=complex)
-    nz = np.nonzero(np.abs(coeffs) > 0)[0]
-    if len(nz) == 0 or nz.max() == 0:
+    deg = f.degree()
+    if deg == 0:
         return np.zeros(0, dtype=complex)
-    deg = int(nz.max())
     if deg > MAX_CARTAN_DEGREE:
         raise ValueError(f"degree {deg} exceeds the cap {MAX_CARTAN_DEGREE}")
-    roots = np.roots(coeffs[: deg + 1][::-1])
+    roots = np.roots(np.asarray(f.coeffs[: deg + 1], dtype=complex)[::-1])
     df = f.partial(0)
-    for _ in range(polish_steps):
+    for _ in range(3):
         fz = f.eval_many(roots)
         dfz = df.eval_many(roots)
         ok = np.abs(dfz) > 1e-14

@@ -68,18 +68,16 @@ class TraceResult:
     radii: np.ndarray
 
 
-def _ladder(X: FractalSet, min_radius: float | None = None) -> list:
+def _ladder(X: FractalSet) -> list:
     """Dyadic rung radii of the trace ladder, ascending; at least three."""
-    if min_radius is None:
-        min_radius = 4.0 * X.cell_diam
+    min_radius = 4.0 * X.cell_diam
     radii = dyadic_radii(min_radius, max(X.diam, 2.0 * min_radius))
     if len(radii) < 3:
         raise ValueError("fewer than three resolvable ladder rungs")
     return radii
 
 
-def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
-                min_radius: float | None = None) -> TraceResult:
+def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet) -> TraceResult:
     """Pointwise trace at a cloud point via shrinking dyadic cubes.
 
     Returns the deepest-rung projection value P_Q(f)(x) together with the
@@ -89,7 +87,7 @@ def trace_tilde(f_values: np.ndarray, x, k: int, X: FractalSet,
     resolution.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    radii = _ladder(X, min_radius)
+    radii = _ladder(X)
     vals = np.array([  # ascending; the deepest rung is first
         local_best_approx(f_values, X, Cube(tuple(x), r), k, 2).coefs[0]
         for r in radii])

@@ -190,36 +190,32 @@ def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,
 # -- ball queries ------------------------------------------------------
 
 
-def ball_measure(X: FractalSet, x, r: float, method: str = "auto") -> float:
+def ball_measure(X: FractalSet, x, r: float) -> float:
     """Mass of the open Euclidean ball B_r(x) under the cloud measure.
 
-    "brute" scans the whole cloud.  "bucket" asks a k-d tree over the
-    cloud, built on the first query, for the indices within a slightly
-    widened radius, in increasing order, and keeps those with d < r by the
-    same distance formula; "auto" takes it from BUCKET_THRESHOLD points on.
-    Both sum the same masses in the same index order, so their results
-    are bitwise identical.
+    Below BUCKET_THRESHOLD points the whole cloud is scanned.  From there
+    on a k-d tree over the cloud, built on the first query, gives the
+    indices within a slightly widened radius, in increasing order, and
+    those with d < r by the same distance formula are kept.  Both paths
+    sum the same masses in the same index order, so their results are
+    bitwise identical.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if method == "auto":
-        method = "bucket" if X.size >= BUCKET_THRESHOLD else "brute"
-    if method == "brute":
+    if X.size < BUCKET_THRESHOLD:
         d = np.linalg.norm(X.points - x, axis=1)
         return float(np.sum(X.masses[d < r]))
-    if method == "bucket":
-        if X._tree is None:
-            X._tree = cKDTree(X.points)
-        # the tree compares squared distances, the filter their roots; the
-        # widened radius lets it return extra candidates, never miss one
-        cand = np.asarray(X._tree.query_ball_point(
-            x, r * (1.0 + 1e-9), return_sorted=True), dtype=np.int64)
-        if len(cand) == 0:
-            return 0.0
-        d = np.linalg.norm(X.points[cand] - x, axis=1)
-        return float(np.sum(X.masses[cand[d < r]]))
-    raise ValueError(f"unknown method {method!r}")
+    if X._tree is None:
+        X._tree = cKDTree(X.points)
+    # the tree compares squared distances, the filter their roots; the
+    # widened radius lets it return extra candidates, never miss one
+    cand = np.asarray(X._tree.query_ball_point(
+        x, r * (1.0 + 1e-9), return_sorted=True), dtype=np.int64)
+    if len(cand) == 0:
+        return 0.0
+    d = np.linalg.norm(X.points[cand] - x, axis=1)
+    return float(np.sum(X.masses[cand[d < r]]))
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,10 @@ class Ball(_Body):
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius ** self.dim
 
-    def contains(self, points, rtol: float = 0.0) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         c = np.asarray(self.center)
-        return np.linalg.norm(pts - c, axis=1) <= self.radius * (1.0 + rtol)
+        return np.linalg.norm(pts - c, axis=1) <= self.radius
 
     def sample(self, count: int) -> np.ndarray:
         """Equal-measure Sobol sample of the ball."""

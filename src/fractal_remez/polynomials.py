@@ -6,21 +6,23 @@ polynomials T_k, gradients D^a p, and the k-th forward difference
     delta_h^k f(x) = sum_{j=0..k} (-1)^(k-j) C(k,j) f(x + j*h).
 
 Coefficients are stored densely against the graded list of multi-indices
-with |a| <= degree_bound.  Real and complex polynomials share the type;
-the scalar kind is the dtype of the coefficient array (complex is used
-only for univariate polynomials here).  Degrees stay small (<= ~12), so
-dense storage and naive convolution multiplication are the right tools.
+with |a| <= degree_bound; degrees stay small (<= ~12).  Real and complex
+polynomials share the type; the scalar kind is the dtype of the
+coefficient array (complex is used only for univariate polynomials here).
+
+Which graded column holds the multi-index a is decided in one place, a
+read-only dense table per (num_vars, degree) indexed by arrays of
+exponents.  Products, partial derivatives, the monomial parents and the
+affine re-expansion each read an index map from it, cached per shape.
 
 Polynomials are evaluated through one kernel, `monomials(x, degree)`,
 which builds the (N, m) table of every graded monomial at N points: the
 constant and the linear columns are copied, and every column above them
-is its parent column times one variable, where the parent multi-index
-(the exponent with one power of that variable removed) and the variable
-come from a table cached per (num_vars, degree).  So a table costs one
-multiplication per column of degree >= 2, done one degree block at a
-time.  `Polynomial.eval_many`, the design matrices of the local fits,
-the Whitney assembly and the scale powers of `compose_affine_many` all
-go through it.
+is its parent column (one power of its last variable removed) times that
+variable, one multiplication per column of degree >= 2, done one degree
+block at a time.  `Polynomial.eval_many`, the design matrices of the
+local fits, the Whitney assembly and the scale powers of
+`compose_affine_many` all go through it.
 
 All instances are immutable after construction and all operations are
 pure; sharing across threads is safe.
@@ -29,6 +31,7 @@ pure; sharing across threads is safe.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +40,6 @@ __all__ = [
     "Polynomial",
     "multi_indices",
     "exponent_array",
-    "binomial",
     "chebyshev",
     "finite_difference",
     "finite_difference_many",
@@ -45,27 +47,11 @@ __all__ = [
     "monomials",
 ]
 
-_PASCAL_MAX = 30
 
-
-@lru_cache(maxsize=None)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _pascal_row(n - 1)
-    return tuple(
-        (prev[j - 1] if j > 0 else 0) + (prev[j] if j < n else 0)
-        for j in range(n + 1)
-    )
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) by the Pascal recurrence, exact integers, n <= 30."""
-    if n < 0 or n > _PASCAL_MAX:
-        raise ValueError(f"binomial supports 0 <= n <= {_PASCAL_MAX}, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return _pascal_row(n)[k]
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, as every array kept in a cache here is."""
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -78,37 +64,41 @@ def multi_indices(num_vars: int, max_degree: int) -> tuple[tuple[int, ...], ...]
     """
     if num_vars < 1:
         raise ValueError("num_vars must be positive")
-    out = []
-    for total in range(max_degree + 1):
-        block = [
-            alpha
-            for alpha in itertools.product(range(total + 1), repeat=num_vars)
-            if sum(alpha) == total
-        ]
-        out.extend(sorted(block))
-    return tuple(out)
+    # product() walks each block in lexicographic order
+    return tuple(alpha for total in range(max_degree + 1)
+                 for alpha in itertools.product(range(total + 1), repeat=num_vars)
+                 if sum(alpha) == total)
 
 
 @lru_cache(maxsize=None)
 def exponent_array(num_vars: int, max_degree: int) -> np.ndarray:
     """multi_indices(num_vars, max_degree) as a read-only (m, n) int array,
     built once per (num_vars, max_degree) and shared by every caller."""
-    E = np.array(multi_indices(num_vars, max_degree), dtype=int)
-    E.setflags(write=False)
-    return E
+    return _frozen(np.array(multi_indices(num_vars, max_degree), dtype=int))
 
 
 @lru_cache(maxsize=None)
-def _index_positions(num_vars: int, max_degree: int) -> dict:
-    return {a: i for i, a in enumerate(multi_indices(num_vars, max_degree))}
+def _column_table(num_vars: int, max_degree: int) -> np.ndarray:
+    """Read-only dense table of (max_degree + 1)^num_vars entries: at an
+    exponent tuple a, the graded column of a, or -1 if |a| > max_degree."""
+    E = exponent_array(num_vars, max_degree)
+    T = np.full((max_degree + 1,) * num_vars, -1, dtype=np.intp)
+    T[tuple(E.T)] = np.arange(len(E))
+    return _frozen(T)
 
 
-def _as_slice(idx: list):
+def _columns(num_vars: int, max_degree: int, E: np.ndarray) -> np.ndarray:
+    """Graded columns of the exponents along the last axis of E, read-only."""
+    T = _column_table(num_vars, max_degree)
+    return _frozen(T[tuple(np.moveaxis(E, -1, 0))])
+
+
+def _as_slice(idx: np.ndarray):
     """idx as a slice when it is a run of consecutive columns, so that
-    indexing with it gives a view; otherwise as an index array."""
-    if idx == list(range(idx[0], idx[0] + len(idx))):
-        return slice(idx[0], idx[0] + len(idx))
-    return np.array(idx)
+    indexing with it gives a view; otherwise as it is."""
+    if np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 @lru_cache(maxsize=None)
@@ -117,21 +107,16 @@ def _monomial_parents(num_vars: int, degree: int) -> tuple:
     and for each of its columns the column of its parent monomial and the
     column of the variable that multiplies it (the last variable with a
     positive exponent).  The degree-1 block holds x_{n-1}, ..., x_0."""
-    idx = multi_indices(num_vars, degree)
-    pos = _index_positions(num_vars, degree)
-    blocks = []
-    start = num_vars + 1
-    for d in range(2, degree + 1):
-        stop = start + sum(1 for a in idx[start:] if sum(a) == d)
-        parents, factors = [], []
-        for a in idx[start:stop]:
-            j = max(i for i, e in enumerate(a) if e > 0)
-            parents.append(pos[a[:j] + (a[j] - 1,) + a[j + 1:]])
-            factors.append(num_vars - j)
-        blocks.append((slice(start, stop), _as_slice(parents),
-                       _as_slice(factors)))
-        start = stop
-    return tuple(blocks)
+    E = exponent_array(num_vars, degree)
+    last = num_vars - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
+    # clipped at zero for the constant, which has no parent
+    parents = _columns(num_vars, degree,
+                       np.maximum(E - np.eye(num_vars, dtype=int)[last], 0))
+    factors = _frozen(num_vars - last)
+    stops = np.searchsorted(E.sum(axis=1), np.arange(degree + 1),
+                            side="right").tolist()
+    return tuple((slice(a, b), _as_slice(parents[a:b]), _as_slice(factors[a:b]))
+                 for a, b in zip(stops[1:-1], stops[2:]))
 
 
 def monomials(x, degree: int) -> np.ndarray:
@@ -169,14 +154,14 @@ class Polynomial:
         idx = multi_indices(num_vars, degree_bound)
         if isinstance(coeffs, dict):
             arr = np.zeros(len(idx), dtype=complex)
-            pos = _index_positions(num_vars, degree_bound)
+            table = _column_table(num_vars, degree_bound)
             for alpha, c in coeffs.items():
                 alpha = tuple(int(e) for e in alpha)
                 if len(alpha) != num_vars:
                     raise ValueError(f"multi-index {alpha} has wrong arity")
                 if any(e < 0 for e in alpha) or sum(alpha) > degree_bound:
                     raise ValueError(f"multi-index {alpha} outside degree bound")
-                arr[pos[alpha]] += c
+                arr[table[alpha]] += c
             if np.all(arr.imag == 0.0):
                 arr = arr.real.copy()
         else:
@@ -240,12 +225,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Actual total degree (0 for the zero polynomial)."""
-        idx = multi_indices(self.num_vars, self.degree_bound)
-        deg = 0
-        for a, c in zip(idx, self.coeffs):
-            if c != 0:
-                deg = max(deg, sum(a))
-        return deg
+        return int(self.exponents.sum(axis=1)[self.coeffs != 0].max(initial=0))
 
     # -- evaluation ---------------------------------------------------
 
@@ -295,28 +275,20 @@ class Polynomial:
     def __neg__(self):
         return Polynomial(self.num_vars, self.degree_bound, -self.coeffs)
 
-    def __rmul__(self, c):
-        return self.__mul__(c)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return Polynomial(self.num_vars, self.degree_bound, self.coeffs * other)
         other = self._coerce(other)
         d = self.degree_bound + other.degree_bound
-        pos = _index_positions(self.num_vars, d)
-        dtype = complex if (self.is_complex or other.is_complex) else float
-        out = np.zeros(len(multi_indices(self.num_vars, d)), dtype=dtype)
-        idx_a = multi_indices(self.num_vars, self.degree_bound)
-        idx_b = multi_indices(other.num_vars, other.degree_bound)
-        for a, ca in zip(idx_a, self.coeffs):
-            if ca == 0:
-                continue
-            for b, cb in zip(idx_b, other.coeffs):
-                if cb == 0:
-                    continue
-                key = tuple(ea + eb for ea, eb in zip(a, b))
-                out[pos[key]] += ca * cb
+        terms = _outer(self.coeffs, other.coeffs)
+        out = np.zeros(len(multi_indices(self.num_vars, d)), dtype=terms.dtype)
+        # np.add.at adds the terms in row-major order (a, then b), and zero
+        # terms leave a sum unchanged: each column sums as a loop over terms
+        np.add.at(out, _product_columns(self.num_vars, self.degree_bound,
+                                        other.degree_bound), terms)
         return Polynomial(self.num_vars, d, out)
+
+    __rmul__ = __mul__
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -334,13 +306,9 @@ class Polynomial:
         if not 0 <= i < self.num_vars:
             raise ValueError(f"variable index {i} out of range")
         d = max(self.degree_bound - 1, 0)
-        pos = _index_positions(self.num_vars, d)
+        dst, src, powers = _partial_map(self.num_vars, self.degree_bound, i)
         out = np.zeros(len(multi_indices(self.num_vars, d)), dtype=self.coeffs.dtype)
-        for a, c in zip(multi_indices(self.num_vars, self.degree_bound), self.coeffs):
-            if c == 0 or a[i] == 0:
-                continue
-            b = tuple(e - 1 if j == i else e for j, e in enumerate(a))
-            out[pos[b]] += c * a[i]
+        out[dst] += self.coeffs[src] * powers
         return Polynomial(self.num_vars, d, out)
 
     def gradient(self) -> list:
@@ -354,6 +322,38 @@ class Polynomial:
         return Polynomial(self.num_vars, self.degree_bound, coeffs)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b), with complex products rounded as a scalar product
+    rounds them: re = a_r b_r - a_i b_i, im = a_r b_i + a_i b_r, each
+    product rounded on its own (numpy's vector loops may fuse them)."""
+    if a.dtype.kind != "c" and b.dtype.kind != "c":
+        return a[:, None] * b
+    a, b = a.astype(complex)[:, None], b.astype(complex)
+    out = np.empty((len(a), len(b)), dtype=complex)
+    out.real, out.imag = (a.real * b.real - a.imag * b.imag,
+                          a.real * b.imag + a.imag * b.real)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_columns(num_vars: int, deg_a: int, deg_b: int) -> np.ndarray:
+    """(m_a, m_b) table: the graded column of a + b for every column a of
+    degree <= deg_a and b of degree <= deg_b."""
+    Ea, Eb = exponent_array(num_vars, deg_a), exponent_array(num_vars, deg_b)
+    return _columns(num_vars, deg_a + deg_b, Ea[:, None] + Eb)
+
+
+@lru_cache(maxsize=None)
+def _partial_map(num_vars: int, degree: int, i: int) -> tuple:
+    """The columns a with a_i > 0 (src), the columns of a - e_i in the
+    degree - 1 table (dst) and the powers a_i."""
+    E = exponent_array(num_vars, degree)
+    src = _frozen(np.flatnonzero(E[:, i]))
+    dst = _columns(num_vars, max(degree - 1, 0),
+                   E[src] - np.eye(num_vars, dtype=int)[i])
+    return dst, src, _frozen(E[src, i].astype(float))
+
+
 @lru_cache(maxsize=None)
 def _affine_structure(num_vars: int, degree: int):
     """Integer data of the affine re-expansion for |a| <= degree.
@@ -363,15 +363,11 @@ def _affine_structure(num_vars: int, degree: int):
     clipped at zero where some b_j > a_j (there B vanishes).
     """
     E = exponent_array(num_vars, degree)
-    pascal = np.array([[binomial(a, b) for b in range(degree + 1)]
+    pascal = np.array([[math.comb(a, b) for b in range(degree + 1)]
                        for a in range(degree + 1)], dtype=float)
     B = np.prod(pascal[E[None, :, :], E[:, None, :]], axis=2)
-    pos = _index_positions(num_vars, degree)
-    D = np.maximum(E[None, :, :] - E[:, None, :], 0)
-    G = np.array([[pos[tuple(d)] for d in row] for row in D.tolist()])
-    for arr in (B, G):
-        arr.setflags(write=False)
-    return B, G
+    G = _columns(num_vars, degree, np.maximum(E[None, :, :] - E[:, None, :], 0))
+    return _frozen(B), G
 
 
 def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
@@ -418,7 +414,7 @@ def finite_difference_many(g, k: int, X: np.ndarray, H: np.ndarray) -> np.ndarra
     total = np.zeros(len(X))
     for j in range(k + 1):
         sign = -1.0 if (k - j) % 2 else 1.0
-        total += sign * binomial(k, j) * np.asarray(g(X + j * H), dtype=float)
+        total += sign * math.comb(k, j) * np.asarray(g(X + j * H), dtype=float)
     return total
 
 

@@ -74,6 +74,17 @@ def brute_force_tau(space, phi, x, t_hi=100.0):
     return best
 
 
+def test_tau_rejects_underflowing_inverse():
+    # phi^{-1}(m) = m^3.2 underflows to 0 here: the lone atom would read
+    # as regular, and the greedy cover would leave it uncovered
+    space = DiscreteMeasureSpace(np.zeros((1, 2)), np.array([6.3e-118]))
+    phi = MajorantFn.power(1.0, 0.3125)
+    with pytest.raises(ValueError, match="underflows"):
+        tau_many(space, phi, space.points)
+    with pytest.raises(ValueError, match="underflows"):
+        greedy_ball_cover(space, phi)
+
+
 def test_tau_against_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -198,6 +209,10 @@ def pruning_cases(draw):
 def test_pruned_tau_matches_unpruned_scan_bitwise(case):
     space, phi, probes = case
     keep = space.masses > 0
+    if np.any(keep) and phi.inverse(space.masses[keep].min()) == 0.0:
+        with pytest.raises(ValueError, match="underflows"):
+            tau_many(space, phi, probes)
+        return
     unpruned = _step_scan(_atom_distances(space, space.points[keep], probes),
                           space.masses[keep], phi)
     pruned = tau_many(space, phi, probes)
@@ -224,7 +239,7 @@ def test_metric_cover_audit_and_potential(case):
     except ValueError:
         assume(False)  # a table majorant that never exceeds the mass
     keep = space.masses > 0
-    # phi^{-1} of a tiny mass can underflow to 0, making its atom regular
+    # tau_many rejects a mass whose phi^{-1} underflows to 0
     assume(np.all(phi.inverse(space.masses[keep]) > 0.0))
     cover = greedy_ball_cover(space, phi, probes=probes)
     assert all(verify_cover(space, phi, cover, probes=probes).values())

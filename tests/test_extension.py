@@ -89,7 +89,7 @@ def test_trace_increments_controlled_by_majorant():
 def test_trace_needs_three_rungs():
     X = three_point_set()
     with pytest.raises(ValueError):
-        trace_tilde(np.ones(3), X.points[0], 1, X, min_radius=1.9)
+        trace_tilde(np.ones(3), X.points[0], 1, X)  # rungs 1 and 2 only
 
 
 # -- chains ---------------------------------------------------------------------

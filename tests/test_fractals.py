@@ -76,18 +76,25 @@ def test_ball_left_third():
                                                                 abs=1e-12)
 
 
-def test_bucket_index_agrees_exactly():
+def _scan_measure(X, x, r):
+    """The open-ball mass by a scan of the whole cloud."""
+    return float(np.sum(X.masses[np.linalg.norm(X.points - x, axis=1) < r]))
+
+
+def test_bucket_index_agrees_exactly(monkeypatch):
+    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", 0)  # always the tree
     X = build_preset("cantor:1/3", 10)
     rng = np.random.default_rng(3)
     for _ in range(200):
         x = rng.uniform(-0.2, 1.2, 1)
         r = rng.uniform(1e-3, 1.5)
-        assert ball_measure(X, x, r, method="brute") == \
-            ball_measure(X, x, r, method="bucket")
+        assert ball_measure(X, x, r) == _scan_measure(X, x, r)
+    assert X._tree is not None
 
 
-def test_index_agrees_exactly_at_boundary_radii():
+def test_index_agrees_exactly_at_boundary_radii(monkeypatch):
     # radii one ulp above a cloud point's distance put it on the edge
+    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", 0)
     for preset, depth in (("cantor:1/3", 10), ("dust2d:1/4", 5)):
         X = build_preset(preset, depth)
         rng = np.random.default_rng(5)
@@ -96,8 +103,7 @@ def test_index_agrees_exactly_at_boundary_radii():
                 scale=1e-3, size=X.ambient_dim)
             d = np.linalg.norm(X.points[rng.integers(X.size)] - x)
             for r in (d, np.nextafter(d, np.inf)):
-                assert ball_measure(X, x, r, method="brute") == \
-                    ball_measure(X, x, r, method="bucket")
+                assert ball_measure(X, x, r) == _scan_measure(X, x, r)
 
 
 def test_regularity_unit_interval():

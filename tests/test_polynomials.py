@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractal_remez.polynomials import (Polynomial, binomial, chebyshev,
+from fractal_remez.polynomials import (Polynomial, chebyshev,
                                        compose_affine_many, exponent_array,
                                        finite_difference, monomials,
                                        multi_indices)
@@ -195,14 +195,6 @@ def test_finite_difference_requires_positive_order():
         finite_difference(lambda t: t, 0, [0.0], [1.0])
 
 
-def test_binomial_pascal_matches_comb():
-    for n in range(31):
-        for k in range(n + 1):
-            assert binomial(n, k) == math.comb(n, k)
-    with pytest.raises(ValueError):
-        binomial(31, 2)
-
-
 def test_multiplication_against_expansion():
     p = Polynomial.from_dict(1, {(0,): 1.0, (1,): 1.0})  # 1 + x
     cube = p * p * p
@@ -210,6 +202,77 @@ def test_multiplication_against_expansion():
     for x in (-0.5, 0.3, 2.0):
         assert cube.eval(np.array([x])) == pytest.approx((1 + x) ** 3,
                                                          rel=1e-12)
+
+
+# The tuple loops that the column tables replace, kept as the reference:
+# every product, partial and degree must match them bit for bit.
+
+
+def _loop_product(p, q):
+    d = p.degree_bound + q.degree_bound
+    pos = {a: i for i, a in enumerate(multi_indices(p.num_vars, d))}
+    out = np.zeros(len(pos), dtype=complex if (p.is_complex or q.is_complex)
+                   else float)
+    for a, ca in zip(multi_indices(p.num_vars, p.degree_bound), p.coeffs):
+        if ca == 0:
+            continue
+        for b, cb in zip(multi_indices(q.num_vars, q.degree_bound), q.coeffs):
+            if cb == 0:
+                continue
+            out[pos[tuple(ea + eb for ea, eb in zip(a, b))]] += ca * cb
+    return out
+
+
+def _loop_partial(p, i):
+    d = max(p.degree_bound - 1, 0)
+    pos = {a: j for j, a in enumerate(multi_indices(p.num_vars, d))}
+    out = np.zeros(len(pos), dtype=p.coeffs.dtype)
+    for a, c in zip(multi_indices(p.num_vars, p.degree_bound), p.coeffs):
+        if c == 0 or a[i] == 0:
+            continue
+        out[pos[tuple(e - 1 if j == i else e for j, e in enumerate(a))]] += \
+            c * a[i]
+    return out
+
+
+def _loop_degree(p):
+    return max((sum(a) for a, c in zip(
+        multi_indices(p.num_vars, p.degree_bound), p.coeffs) if c != 0),
+        default=0)
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                  st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300))
+
+
+def _draw_polynomial(data, n, complex_coeffs):
+    degree = data.draw(st.integers(0, 6))
+    m = len(multi_indices(n, degree))
+    c = np.array(data.draw(st.lists(_part, min_size=m, max_size=m)))
+    if complex_coeffs:
+        c = c.astype(complex)
+        c.imag = data.draw(st.lists(_part, min_size=m, max_size=m))
+    return Polynomial(n, degree, c)
+
+
+@given(st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_partial_degree_match_tuple_loops(n, complex_p, complex_q,
+                                                  data):
+    p = _draw_polynomial(data, n, complex_p)
+    q = _draw_polynomial(data, n, complex_q)
+    assert _same_bits((p * q).coeffs, _loop_product(p, q))
+    assert _same_bits((q * p).coeffs, _loop_product(q, p))
+    for i in range(n):
+        assert _same_bits(p.partial(i).coeffs, _loop_partial(p, i))
+    for r in (p, q, p * q):
+        assert r.degree() == _loop_degree(r)
+        assert type(r.degree()) is int
 
 
 def test_compose_affine():
