@@ -156,7 +156,7 @@ class QuasipowerReport:
 
 
 def quasipower_check(omega: Majorant, grid_lo: float = 1e-8,
-                     grid_hi: float = 1e4, grid_n: int = 400) -> QuasipowerReport:
+                     grid_hi: float = 1e4) -> QuasipowerReport:
     """Verify omega(+0) = 0, monotonicity, omega(t)/t^k nonincreasing, and
     compute C_omega (closed form for powers, log-grid quadrature otherwise)."""
     k = omega.k
@@ -168,10 +168,10 @@ def quasipower_check(omega: Majorant, grid_lo: float = 1e-8,
         return QuasipowerReport(True, 1.0 / lam)
     if omega.kind == "constant":
         return QuasipowerReport(False, math.inf, "omega(+0) != 0")
-    ts = np.exp(np.linspace(math.log(grid_lo), math.log(grid_hi), grid_n))
+    ts = np.exp(np.linspace(math.log(grid_lo), math.log(grid_hi), 400))
     vals = omega(ts)
     # omega(+0) = 0 checked as decay across the lower half of the log grid
-    if vals[0] > 0.5 * vals[grid_n // 2]:
+    if vals[0] > 0.5 * vals[len(vals) // 2]:
         return QuasipowerReport(False, math.inf, "omega(+0) != 0")
     if np.any(np.diff(vals) < -1e-12 * vals.max()):
         return QuasipowerReport(False, math.inf, "omega not nondecreasing")
@@ -193,8 +193,8 @@ class MajorantSumError(AssertionError):
     """Dyadic sum exceeded the quasipower cap 2^k C_omega / ln 2."""
 
 
-def majorant_sum_check(omega: Majorant, i: int, i_prime: int,
-                       rtol: float = 1e-6) -> tuple[float, float, float]:
+def majorant_sum_check(omega: Majorant, i: int,
+                       i_prime: int) -> tuple[float, float, float]:
     """Sum of omega over the dyadic ladder 2^i .. 2^i' against omega(2^i').
 
     Returns (lhs, rhs, ratio) and raises if ratio exceeds the cap
@@ -210,7 +210,7 @@ def majorant_sum_check(omega: Majorant, i: int, i_prime: int,
     rhs = float(omega(2.0 ** i_prime))
     ratio = lhs / rhs
     cap = 2.0 ** omega.k * rep.C_omega / LN2
-    if ratio > cap * (1.0 + rtol):
+    if ratio > cap * (1.0 + 1e-6):
         raise MajorantSumError(
             f"dyadic sum ratio {ratio:.6g} exceeds cap {cap:.6g}")
     return lhs, rhs, ratio
@@ -260,8 +260,8 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     polynomial space dimension) is flagged; the q=2 solve then returns the
     minimum-norm coefficient vector so results stay reproducible.
     """
-    if q not in (1, 2, math.inf, "inf"):
-        raise ValueError("q must be 1, 2, or infinity")
+    if q not in (1, 2, math.inf, "inf") or k < 0:
+        raise ValueError("q must be 1, 2, or infinity, and k non-negative")
     f_values = np.asarray(f_values, dtype=float)
     mask = Q.contains(X.points)
     if not np.any(mask):
@@ -333,17 +333,15 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
     and every cube's ratio.
 
     Over a sampled family this is a certified lower bound for the full sup.
+    The first NaN ratio, if any, is the sup and its cube the witness.
     """
     if not family.cubes:
         raise ValueError("empty cube family")
     X = family.base_set
     ratios = np.array([local_best_approx(f_values, X, Qc, k, q).value
                        / float(omega(Qc.radius)) for Qc in family.cubes])
-    best, witness = -math.inf, None
-    for Qc, ratio in zip(family.cubes, ratios):
-        if ratio > best:
-            best, witness = float(ratio), Qc
-    return SeminormResult(value=best, witness=witness,
+    j = int(np.argmax(ratios))
+    return SeminormResult(value=float(ratios[j]), witness=family.cubes[j],
                           num_cubes=len(family.cubes), ratios=ratios)
 
 

@@ -23,7 +23,8 @@ import os
 import sys
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import acceptance, campanato, covering, extension, fractals, remez
 from .geometry import Ball, Cube
@@ -31,11 +32,33 @@ from .polynomials import Polynomial
 from .reporting import (ensure_dir, write_csv_summary, write_json_report,
                         write_plot_data)
 
+QR_VALUES = {"1": 1, "2": 2, "inf": math.inf, 1: 1, 2: 2}
+_QR = {"enum": list(QR_VALUES)}
+_DEGREE = {"type": "integer", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_NUMBER = {"type": "number"}
+_FIT = {"k": _DEGREE, "omega": {"type": "string"},
+        "function": {"type": "string"}, "center_budget": _COUNT}
+# each experiment's params keys; the library checks gamma, H and s itself
+PARAMS_PROPERTIES = {
+    "remez": {"k": _DEGREE, "q": _QR, "r": _QR, "budget": _COUNT,
+              "V": {"type": "object", "required": ["center", "radius"],
+                    "additionalProperties": False, "properties": {
+                        "kind": {"enum": ["ball", "cube"]},
+                        "center": {"type": "array", "items": _NUMBER},
+                        "radius": {"type": "number", "exclusiveMinimum": 0}}}},
+    "covering": {"num_atoms": _COUNT, "H": _NUMBER, "s": _NUMBER,
+                 "gamma": _NUMBER, "grid_n": _COUNT},
+    "campanato": {**_FIT, "q": _QR},
+    "extension": {**_FIT, "pad": {"type": "number", "minimum": 0},
+                  "grid_nodes": {"type": "integer", "minimum": 2}},
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiment"],
     "properties": {
-        "experiment": {"enum": ["remez", "covering", "campanato", "extension"]},
+        "experiment": {"enum": list(PARAMS_PROPERTIES)},
         "seed": {"type": "integer"},
         "set": {"type": "string"},
         "depth": {"type": "integer", "minimum": 1},
@@ -43,7 +66,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "seed": {"type": "integer"},
-                "degree": {"type": "integer", "minimum": 0},
+                "degree": _DEGREE,
                 "num_vars": {"type": "integer", "minimum": 1},
                 "coeffs": {"type": "object"},
             },
@@ -51,7 +74,13 @@ CONFIG_SCHEMA = {
         "params": {"type": "object"},
     },
     "additionalProperties": False,
+    "allOf": [{"if": {"required": ["experiment"],
+                      "properties": {"experiment": {"const": name}}},
+               "then": {"properties": {"params": {
+                   "properties": props, "additionalProperties": False}}}}
+              for name, props in PARAMS_PROPERTIES.items()],
 }
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
 class ConfigError(Exception):
@@ -109,23 +138,14 @@ def _resolve_function(fid: str, X, seed: int) -> np.ndarray:
     raise ConfigError(f"unknown function id {fid!r}")
 
 
-QR_VALUES = {"1": 1, "2": 2, "inf": math.inf, 1: 1, 2: 2}
-
-
-def _parse_qr(value) -> object:
-    if value in QR_VALUES:
-        return QR_VALUES[value]
-    raise ConfigError(f"q/r must be 1, 2, or 'inf', got {value!r}")
-
-
 # -- experiment runners -------------------------------------------------------
 
 
 def _run_remez(config: dict, seed: int, out: str):
     params = config.get("params", {})
     X = _resolve_set(config)
-    q = _parse_qr(params.get("q", "inf"))
-    r = _parse_qr(params.get("r", "inf"))
+    q = QR_VALUES[params.get("q", "inf")]
+    r = QR_VALUES[params.get("r", "inf")]
     k = params.get("k", 4)
     p = _resolve_polynomial(config, X.ambient_dim, k, seed)
 
@@ -174,7 +194,10 @@ def _run_covering(config: dict, seed: int, out: str):
     axis = np.linspace(-0.5, 1.5, grid_n)
     gx, gy = np.meshgrid(axis, axis)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    rep = covering.potential_bound_verify(space, H, s, gamma=gamma, grid=grid)
+    try:
+        rep = covering.potential_bound_verify(space, H, s, gamma, grid)
+    except ValueError as exc:  # gamma, H or s out of range
+        raise ConfigError(str(exc))
     failures = []
     if rep.radius_sum_s >= rep.radius_cap:
         failures.append(f"radius budget exceeded: {rep.radius_sum_s} >= "
@@ -208,7 +231,7 @@ def _run_campanato(config: dict, seed: int, out: str):
     params = config.get("params", {})
     X = _resolve_set(config)
     k = params.get("k", 2)
-    q = _parse_qr(params.get("q", 2))
+    q = QR_VALUES[params.get("q", 2)]
     omega = _resolve_majorant(params, k)
     fvals = _resolve_function(params.get("function", "abs"), X, seed)
     family = campanato.build_cube_family(
@@ -294,10 +317,10 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        validate(config, CONFIG_SCHEMA)
-    except ValidationError as exc:
-        print(f"config error: {exc.message}", file=sys.stderr)
+    error = best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        print(f"config error: {error.json_path}: {error.message}",
+              file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     config = dict(config)

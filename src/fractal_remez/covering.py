@@ -12,21 +12,21 @@ exactly by scanning the finite set of jump radii.
 
 greedy_ball_cover implements the exclusion-ball construction: repeatedly
 take the point of largest tau among those not yet covered, emit the ball
-of radius beta * tau around it, and stop when every remaining candidate
-is regular.  The emitted balls B_k satisfy
+of radius BETA * tau around it, and stop when every remaining candidate
+is regular.  With the fixed constants ALPHA = 0.9 and BETA = 2.5, the
+emitted balls B_k satisfy, for any gamma < ALPHA / BETA,
 
     sum_k phi(gamma * t_k) < A,    t_k nonincreasing,
 
 and every candidate outside their union is regular.  For atomic measures
-the number of balls never exceeds the number of atoms (each ball of
-radius tau_k around its witness carries positive mass and these balls are
-pairwise disjoint).
+the number of balls never exceeds the number of atoms (each ball of radius
+tau_k around its witness carries positive mass; these are pairwise disjoint).
 
 The two corollaries turn this into quantitative statements about the
 log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
 pointwise lower bound on u off the balls, and, for a univariate f with
 f(0) = 1, exclusion disks outside which ln|f| >= -H(eta) ln M(2eR) with
-H(eta) = 2 + ln(3e / (2 eta)).
+H(eta) = 2 + ln(3e / (2 eta)), which holds for gamma = 1/3.
 
 Every distance d here is the space's metric, Euclidean by default: tau,
 the greedy cover and its audit, the potentials, and the ball and disk
@@ -44,9 +44,10 @@ from .geometry import golden_section_max
 from .polynomials import Polynomial
 
 DEFAULT_GAMMA = 1.0 / 3.0
-DEFAULT_ALPHA = 0.9
-DEFAULT_BETA = 2.5
+ALPHA = 0.9
+BETA = 2.5
 MAX_CARTAN_DEGREE = 50
+FLOOR_RTOL = 1e-9  # relative grace of the off-ball floors
 
 
 # -- measure spaces ----------------------------------------------------
@@ -79,12 +80,9 @@ class DiscreteMeasureSpace:
             _spot_check_pseudometric(self)
 
     @classmethod
-    def from_complex(cls, zs, masses=None) -> "DiscreteMeasureSpace":
+    def from_complex(cls, zs) -> "DiscreteMeasureSpace":
         zs = np.asarray(zs, dtype=complex)
-        pts = np.column_stack([zs.real, zs.imag])
-        if masses is None:
-            masses = np.ones(len(zs))
-        return cls(pts, masses)
+        return cls(np.column_stack([zs.real, zs.imag]), np.ones(len(zs)))
 
     @property
     def A(self) -> float:
@@ -99,11 +97,11 @@ class DiscreteMeasureSpace:
         return float(np.linalg.norm(hi - lo))
 
 
-def _spot_check_pseudometric(space: DiscreteMeasureSpace, trials: int = 100):
+def _spot_check_pseudometric(space: DiscreteMeasureSpace):
     rng = np.random.default_rng(0)
     n = space.size
     d = space.metric
-    for _ in range(trials):
+    for _ in range(100):
         i, j, k = rng.integers(0, n, size=3)
         x, y, z = space.points[i], space.points[j], space.points[k]
         if abs(d(x, y) - d(y, x)) > 1e-9 * (1.0 + abs(d(x, y))):
@@ -293,8 +291,6 @@ class CoverOutput:
     radii: np.ndarray
     taus: np.ndarray
     gamma: float
-    alpha: float
-    beta: float
     budget_used: float
 
     @property
@@ -307,8 +303,8 @@ class CoverOutput:
             "radii": [float(r) for r in self.radii],
             "taus": [float(t) for t in self.taus],
             "gamma": self.gamma,
-            "alpha": self.alpha,
-            "beta": self.beta,
+            "alpha": ALPHA,
+            "beta": BETA,
             "budget_used": self.budget_used,
         }
 
@@ -326,8 +322,6 @@ def _candidates(space: DiscreteMeasureSpace,
 
 def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
                       gamma: float = DEFAULT_GAMMA,
-                      alpha: float = DEFAULT_ALPHA,
-                      beta: float = DEFAULT_BETA,
                       probes: np.ndarray | None = None) -> CoverOutput:
     """Cover all irregular candidate points by exclusion balls.
 
@@ -337,14 +331,8 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     witness at each step is the candidate of maximal tau, ties broken by
     lowest index, so runs are reproducible.
     """
-    if not 0.0 < gamma < 0.5:
-        raise ValueError("gamma must lie in (0, 1/2)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if beta <= 2.0:
-        raise ValueError("beta must exceed 2")
-    if gamma >= alpha / beta:
-        raise ValueError("parameters must satisfy gamma < alpha / beta")
+    if not 0.0 < gamma < ALPHA / BETA:
+        raise ValueError(f"gamma must lie in (0, {ALPHA / BETA:g})")
     phi.validate(space.A, space.extent())
 
     cands = _candidates(space, probes)
@@ -363,7 +351,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         masked = np.where(uncovered, taus_all, -np.inf)
         k = int(np.argmax(masked))
         tau_k = taus_all[k]
-        t_k = beta * tau_k
+        t_k = BETA * tau_k
         x_k = cands[k]
         centers.append(x_k)
         radii.append(t_k)
@@ -375,7 +363,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     taus = np.array(taus)
     budget = float(np.sum(phi(gamma * radii))) if len(radii) else 0.0
     return CoverOutput(centers=centers, radii=radii, taus=taus, gamma=gamma,
-                       alpha=alpha, beta=beta, budget_used=budget)
+                       budget_used=budget)
 
 
 def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
@@ -432,18 +420,18 @@ def potential_many(space: DiscreteMeasureSpace,
 
 def _off_ball_floor(space: DiscreteMeasureSpace, centers: np.ndarray,
                     radii: np.ndarray, points: np.ndarray, values,
-                    bound: float, rtol: float) -> tuple:
+                    bound: float) -> tuple:
     """Check values(x) >= bound at the points outside the closed balls.
 
     Returns (number checked, violations, worst margin).  A point violates
-    the floor when its margin falls below -rtol (1 + |bound|); the worst
-    margin is None when no point is checked.
+    the floor when its margin falls below -FLOOR_RTOL (1 + |bound|); the
+    worst margin is None when no point is checked.
     """
     outside = np.compress(~_in_balls(space, centers, radii, points), points,
                           axis=0)  # far faster than boolean row indexing
     margins = values(outside) - bound
     worst = float(margins.min()) if len(margins) else None
-    bad = margins < -rtol * (1.0 + abs(bound))
+    bad = margins < -FLOOR_RTOL * (1.0 + abs(bound))
     violations = [{"point": list(map(float, pt)), "margin": float(m)}
                   for pt, m in zip(outside[bad], margins[bad])]
     return len(outside), violations, worst
@@ -469,10 +457,8 @@ class PotentialBoundReport:
 
 def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
                            gamma: float = DEFAULT_GAMMA,
-                           grid: np.ndarray | None = None,
-                           alpha: float = DEFAULT_ALPHA,
-                           beta: float = DEFAULT_BETA,
-                           rtol: float = 1e-9) -> PotentialBoundReport:
+                           grid: np.ndarray | None = None
+                           ) -> PotentialBoundReport:
     """Emit exclusion balls for the total mass k and certify on a grid that
 
         sum r_j^s < (H / gamma)^s / s   and   u(x) >= k ln(H / e)
@@ -481,17 +467,18 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     p = (k s)^{1/s} / H; grid points are included among the construction's
     candidates so every uncovered grid point is certifiably regular.
     """
+    if not (H > 0.0 and s > 0.0 and 0.0 < gamma < ALPHA / BETA):
+        raise ValueError(f"need H, s > 0 and 0 < gamma < {ALPHA / BETA:g}")
     k = space.A
     cap = (H / gamma) ** s / s
     if k == 0.0:
         empty = CoverOutput(np.zeros((0, space.points.shape[1])),
-                            np.zeros(0), np.zeros(0), gamma, alpha, beta, 0.0)
+                            np.zeros(0), np.zeros(0), gamma, 0.0)
         return PotentialBoundReport(empty, 0.0, cap, 0.0,
                                     0 if grid is None else len(grid), [], None)
     p = (k * s) ** (1.0 / s) / H
     phi = MajorantFn.power(p, s)
-    cover = greedy_ball_cover(space, phi, gamma=gamma, alpha=alpha, beta=beta,
-                              probes=grid)
+    cover = greedy_ball_cover(space, phi, gamma=gamma, probes=grid)
     radius_sum_s = float(np.sum(cover.radii ** s))
     bound = k * math.log(H / math.e)
     checked, violations, worst = 0, [], None
@@ -499,7 +486,7 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
         checked, violations, worst = _off_ball_floor(
             space, cover.centers, cover.radii,
             np.atleast_2d(np.asarray(grid, dtype=float)),
-            lambda pts: potential_many(space, pts), bound, rtol)
+            lambda pts: potential_many(space, pts), bound)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
                                 radius_cap=cap, lower_bound=bound,
                                 num_checked=checked, violations=violations,
@@ -529,10 +516,10 @@ def polynomial_zeros(f: Polynomial) -> np.ndarray:
     return roots
 
 
-def _circle_max_abs(f: Polynomial, radius: float, samples: int = 4096) -> float:
+def _circle_max_abs(f: Polynomial, radius: float) -> float:
+    samples = 4096
     th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    z = radius * np.exp(1j * th)
-    vals = np.abs(f.eval_many(z))
+    vals = np.abs(f.eval_many(radius * np.exp(1j * th)))
     j = int(np.argmax(vals))
 
     def abs_f(theta):
@@ -566,22 +553,19 @@ class CartanDiskReport:
 
 
 def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
-                           gamma: float = DEFAULT_GAMMA,
-                           alpha: float = DEFAULT_ALPHA,
-                           beta: float = DEFAULT_BETA,
-                           grid: np.ndarray | None = None,
-                           rtol: float = 1e-9) -> CartanDiskReport:
+                           grid: np.ndarray | None = None) -> CartanDiskReport:
     """Exclusion disks for ln|f| on |z| <= R, for univariate f with f(0) = 1.
 
     The zeros of f in |z| <= 2R carry unit masses and the ball construction
-    runs with phi(t) = (p t) and p = (#zeros) / (4 gamma eta R), so the disk
-    radii satisfy sum r_i <= 4 eta R.  Off the disks, with gamma = 1/3, the
+    runs with gamma = 1/3, phi(t) = (p t) and p = (#zeros) / (4 gamma eta R),
+    so the disk radii satisfy sum r_i <= 4 eta R.  Off the disks the
     potential bound chains into
 
         ln|f(z)| >= -H(eta) ln M(2eR),   H(eta) = 2 + ln(3e / (2 eta)),
 
-    which is verified on the supplied grid (grid points participate as
-    construction candidates, so uncovered ones are certifiably regular).
+    which is verified on the supplied grid, a 1-D array of complex points
+    (grid points participate as construction candidates, so uncovered ones
+    are certifiably regular).
     """
     if f.num_vars != 1:
         raise ValueError("univariate polynomials only")
@@ -605,19 +589,17 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     grid_pts = None
     if grid is not None and len(grid):
         grid = np.asarray(grid)
-        if np.iscomplexobj(grid):
-            grid_pts = np.column_stack([grid.real, grid.imag])
-        else:
-            grid_pts = np.atleast_2d(grid.astype(float))
+        if grid.ndim != 1 or not np.iscomplexobj(grid):
+            raise ValueError("grid must be a 1-D array of complex points")
+        grid_pts = np.column_stack([grid.real, grid.imag])
 
     space = DiscreteMeasureSpace.from_complex(zeros_in)
     centers, radii = np.zeros((0, 2)), np.zeros(0)
     radius_sum = 0.0
     if len(zeros_in):
-        H_c = 4.0 * gamma * eta * R
+        H_c = 4.0 * DEFAULT_GAMMA * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)
-        cover = greedy_ball_cover(space, phi, gamma=gamma, alpha=alpha,
-                                  beta=beta, probes=grid_pts)
+        cover = greedy_ball_cover(space, phi, probes=grid_pts)
         centers, radii = cover.centers, cover.radii
         radius_sum = float(np.sum(radii))
         # A ball can swallow a zero in its outer half, where the halved
@@ -629,7 +611,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         slack = 4.0 * eta * R - radius_sum
         if len(stranded) and slack > 0.0:
             share = 0.5 * slack / len(stranded)
-            r_extra = np.minimum(beta * tau_many(space, phi, stranded), share)
+            r_extra = np.minimum(BETA * tau_many(space, phi, stranded), share)
             centers = np.concatenate([centers, stranded])
             radii = np.concatenate([radii, r_extra])
             for r in r_extra:
@@ -644,7 +626,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         in_R = np.abs(grid_pts[:, 0] + 1j * grid_pts[:, 1]) <= R
         checked, violations, worst = _off_ball_floor(
             space, centers, radii, np.compress(in_R, grid_pts, axis=0),
-            log_abs_f, lower, rtol)
+            log_abs_f, lower)
 
     half_ok = bool(np.all(_in_balls(space, centers, radii / 2.0 + 1e-12,
                                     space.points)))

@@ -216,7 +216,7 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
 
     Admissible means Q inside Q' with dyadic radii at most two rungs apart
     (the two-rung window t_i <= r_Q < r_Q' <= t_{i+2} for family radii that
-    are exact powers of two).
+    are exact powers of two).  A NaN pair ratio makes the result NaN.
     """
     row = {Q: i for i, Q in enumerate(chain.cubes)}
     by_radius: dict = {}
@@ -231,31 +231,21 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
     exact = deg <= 2 and n <= 2
     unit = Cube((0.0,) * n, 1.0)
 
-    best = -math.inf
-    witness = None
+    best = []  # (largest ratio, witness pair) per radius pair
     num_pairs = 0
     coefs = {r: chain.coefs[[row[Q] for Q in by_radius[r]]] for r in radii}
     centers = {r: np.array([Q.center for Q in by_radius[r]]) for r in radii}
-    trees = {r: cKDTree(centers[r]) for r in radii}
 
     for bi, r_big in enumerate(radii):
         for r_small in radii[max(0, bi - 2): bi]:
             if r_big > 4.0 * r_small * (1 + 1e-12):
                 continue
-            small = by_radius[r_small]
-            tree = trees[r_small]
-            big = by_radius[r_big]
-            pairs_small, pairs_big = [], []
-            for j, c in enumerate(centers[r_big]):
-                idx = tree.query_ball_point(c, r_big - r_small + 1e-12,
-                                            p=np.inf)
-                pairs_small.extend(idx)
-                pairs_big.extend([j] * len(idx))
-            if not pairs_small:
+            # Q inside Q' when max |c_Q' - c_Q| <= r_Q' - r_Q
+            gap = np.abs(centers[r_big][:, None] - centers[r_small]).max(2)
+            bj, si = np.nonzero(gap <= r_big - r_small + 1e-12)
+            if not len(si):
                 continue
-            num_pairs += len(pairs_small)
-            si = np.array(pairs_small)
-            bj = np.array(pairs_big)
+            num_pairs += len(si)
             # P_Q' in Q's frame: (x - c_Q')/r_Q' = (r_Q z + c_Q - c_Q')/r_Q'
             outer = compose_affine_many(
                 coefs[r_big][bj], n, deg, r_small / r_big,
@@ -272,13 +262,14 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
                 sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
                                           budget=256) for d in D])
             ratios = sups / float(chain.omega(r_big))
-            jbest = int(np.argmax(ratios))
-            if ratios[jbest] > best:
-                best = float(ratios[jbest])
-                witness = (small[si[jbest]], big[bj[jbest]])
-    if witness is None:
+            # argmax picks the first maximum, or the first NaN
+            j = int(np.argmax(ratios))
+            best.append((float(ratios[j]),
+                         (by_radius[r_small][si[j]], by_radius[r_big][bj[j]])))
+    if not best:
         return ChainSeminormResult(0.0, None, 0)
-    return ChainSeminormResult(best, witness, num_pairs)
+    value, witness = best[int(np.argmax([v for v, _ in best]))]
+    return ChainSeminormResult(value, witness, num_pairs)
 
 
 # -- Whitney assembly --------------------------------------------------------
@@ -332,9 +323,8 @@ class ExtensionField:
     def to_csv(self, path) -> None:
         nodes = self.grid.nodes()
         header = ",".join(f"x{i+1}" for i in range(self.grid.dim)) + ",value"
-        with open(path, "w") as fh:
-            np.savetxt(fh, np.column_stack([nodes, self.values]),
-                       delimiter=",", header=header, comments="")
+        np.savetxt(path, np.column_stack([nodes, self.values]),
+                   delimiter=",", header=header, comments="")
 
     def meta_json(self) -> dict:
         return {

@@ -72,8 +72,8 @@ class Similarity:
                                np.asarray(self.translation))
 
 
-def solve_similarity_dim(ratios, tol: float = 1e-12) -> float:
-    """Solve sum r_i^s = 1 for s by bisection to residual <= tol."""
+def solve_similarity_dim(ratios) -> float:
+    """Solve sum r_i^s = 1 for s by bisection to residual <= 1e-12."""
     r = np.asarray(ratios, dtype=float)
     if len(r) < 2:
         raise ValueError("need at least two maps")
@@ -92,10 +92,10 @@ def solve_similarity_dim(ratios, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if abs(g(mid)) <= tol:
+        if abs(g(mid)) <= 1e-12:
             return mid
     s = 0.5 * (lo + hi)
-    if abs(g(s)) > tol:
+    if abs(g(s)) > 1e-12:
         raise ValueError("similarity dimension bisection did not converge")
     return s
 
@@ -141,13 +141,8 @@ class FractalSet:
     def to_csv(self, path_or_buf) -> None:
         """Write the cloud as CSV with columns x1,...,xn,mass."""
         header = ",".join(f"x{i+1}" for i in range(self.ambient_dim)) + ",mass"
-        data = np.column_stack([self.points, self.masses])
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, "w") as fh:
-                np.savetxt(fh, data, delimiter=",", header=header, comments="")
-        else:
-            np.savetxt(path_or_buf, data, delimiter=",", header=header,
-                       comments="")
+        np.savetxt(path_or_buf, np.column_stack([self.points, self.masses]),
+                   delimiter=",", header=header, comments="")
 
 
 def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,

@@ -201,12 +201,12 @@ class Polynomial:
         return cls(num_vars, deg, coeffs)
 
     @classmethod
-    def random(cls, rng, num_vars: int, degree: int, scale: float = 1.0,
+    def random(cls, rng, num_vars: int, degree: int,
                complex_coeffs: bool = False) -> "Polynomial":
         m = len(multi_indices(num_vars, degree))
-        c = rng.uniform(-scale, scale, size=m)
+        c = rng.uniform(-1.0, 1.0, size=m)
         if complex_coeffs:
-            c = c + 1j * rng.uniform(-scale, scale, size=m)
+            c = c + 1j * rng.uniform(-1.0, 1.0, size=m)
         return cls(num_vars, degree, c)
 
     # -- views --------------------------------------------------------
@@ -219,9 +219,9 @@ class Polynomial:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.coeffs)
 
-    def coeffs_dict(self, tol: float = 0.0) -> dict:
+    def coeffs_dict(self) -> dict:
         idx = multi_indices(self.num_vars, self.degree_bound)
-        return {a: c for a, c in zip(idx, self.coeffs) if abs(c) > tol}
+        return {a: c for a, c in zip(idx, self.coeffs) if abs(c) > 0.0}
 
     def degree(self) -> int:
         """Actual total degree (0 for the zero polynomial)."""

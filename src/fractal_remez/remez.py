@@ -237,7 +237,7 @@ def _cloud_as_complex(X: FractalSet) -> np.ndarray:
 
 
 def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
-                    num_centers: int = 64, rng=None,
+                    num_centers: int = 64,
                     centers: np.ndarray | None = None) -> OscillationReport:
     """Max mean oscillation of ln|p| over sampled balls of the cloud measure.
 
@@ -250,9 +250,8 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
         raise ValueError("univariate complex polynomials only")
     zs = _cloud_as_complex(X)
     vals = np.abs(p.eval_many(zs))
-    if rng is None:
-        rng = np.random.default_rng(0)
     if centers is None:
+        rng = np.random.default_rng(0)
         centers = X.points[rng.integers(0, X.size, size=num_centers)]
     else:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))

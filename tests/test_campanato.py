@@ -194,6 +194,23 @@ def test_seminorm_invariant_under_polynomial_shift():
     assert b == pytest.approx(a, rel=1e-9)
 
 
+def test_seminorm_keeps_a_nan_ratio():
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=8)
+    fv = np.abs(X.points[:, 0] - 0.5)
+    fv[3] = np.nan
+    res = campanato_seminorm(fv, fam, 2, 2, Majorant.power(1.0, 2))
+    assert math.isnan(res.value)
+    first_nan = int(np.flatnonzero(np.isnan(res.ratios))[0])
+    assert res.witness == fam.cubes[first_nan]
+
+
+def test_negative_order_raises():
+    X = three_point_set()
+    with pytest.raises(ValueError):
+        local_best_approx(np.zeros(3), X, Cube((0.0,), 1.0), -1, 2)
+
+
 def test_seminorm_stable_under_density_doubling():
     X = build_preset("cube:1", 9)
     om = Majorant.power(1.0, 2)

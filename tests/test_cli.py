@@ -55,6 +55,21 @@ def test_run_deterministic_bytes(tmp_path):
     pytest.param({"experiment": "extension",
                   "set": "cantor:1/3*cantor:1/3*cantor:1/3", "depth": 2},
                  "ladder rungs", id="short-ladder"),
+    pytest.param({"experiment": "covering", "params": {"gamma": 0.4}},
+                 "gamma", id="covering-gamma"),
+    pytest.param({"experiment": "covering", "params": {"H": -1}},
+                 "H, s > 0", id="covering-H"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"k": -1}}, "params.k", id="negative-k"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"center_budget": 0}}, "params.center_budget",
+                 id="zero-center-budget"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"centre_budget": 4}}, "centre_budget",
+                 id="unknown-param"),
+    pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
+                  "params": {"grid_nodes": 1}}, "params.grid_nodes",
+                 id="one-grid-node"),
 ])
 def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     cfg = write_config(tmp_path, config)

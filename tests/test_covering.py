@@ -259,7 +259,7 @@ def test_metric_cover_audit_and_potential(case):
 def test_two_atom_example():
     sp = unit_atoms([[0.0], [10.0]])
     phi = MajorantFn.power(1.0, 1.0)
-    cover = greedy_ball_cover(sp, phi, gamma=1 / 3, alpha=0.9, beta=2.5)
+    cover = greedy_ball_cover(sp, phi, gamma=1 / 3)
     assert cover.taus[0] == pytest.approx(1.0, abs=1e-12)
     assert cover.radii[0] == pytest.approx(2.5, abs=1e-12)
     assert cover.count == 2
@@ -329,9 +329,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         greedy_ball_cover(sp, phi, gamma=0.6)
     with pytest.raises(ValueError):
-        greedy_ball_cover(sp, phi, beta=1.5)
-    with pytest.raises(ValueError):
-        greedy_ball_cover(sp, phi, gamma=0.4, alpha=0.9, beta=2.5)
+        greedy_ball_cover(sp, phi, gamma=0.4)
 
 
 def test_scale_equivariance():
@@ -518,6 +516,15 @@ def test_cartan_requires_normalization():
         cartan_exclusion_disks(f, R=1.0, eta=1.0)
     with pytest.raises(ValueError):
         cartan_exclusion_disks(Polynomial.constant(1.0), R=1.0, eta=5.0)
+
+
+def test_cartan_grid_must_be_complex_points():
+    f = Polynomial.constant(1.0)
+    grid = cartan_grid(n=5)
+    for bad in (np.column_stack([grid.real, grid.imag]), grid.real,
+                grid.reshape(5, 5)):
+        with pytest.raises(ValueError):
+            cartan_exclusion_disks(f, R=2.0, eta=1.0, grid=bad)
 
 
 def test_cartan_certificate_random_poly():

@@ -194,6 +194,33 @@ def test_chain_seminorm_two_cube_formula():
     assert res.num_pairs == 1
 
 
+def test_chain_seminorm_keeps_a_nan_from_the_data():
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=16)
+    fv = np.abs(X.points[:, 0] - 0.5)
+    fv[5] = np.nan
+    res = chain_seminorm(build_chain(fv, X, fam, 2, Majorant.power(1.0, 2)),
+                         fam)
+    assert math.isnan(res.value) and res.num_pairs > 0
+
+
+def test_chain_seminorm_nan_not_replaced_by_a_later_pair():
+    # radius pairs run (0.25, 0.5), (0.25, 1), (0.5, 1); only the pairs
+    # with the small cube are NaN, and the last pair has a finite ratio
+    X = interval_set()
+    om = Majorant.power(1.0, 2)
+    cubes = [Cube((0.5,), r) for r in (0.25, 0.5, 1.0)]
+    chain = Chain(cubes=cubes,
+                  coefs=np.array([[np.nan, 0.0], [0.0, 0.0], [0.5, 0.0]]),
+                  deficient=np.zeros(3, dtype=bool), k=2, omega=om)
+    fam = build_cube_family(X)
+    fam.cubes = list(cubes)
+    res = chain_seminorm(chain, fam)
+    assert math.isnan(res.value)
+    assert res.witness == (cubes[0], cubes[1])
+    assert res.num_pairs == 3
+
+
 def test_chain_seminorm_shift_invariance():
     X = interval_set()
     fam = build_cube_family(X, center_budget=48)
