@@ -25,12 +25,19 @@ linear programs.  The basis is monomials in (x - c_Q)/r_Q for conditioning,
 and results come back in that basis: `ApproxResult.coefs` together with
 the cube.  `ApproxResult.poly` is a lazy global view, converted on first
 access, so callers that only need the value never pay for it.
+
+The q = 2 fit is linear in f, so its data-independent half is a
+`FitPlan`: the sets Q cap X and one orthonormal factor per distinct
+member set, applied to any number of data vectors.  A `CubeFamily` owns
+one plan per order k, built on first use and freed with the family;
+`campanato_seminorm` at q = 2 and the extension chain read it, and
+`local_best_approx` is a one-cube plan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +45,8 @@ from scipy.optimize import linprog
 
 from .fractals import FractalSet
 from .geometry import Cube, gaussian_directions, sobol_unit
-from .polynomials import (Polynomial, compose_affine_many,
-                          finite_difference_many, monomials)
+from .polynomials import (Polynomial, affine_matrices, compose_affine_many,
+                          finite_difference_many, monomials, multi_indices)
 
 LN2 = math.log(2.0)
 
@@ -47,15 +54,29 @@ LN2 = math.log(2.0)
 # -- cube families -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeFamily:
+    """Cubes over one set.  The q = 2 fit plan of each order k is built on
+    first use and lives as long as the family, which is frozen so that
+    the plan cannot go stale."""
+
     base_set: FractalSet
-    cubes: list
+    cubes: tuple
     radius_cap: float
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cubes", tuple(self.cubes))
 
     @property
     def radii(self) -> np.ndarray:
         return np.array(sorted({q.radius for q in self.cubes}))
+
+    def fit_plan(self, k: int) -> "FitPlan":
+        if k not in self._plans:
+            self._plans[k] = FitPlan(self.base_set, self.cubes, k)
+        return self._plans[k]
 
 
 def dyadic_radii(r_min: float, r_max: float) -> list[float]:
@@ -246,9 +267,123 @@ class ApproxResult:
         return Polynomial(len(c), self.degree, g[0])
 
 
-def _scaled_design(points: np.ndarray, cube: Cube, k: int) -> np.ndarray:
-    """Design matrix of monomials in (x - c)/r of degree <= k-1."""
-    return monomials((points - np.asarray(cube.center)) / cube.radius, k - 1)
+# member masks of a fit plan are built in blocks of about this many entries
+_MASK_ENTRIES = 2 ** 20
+
+
+def _factor(points: np.ndarray, sqrt_w: np.ndarray, k: int):
+    """SVD of the weighted design of one member set, cut to its rank.
+
+    The design is taken in the set's own frame: the center and the largest
+    half-width of its bounding box (1 for a single location).  The frame
+    depends only on the set, so every cube with these members shares the
+    factor bit for bit.  Returns the frame center and radius, the basis
+    U (members x rank) of the column space and the rows S V^T that map
+    frame coefficients into it, the rank counted as np.linalg.lstsq
+    counts it.
+    """
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    center = 0.5 * (lo + hi)
+    radius = float(np.max(0.5 * (hi - lo))) or 1.0
+    A = monomials((points - center) / radius, k - 1) * sqrt_w[:, None]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s[0]))
+    return center, radius, U[:, :rank], s[:rank, None] * Vt[:rank]
+
+
+class FitPlan:
+    """The data-independent half of the q = 2 fits of a list of cubes at
+    one order k.
+
+    The plan finds Q cap X for every cube with the test of Cube.contains,
+    one radius at a time, and factors each distinct member set once
+    (`_factor`).  Per cube it keeps a (columns x columns) map from the
+    set's orthonormal basis to coefficients in the cube's frame
+    (x - c_Q)/r_Q, minimum-norm on rank-deficient cubes (flagged in
+    `deficient`) as lstsq's are.  `apply(f)` then fits every cube to one
+    data vector without a per-cube loop.  Memory is one basis per distinct
+    member set (members x columns floats) plus the per-cube maps; cubes
+    that hold the same points, such as every cube larger than the set,
+    share a basis.
+    """
+
+    def __init__(self, X: FractalSet, cubes, k: int):
+        n = X.ambient_dim
+        ncols = len(multi_indices(n, k - 1)) if k > 0 else 0
+        centers = np.array([Q.center for Q in cubes], dtype=float)
+        self.radii = np.array([Q.radius for Q in cubes], dtype=float)
+        set_of: dict = {}  # packed member mask -> set number
+        sets = []
+        self.cube_set = np.empty(len(cubes), dtype=np.intp)
+        step = max(1, _MASK_ENTRIES // (X.size * n))
+        for r in sorted(set(self.radii.tolist())):
+            at = np.flatnonzero(self.radii == r)
+            for lo in range(0, len(at), step):
+                block = at[lo:lo + step]
+                inside = np.max(np.abs(X.points - centers[block, None]),
+                                axis=2) <= r
+                for j, row, key in zip(block.tolist(), inside,
+                                       np.packbits(inside, axis=1)):
+                    j_set = set_of.setdefault(key.tobytes(), len(sets))
+                    if j_set == len(sets):
+                        sets.append(np.flatnonzero(row))
+                    self.cube_set[j] = j_set
+        if any(len(idx) == 0 for idx in sets):
+            raise ValueError("cube does not meet the cloud")
+        self.counts = np.array([len(idx) for idx in sets])
+        self.index = np.concatenate(sets)
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        w = X.masses[self.index]
+        self.sqrt_w = np.sqrt(w / np.repeat(np.add.reduceat(w, self.starts),
+                                            self.counts))
+
+        self.basis = np.zeros((ncols, len(self.index)))
+        self.maps = np.zeros((len(cubes), ncols, ncols))
+        self.deficient = np.zeros(len(cubes), dtype=bool)
+        if ncols == 0:
+            return
+        frames = np.empty((len(sets), n + 1))
+        ranks = np.empty(len(sets), dtype=int)
+        rows = np.zeros((len(sets), ncols, ncols))  # S V^T of each set
+        for j, (a, m) in enumerate(zip(self.starts.tolist(),
+                                       self.counts.tolist())):
+            c, r, U, SV = _factor(X.points[self.index[a:a + m]],
+                                  self.sqrt_w[a:a + m], k)
+            frames[j], ranks[j] = (*c, r), len(SV)
+            self.basis[:len(SV), a:a + m] = U.T
+            rows[j, :len(SV)] = SV
+        rank = ranks[self.cube_set]
+        self.deficient = rank < ncols
+        # the cube's design in its set's basis: S V^T times the change of
+        # frame, (x - c_Q)/r_Q = (r z + c - c_Q)/r_Q in the set's frame z
+        f_c, f_r = frames[self.cube_set, :n], frames[self.cube_set, n:]
+        U, s, Vt = np.linalg.svd(rows[self.cube_set] @ affine_matrices(
+            n, k - 1, f_r / self.radii[:, None],
+            (f_c - centers) / self.radii[:, None]))
+        # its pseudo-inverse cut at the set's rank: minimum norm in the
+        # cube's frame, as lstsq's
+        inv = np.divide(1.0, s, out=np.zeros_like(s),
+                        where=np.arange(ncols) < rank[:, None])
+        self.maps = np.swapaxes(Vt, 1, 2) * inv[:, None, :] @ \
+            np.swapaxes(U, 1, 2)
+
+    def apply(self, f_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of every cube's fit in its own frame (cubes x
+        columns) and every E_k(f; Q) for q = 2.
+
+        Each cube's numbers depend only on its member set's rows, so a
+        cube gets the same value bit for bit from any plan that holds it.
+        """
+        y = self.sqrt_w * np.asarray(f_values, dtype=float)[self.index]
+        z = np.empty((len(self.starts), len(self.basis)))
+        fit = np.zeros_like(y)
+        for c, u in enumerate(self.basis):
+            z[:, c] = np.add.reduceat(u * y, self.starts)
+            fit += u * np.repeat(z[:, c], self.counts)
+        res = y - fit
+        values = np.sqrt(np.add.reduceat(res * res, self.starts))
+        coefs = (self.maps @ z[self.cube_set, :, None])[:, :, 0]
+        return coefs, values[self.cube_set]
 
 
 def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
@@ -256,41 +391,43 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     """E_k(f; Q) over the cloud measure, with the achieved polynomial.
 
     k = 0 approximates by the zero polynomial, so the value is the
-    normalized L_q norm of f.  Rank deficiency (fewer points than the
-    polynomial space dimension) is flagged; the q=2 solve then returns the
-    minimum-norm coefficient vector so results stay reproducible.
+    normalized L_q norm of f.  The q = 2 fit is a one-cube FitPlan; its
+    coefficients stand in for a failed linear program at q = 1 and
+    q = infinity.  Rank deficiency (fewer points than the polynomial
+    space dimension) is flagged; the q = 2 solve then returns the
+    minimum-norm coefficient vector so results stay reproducible.  At
+    q = 1 and q = infinity the flag is the rank of the cube's weighted
+    design, counted as lstsq counts it.
     """
     if q not in (1, 2, math.inf, "inf") or k < 0:
         raise ValueError("q must be 1, 2, or infinity, and k non-negative")
-    f_values = np.asarray(f_values, dtype=float)
-    mask = Q.contains(X.points)
-    if not np.any(mask):
-        raise ValueError("cube does not meet the cloud")
-    pts = X.points[mask]
-    w = X.masses[mask]
-    w = w / w.sum()
-    fv = f_values[mask]
-
-    if k == 0:
-        value = _normalized_norm(fv, w, q)
-        return ApproxResult(value, np.zeros(1), Q, 0, False)
-
-    A = _scaled_design(pts, Q, k)
-    sw = np.sqrt(w)
-    # the weights are positive, so the weighted system has the rank of A
-    coefs2, _, rank, _ = np.linalg.lstsq(A * sw[:, None], fv * sw, rcond=None)
-    deficient = rank < A.shape[1]
     if q == 2:
-        coefs = coefs2
-    elif q == 1:
+        plan = FitPlan(X, (Q,), k)
+        coefs, values = plan.apply(f_values)
+        return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1),
+                            Q, max(k - 1, 0), bool(plan.deficient[0]))
+    inside = Q.contains(X.points)
+    if not np.any(inside):
+        raise ValueError("cube does not meet the cloud")
+    fv = np.asarray(f_values, dtype=float)[inside]
+    w = X.masses[inside]
+    w = w / w.sum()
+    if k == 0:
+        return ApproxResult(_normalized_norm(fv, w, q), np.zeros(1), Q, 0,
+                            False)
+    A = monomials((X.points[inside] - np.asarray(Q.center)) / Q.radius, k - 1)
+    # the rank lstsq would count; the weights are positive, so the
+    # weighted system has the rank of A
+    deficient = bool(np.linalg.matrix_rank(A * np.sqrt(w)[:, None])
+                     < A.shape[1])
+    if q == 1:
         coefs = _lp_fit(A, fv, w, np.eye(len(fv)))
     else:
         coefs = _lp_fit(A, fv, np.ones(1), np.ones((len(fv), 1)))
     fallback = coefs is None
     if fallback:
-        coefs = coefs2
-    res = fv - A @ coefs
-    value = _normalized_norm(res, w, q)
+        coefs = FitPlan(X, (Q,), k).apply(f_values)[0][0]
+    value = _normalized_norm(fv - A @ coefs, w, q)
     return ApproxResult(value, coefs, Q, k - 1, deficient, fallback)
 
 
@@ -337,9 +474,13 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
     """
     if not family.cubes:
         raise ValueError("empty cube family")
-    X = family.base_set
-    ratios = np.array([local_best_approx(f_values, X, Qc, k, q).value
-                       / float(omega(Qc.radius)) for Qc in family.cubes])
+    if q == 2:
+        values = family.fit_plan(k).apply(f_values)[1]
+    else:
+        values = np.array([local_best_approx(f_values, family.base_set, Qc,
+                                             k, q).value
+                           for Qc in family.cubes])
+    ratios = values / omega(np.array([Qc.radius for Qc in family.cubes]))
     j = int(np.argmax(ratios))
     return SeminormResult(value=float(ratios[j]), witness=family.cubes[j],
                           num_cubes=len(family.cubes), ratios=ratios)

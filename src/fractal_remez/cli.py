@@ -32,6 +32,7 @@ from .polynomials import Polynomial
 from .reporting import (ensure_dir, write_csv_summary, write_json_report,
                         write_plot_data)
 
+DEFAULT_DEPTH = 8
 QR_VALUES = {"1": 1, "2": 2, "inf": math.inf, 1: 1, 2: 2}
 _QR = {"enum": list(QR_VALUES)}
 _DEGREE = {"type": "integer", "minimum": 0}
@@ -70,6 +71,7 @@ CONFIG_SCHEMA = {
                 "num_vars": {"type": "integer", "minimum": 1},
                 "coeffs": {"type": "object"},
             },
+            "additionalProperties": False,
         },
         "params": {"type": "object"},
     },
@@ -99,9 +101,9 @@ def _resolve_polynomial(config: dict, num_vars: int, default_degree: int,
                              spec.get("degree", default_degree))
 
 
-def _resolve_set(config: dict, default_depth: int = 8):
+def _resolve_set(config: dict):
     set_id = config.get("set", "cantor:1/3")
-    depth = config.get("depth", default_depth)
+    depth = config.get("depth", DEFAULT_DEPTH)
     try:
         return fractals.build_preset(set_id, depth)
     except KeyError:
@@ -261,7 +263,7 @@ def _run_campanato(config: dict, seed: int, out: str):
 
 def _run_extension(config: dict, seed: int, out: str):
     params = config.get("params", {})
-    X = _resolve_set(config, default_depth=8)
+    X = _resolve_set(config)
     k = params.get("k", 2)
     omega = _resolve_majorant(params, k)
     fvals = _resolve_function(params.get("function", "abs"), X, seed)

@@ -249,8 +249,10 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     scan.  The reach is widened by the rounding of the running sums (m eps
     relative) and a few ulps of phi^{-1}: the prune may keep extra queries
     but never drops one whose tau is positive.  Queries must be finite,
-    and phi^{-1} of the smallest positive mass must not underflow to 0:
-    the scan would then read an irregular atom as regular.
+    and phi^{-1} of the smallest positive mass must not underflow below
+    the normal range: at 0 the scan would read an irregular atom as
+    regular, and a subnormal radius has too few bits for the cover's
+    budget audit.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if not np.all(np.isfinite(queries)):
@@ -262,9 +264,9 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     if len(atoms) == 0:
         return out
     # phi^{-1} is nondecreasing, so the smallest mass decides
-    if float(phi.inverse(masses.min())) == 0.0:
-        raise ValueError("phi^{-1} of the smallest positive mass underflows "
-                         "to 0; rescale the masses")
+    if float(phi.inverse(masses.min())) < np.finfo(float).tiny:
+        raise ValueError("phi^{-1} of the smallest positive mass underflows; "
+                         "rescale the masses")
     D = _atom_distances(space, atoms, queries)
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack

@@ -14,9 +14,12 @@ The pipeline realizes a linear extension operator in four steps:
      P~_Q = P_Q(f) - P_Q(f)(c_Q) + trace(c_Q), so P~_Q(c_Q) interpolates
      the trace; in Q's own frame this replaces the constant term by the
      trace value.  Cubes larger than diam X borrow the projection over a
-     fixed cube of radius 2 diam X.  Each cube is solved once, and every
-     entry stays in its cube's frame; nothing is converted to global
-     monomials.  The map f -> chain is linear.
+     fixed cube of radius 2 diam X.  Every fit comes from the family's
+     q = 2 fit plan (campanato.FitPlan), built once per family and order
+     k and reused by every later chain and by the seminorm of
+     verify_extension; every entry stays in its cube's frame, and
+     nothing is converted to global monomials.  The map f -> chain is
+     linear.
   4. whitney_extend:  an ambient grid node y at distance d from X blends
      the chain polynomials of cubes with radius in [d, 4d] whose doubled
      cubes contain y, with smooth bump weights normalized to sum one;
@@ -45,8 +48,7 @@ from .campanato import (CubeFamily, Majorant, campanato_seminorm,
                         quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
-from .polynomials import (Polynomial, compose_affine_many, monomials,
-                          multi_indices)
+from .polynomials import Polynomial, compose_affine_many, monomials
 from .remez import sup_norm
 
 __all__ = [
@@ -118,49 +120,41 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                 k: int, omega: Majorant) -> Chain:
     """Recentered projection chain; linear in f throughout.
 
-    Every cube is solved once.  The trace at c_Q is the constant term of
-    the fit over the deepest ladder rung centered at c_Q, and the entry of
-    Q is its fit, in its own frame, with the constant term replaced by
-    that trace.  Cubes with radius above diam X all borrow the projection
-    over the fixed cube of radius 2 diam X centered at the first cloud
-    point, re-expanded in their own frames, so only the interpolated
-    constant varies across them.
+    Every family cube is fitted by the family's q = 2 fit plan.  The trace
+    at c_Q is the constant term of the fit over the deepest ladder rung
+    centered at c_Q, itself a family cube, and the entry of Q is its fit,
+    in its own frame, with the constant term replaced by that trace.
+    Cubes with radius above diam X all borrow the projection over the
+    fixed cube of radius 2 diam X centered at the first cloud point,
+    re-expanded in their own frames, so only the interpolated constant
+    varies across them.  X must be the family's own set.
     """
     qp = quasipower_check(omega)
     if not qp.is_quasipower:
         raise ValueError(f"chain construction needs a quasipower majorant: "
                          f"{qp.reason}")
+    if X is not family.base_set:
+        raise ValueError("build_chain needs the family's own base set")
     deepest = _ladder(X)[0]
-    fits: dict = {}
-
-    def fit(Q: Cube):
-        if Q not in fits:
-            fits[Q] = local_best_approx(f_values, X, Q, k, 2)
-        return fits[Q]
-
-    anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
-    deg = max(k - 1, 0)
     cubes = family.cubes
-    rows = np.empty((len(cubes), len(multi_indices(X.ambient_dim, deg))))
-    big = []
-    deficient = np.zeros(len(cubes), dtype=bool)
-    for i, Q in enumerate(cubes):
-        if Q.radius > X.diam:
-            big.append(i)
-            rows[i] = fit(anchor).coefs
-        else:
-            res = fit(Q)
-            rows[i] = res.coefs
-            deficient[i] = res.rank_deficient
-    if big:
+    plan = family.fit_plan(k)
+    fits, _ = plan.apply(f_values)
+    rows = fits.copy()
+    deficient = plan.deficient.copy()
+    big = np.flatnonzero(plan.radii > X.diam)
+    if len(big):
+        anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
+        deg = max(k - 1, 0)
         # anchor frame -> Q's frame: z_anchor = (r_Q z + c_Q - c_a) / r_a
-        c_a = np.asarray(anchor.center)
-        offsets = np.array([cubes[i].center for i in big]) - c_a
-        scales = np.array([[cubes[i].radius] for i in big])
-        rows[big] = compose_affine_many(rows[big], X.ambient_dim, deg,
-                                        scales / anchor.radius,
+        offsets = np.array([cubes[i].center for i in big]) - anchor.center
+        coefs = local_best_approx(f_values, X, anchor, k, 2).coefs
+        rows[big] = compose_affine_many(np.tile(coefs, (len(big), 1)),
+                                        X.ambient_dim, deg,
+                                        plan.radii[big, None] / anchor.radius,
                                         offsets / anchor.radius)
-    rows[:, 0] = [fit(Cube(Q.center, deepest)).coefs[0] for Q in cubes]
+        deficient[big] = False
+    rung = {Q.center: i for i, Q in enumerate(cubes) if Q.radius == deepest}
+    rows[:, 0] = fits[[rung[Q.center] for Q in cubes], 0]
     return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
                  omega=omega)
 

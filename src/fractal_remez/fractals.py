@@ -145,12 +145,11 @@ class FractalSet:
                    delimiter=",", header=header, comments="")
 
 
-def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,
-              diam: float | None = None) -> FractalSet:
+def build_set(ifs: IFS, depth: int, diam: float | None = None) -> FractalSet:
     """Refine the IFS to the given depth.
 
     Cell representatives are S_w(x0) with x0 the fixed point of map 0, and
-    the cell mass is total_mass * prod p_i over the word, where p_i = 1/m
+    the cell mass is prod p_i over the word (total mass 1), where p_i = 1/m
     for equal ratios (exact dyadic masses for the shipped presets) and
     p_i = r_i^s otherwise.
     """
@@ -168,7 +167,7 @@ def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,
         probs = probs / probs.sum()
 
     points = ifs.maps[0].fixed_point()[None, :]
-    masses = np.array([float(total_mass)])
+    masses = np.array([1.0])
     for _ in range(depth):
         points = np.concatenate([mp.apply(points) for mp in ifs.maps])
         masses = np.concatenate([p * masses for p in probs])
@@ -178,7 +177,7 @@ def build_set(ifs: IFS, depth: int, total_mass: float = 1.0,
         diam = float(np.linalg.norm(hi - lo))
     cell_diam = diam * float(ratios.max()) ** depth
     return FractalSet(points=points, masses=masses, s=ifs.similarity_dim,
-                      diam=diam, cell_diam=cell_diam, total_mass=float(total_mass),
+                      diam=diam, cell_diam=cell_diam, total_mass=1.0,
                       ifs=ifs, depth=depth)
 
 
@@ -355,6 +354,5 @@ def build_preset(set_id: str, depth: int) -> FractalSet:
                          diam=math.sqrt(2.0))
     if name == "cube":
         n = int(param)
-        return build_set(_cube_ifs(n), depth, total_mass=1.0,
-                         diam=math.sqrt(n))
+        return build_set(_cube_ifs(n), depth, diam=math.sqrt(n))
     raise KeyError(f"unknown set id {set_id!r}")

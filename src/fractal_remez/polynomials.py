@@ -44,6 +44,7 @@ __all__ = [
     "finite_difference",
     "finite_difference_many",
     "compose_affine_many",
+    "affine_matrices",
     "monomials",
 ]
 
@@ -191,9 +192,9 @@ class Polynomial:
         return cls(num_vars, 0, {(0,) * num_vars: value})
 
     @classmethod
-    def variable(cls, i: int = 0, num_vars: int = 1) -> "Polynomial":
-        alpha = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(num_vars, 1, {alpha: 1.0})
+    def variable(cls) -> "Polynomial":
+        """The univariate polynomial x."""
+        return cls(1, 1, {(1,): 1.0})
 
     @classmethod
     def from_dict(cls, num_vars: int, coeffs: dict) -> "Polynomial":
@@ -221,7 +222,7 @@ class Polynomial:
 
     def coeffs_dict(self) -> dict:
         idx = multi_indices(self.num_vars, self.degree_bound)
-        return {a: c for a, c in zip(idx, self.coeffs) if abs(c) > 0.0}
+        return {a: c for a, c in zip(idx, self.coeffs) if c != 0}
 
     def degree(self) -> int:
         """Actual total degree (0 for the zero polynomial)."""
@@ -370,25 +371,35 @@ def _affine_structure(num_vars: int, degree: int):
     return _frozen(B), G
 
 
+def affine_matrices(num_vars: int, degree: int, scale,
+                    offset) -> np.ndarray:
+    """The (rows, m, m) matrices M with M[i] @ c the coefficients of
+    p(s_i * x + o_i) for p with coefficients c (graded order, |a| <=
+    degree); `scale` and `offset` broadcast to (rows, num_vars).
+
+    M[b, a] = prod_j C(a_j, b_j) s_j^b_j o_j^(a_j - b_j), with the powers
+    of s and o read from their monomial tables; the integer data of M is
+    built once per (num_vars, degree), on first use.
+    """
+    B, G = _affine_structure(num_vars, degree)
+    s, o = np.broadcast_arrays(np.asarray(scale, dtype=float),
+                               np.asarray(offset, dtype=float))
+    s_pow = monomials(s, degree)
+    o_pow = monomials(o, degree)[:, G]
+    return B * s_pow[:, :, None] * o_pow
+
+
 def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
                         offset) -> np.ndarray:
     """Coefficients of p_i(s_i * x + o_i) for a batch of polynomials.
 
     `coeffs` holds one coefficient row per polynomial (graded order,
     |a| <= degree); `scale` and `offset` broadcast to (rows, num_vars).
-    Each row is mapped by M[b, a] = prod_j C(a_j, b_j) s_j^b_j
-    o_j^(a_j - b_j), with the powers of s and o read from their monomial
-    tables; the integer data of M is built once per (num_vars, degree),
-    on first use.
     """
     coeffs = np.asarray(coeffs)
-    B, G = _affine_structure(num_vars, degree)
     shape = (len(coeffs), num_vars)
-    s = np.broadcast_to(np.asarray(scale, dtype=float), shape)
-    o = np.broadcast_to(np.asarray(offset, dtype=float), shape)
-    s_pow = monomials(s, degree)
-    o_pow = monomials(o, degree)[:, G]
-    M = B * s_pow[:, :, None] * o_pow
+    M = affine_matrices(num_vars, degree, np.broadcast_to(scale, shape),
+                        np.broadcast_to(offset, shape))
     return (M @ coeffs[:, :, None])[:, :, 0]
 
 

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fractal_remez.campanato import (CubeFamily, Majorant, MajorantSumError,
-                                     build_cube_family, campanato_seminorm,
+from fractal_remez.campanato import (CubeFamily, FitPlan, Majorant,
+                                     MajorantSumError, build_cube_family,
+                                     campanato_seminorm,
                                      dyadic_radii, lipschitz_seminorm,
                                      local_best_approx, majorant_sum_check,
                                      quasipower_check)
 from fractal_remez.fractals import FractalSet, build_preset
 from fractal_remez.geometry import Cube, sobol_unit
-from fractal_remez.polynomials import Polynomial
+from fractal_remez.polynomials import Polynomial, monomials
 
 INF = math.inf
 
@@ -129,6 +132,13 @@ def test_rank_deficiency_flagged():
     res = local_best_approx(np.array([1.0, 2.0]), X, Cube((0.5,), 1.0), 3, 2)
     assert res.rank_deficient
     assert res.value <= 1e-12  # two points are interpolated exactly
+    # a near-coincident pair still has full rank, as lstsq counts it
+    X = FractalSet(points=np.array([[0.0], [1e-9], [1.0]]),
+                   masses=np.ones(3) / 3, s=1.0, diam=1.0, cell_diam=0.2,
+                   total_mass=1.0)
+    res = local_best_approx(np.array([1.0, 2.0, 0.0]), X, Cube((0.5,), 1.0),
+                            3, 2)
+    assert not res.rank_deficient
 
 
 def test_coefs_are_in_the_cube_frame():
@@ -143,6 +153,81 @@ def test_coefs_are_in_the_cube_frame():
     assert res.cube == Q and res.degree == 2
     assert np.max(np.abs(res.coefs - want)) <= 1e-12
     assert np.max(np.abs((res.poly - P).coeffs)) <= 1e-9
+
+
+def _lstsq_fit(X, Q, k, fv):
+    """Reference q = 2 fit of one cube: coefficients, value, deficiency."""
+    inside = Q.contains(X.points)
+    w = X.masses[inside] / X.masses[inside].sum()
+    if k == 0:
+        return np.zeros(0), math.sqrt(np.sum(w * fv[inside] ** 2)), False
+    A = monomials((X.points[inside] - np.asarray(Q.center)) / Q.radius, k - 1)
+    sw = np.sqrt(w)
+    coefs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], fv[inside] * sw,
+                                        rcond=None)
+    value = math.sqrt(np.sum(w * (fv[inside] - A @ coefs) ** 2))
+    return coefs, value, rank < A.shape[1]
+
+
+@st.composite
+def plan_cases(draw):
+    """Points on the lattice (Z/4)^n, duplicates allowed, cubes centered on
+    them: radius 1/8 holds one location, radii 2 and 4 hold every point."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    size = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.lists(st.integers(0, 4), min_size=n,
+                                   max_size=n), min_size=size, max_size=size))
+    pts = np.array(cells, dtype=float) / 4.0
+    masses = np.array(draw(st.lists(st.integers(1, 4), min_size=size,
+                                    max_size=size)), dtype=float)
+    X = FractalSet(points=pts, masses=masses / masses.sum(), s=float(n),
+                   diam=1.0, cell_diam=0.25, total_mass=1.0)
+    centers = draw(st.lists(st.integers(0, size - 1), min_size=1,
+                            max_size=6))
+    radii = draw(st.lists(st.sampled_from([0.125, 0.25, 0.5, 2.0, 4.0]),
+                          min_size=len(centers), max_size=len(centers)))
+    cubes = [Cube(tuple(pts[i]), r) for i, r in zip(centers, radii)]
+    fv = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                                max_size=size)))
+    return X, cubes, k, fv
+
+
+@given(plan_cases())
+@settings(max_examples=300, deadline=None)
+def test_plan_matches_per_cube_lstsq(case):
+    X, cubes, k, fv = case
+    plan = FitPlan(X, cubes, k)
+    coefs, values = plan.apply(fv)
+    for j, Q in enumerate(cubes):
+        want, value, deficient = _lstsq_fit(X, Q, k, fv)
+        assert plan.deficient[j] == deficient
+        assert abs(values[j] - value) <= 1e-12
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(coefs[j] - want), initial=0.0) <= 1e-12 * scale
+
+
+def test_plan_is_kept_and_reapplied_bitwise():
+    X = build_preset("cube:1", 7)
+    fam = build_cube_family(X, center_budget=16)
+    fv = np.abs(X.points[:, 0] - 0.3)
+    built = fam.fit_plan(2).apply(fv)  # builds the plan
+    assert fam.fit_plan(2) is fam.fit_plan(2)
+    again = fam.fit_plan(2).apply(fv)  # applies the kept plan
+    fresh = FitPlan(X, fam.cubes, 2).apply(fv)
+    for a, b, c in zip(built, again, fresh):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    # a one-cube fit gives each family cube's value bit for bit
+    for j in (0, 5, len(fam.cubes) - 1):
+        assert local_best_approx(fv, X, fam.cubes[j], 2, 2).value == \
+            built[1][j]
+
+
+def test_family_is_frozen():
+    fam = build_cube_family(build_preset("cube:1", 5), center_budget=4)
+    assert isinstance(fam.cubes, tuple)
+    with pytest.raises(AttributeError):
+        fam.cubes = ()
 
 
 @pytest.mark.parametrize("q", [1, INF])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fractal_remez import acceptance, campanato, cli
@@ -70,6 +71,8 @@ def test_run_deterministic_bytes(tmp_path):
     pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
                   "params": {"grid_nodes": 1}}, "params.grid_nodes",
                  id="one-grid-node"),
+    pytest.param({"experiment": "remez", "polynomial": {"degre": 7}},
+                 "degre", id="unknown-polynomial-key"),
 ])
 def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     cfg = write_config(tmp_path, config)
@@ -102,20 +105,25 @@ def test_run_campanato_solves_each_cube_once(tmp_path, monkeypatch):
               "seed": 4, "params": {"k": 2, "q": 2, "function": "poly:3",
                                     "center_budget": 40}}
     cfg = write_config(tmp_path, config)
-    solved = []
-    solve = campanato.local_best_approx
+    factored = []
+    factor = campanato._factor
 
-    def counting(f_values, X, Q, k, q):
-        solved.append(Q)
-        return solve(f_values, X, Q, k, q)
+    def counting(points, sqrt_w, k):
+        factored.append(len(points))
+        return factor(points, sqrt_w, k)
 
-    monkeypatch.setattr(campanato, "local_best_approx", counting)
+    monkeypatch.setattr(campanato, "_factor", counting)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
     X = cli._resolve_set(config)
     fvals = cli._resolve_function("poly:3", X, 4)
     family = campanato.build_cube_family(X, center_budget=40)
-    assert solved == family.cubes
+    # each distinct member set Q cap X is factored once
+    geometries = {tuple(np.flatnonzero(Q.contains(X.points)))
+                  for Q in family.cubes}
+    assert len(factored) == len(geometries) < len(family.cubes)
+    solve = campanato.local_best_approx
     # the plot takes the max over every cube of each radius
     omega = campanato.Majorant.from_id("power:1", 2)
     want = []

@@ -83,6 +83,12 @@ def test_tau_rejects_underflowing_inverse():
         tau_many(space, phi, space.points)
     with pytest.raises(ValueError, match="underflows"):
         greedy_ball_cover(space, phi)
+    # a subnormal phi^{-1} has too few bits: phi(gamma * radius) rounded
+    # up to the mass 5e-324 and failed the cover's budget audit
+    space = DiscreteMeasureSpace(np.zeros((1, 1)), np.array([5e-324]))
+    ts = np.linspace(0.0, 30.0, 61)
+    with pytest.raises(ValueError, match="underflows"):
+        greedy_ball_cover(space, MajorantFn.table(ts, 0.2 * ts))
 
 
 def test_tau_against_brute_force():
@@ -209,7 +215,8 @@ def pruning_cases(draw):
 def test_pruned_tau_matches_unpruned_scan_bitwise(case):
     space, phi, probes = case
     keep = space.masses > 0
-    if np.any(keep) and phi.inverse(space.masses[keep].min()) == 0.0:
+    if np.any(keep) and (phi.inverse(space.masses[keep].min())
+                         < np.finfo(float).tiny):
         with pytest.raises(ValueError, match="underflows"):
             tau_many(space, phi, probes)
         return
@@ -239,8 +246,9 @@ def test_metric_cover_audit_and_potential(case):
     except ValueError:
         assume(False)  # a table majorant that never exceeds the mass
     keep = space.masses > 0
-    # tau_many rejects a mass whose phi^{-1} underflows to 0
-    assume(np.all(phi.inverse(space.masses[keep]) > 0.0))
+    # tau_many rejects a mass whose phi^{-1} underflows below the normal
+    # range (test_tau_rejects_underflowing_inverse)
+    assume(np.all(phi.inverse(space.masses[keep]) >= np.finfo(float).tiny))
     cover = greedy_ball_cover(space, phi, probes=probes)
     assert all(verify_cover(space, phi, cover, probes=probes).values())
     metric = space.metric or (lambda x, y: float(np.linalg.norm(x - y)))

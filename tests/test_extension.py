@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fractal_remez.campanato import Majorant, build_cube_family
+from fractal_remez.campanato import CubeFamily, Majorant, build_cube_family
 from fractal_remez.extension import (Chain, GridSpec, build_chain,
                                      chain_seminorm, local_decay_diagnostic,
                                      project, trace_tilde, verify_extension,
@@ -129,24 +129,39 @@ def test_chain_interpolates_trace_at_centers():
 
 
 def test_chain_solves_each_cube_once(monkeypatch):
-    from fractal_remez import extension
+    from fractal_remez import campanato
 
     X = interval_set()
     fam = build_cube_family(X, center_budget=16)
-    calls = []
-    fit = extension.local_best_approx
+    om = Majorant.power(1.0, 2)
+    fv = np.abs(X.points[:, 0] - 0.5)
+    factored = []
+    factor = campanato._factor
 
-    def counted(f_values, X_, Q, k, q):
-        calls.append(Q)
-        return fit(f_values, X_, Q, k, q)
+    def counted(points, sqrt_w, k):
+        factored.append(len(points))
+        return factor(points, sqrt_w, k)
 
-    monkeypatch.setattr(extension, "local_best_approx", counted)
-    build_chain(np.abs(X.points[:, 0] - 0.5), X, fam, 2,
-                Majorant.power(1.0, 2))
-    anchor = Cube(tuple(X.points[0]), 2.0 * X.diam)
-    expected = {Q for Q in fam.cubes if Q.radius <= X.diam} | {anchor}
-    assert len(calls) == len(expected)
-    assert set(calls) == expected
+    monkeypatch.setattr(campanato, "_factor", counted)
+    build_chain(fv, X, fam, 2, om)
+    geometries = {tuple(np.flatnonzero(Q.contains(X.points)))
+                  for Q in fam.cubes}
+    # one factorization per distinct member set, and the anchor cube's fit
+    assert len(factored) == len(geometries) + 1
+    assert len(geometries) < len(fam.cubes)
+    factored.clear()
+    build_chain(2.0 * fv, X, fam, 2, om)
+    campanato.campanato_seminorm(fv, fam, 2, 2, om)
+    # the family's plan is kept: only the anchor, all of X, is factored
+    assert factored == [X.size]
+
+
+def test_chain_rejects_another_set():
+    X = interval_set()
+    fam = build_cube_family(X, center_budget=16)
+    other = transform(X, 1.0, [0.0])
+    with pytest.raises(ValueError, match="base set"):
+        build_chain(np.zeros(X.size), other, fam, 2, Majorant.power(1.0, 2))
 
 
 def test_chain_needs_three_rungs():
@@ -187,8 +202,7 @@ def test_chain_seminorm_two_cube_formula():
     chain = Chain(cubes=[small, big], coefs=np.array([[0.0, 0.0],
                                                       [eps, 0.0]]),
                   deficient=np.zeros(2, dtype=bool), k=2, omega=om)
-    fam = build_cube_family(X)
-    fam.cubes = [small, big]
+    fam = CubeFamily(X, (small, big), 4.0 * X.diam)
     res = chain_seminorm(chain, fam)
     assert res.value == pytest.approx(eps / 1.0, abs=1e-12)
     assert res.num_pairs == 1
@@ -213,8 +227,7 @@ def test_chain_seminorm_nan_not_replaced_by_a_later_pair():
     chain = Chain(cubes=cubes,
                   coefs=np.array([[np.nan, 0.0], [0.0, 0.0], [0.5, 0.0]]),
                   deficient=np.zeros(3, dtype=bool), k=2, omega=om)
-    fam = build_cube_family(X)
-    fam.cubes = list(cubes)
+    fam = CubeFamily(X, cubes, 4.0 * X.diam)
     res = chain_seminorm(chain, fam)
     assert math.isnan(res.value)
     assert res.witness == (cubes[0], cubes[1])

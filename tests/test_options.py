@@ -4,10 +4,11 @@ A parameter that no call site ever sets is a constant in disguise, and
 each one doubles the configurations that tests would have to cover.  The
 audit parses every function definition in src/fractal_remez and every
 call in src/, scripts/, perfbench/ and tests/, matching calls to
-definitions by name, by keyword and by position.  Passing a parameter of
-the enclosing function straight through sets the callee's parameter only
-if that one is set in turn.  A call with *args or **kwargs sets every
-parameter it can reach.
+definitions by name, by keyword and by position.  A call that passes the
+default's own literal (same type, same value) does not set the parameter.
+Passing a parameter of the enclosing function straight through sets the
+callee's parameter only if that one is set in turn.  A call with *args or
+**kwargs sets every parameter it can reach.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
 
 def _options() -> dict:
     """Function name -> {parameter: (call position or None, qualified
-    function name)} for every definition in the package."""
+    function name, default expression)} for every definition in the
+    package."""
     opts: dict = {}
 
     def visit(node, owner):
@@ -35,11 +37,12 @@ def _options() -> dict:
                 skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
                 entry = opts.setdefault(child.name, {})
                 label = owner + child.name
-                for i in range(len(pos) - len(a.defaults), len(pos)):
-                    entry[pos[i].arg] = (i - skip, label)
+                first = len(pos) - len(a.defaults)
+                for i, default in enumerate(a.defaults, start=first):
+                    entry[pos[i].arg] = (i - skip, label, default)
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        entry[arg.arg] = (None, label)
+                        entry[arg.arg] = (None, label, default)
                 visit(child, "")
             else:
                 visit(child, owner)
@@ -47,6 +50,15 @@ def _options() -> dict:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), "")
     return opts
+
+
+def _is_default(value: ast.expr, default: ast.expr) -> bool:
+    """Whether value is the same literal as default."""
+    try:
+        a, b = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return type(a) is type(b) and a == b
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -75,7 +87,7 @@ def _scan_calls(opts: dict) -> tuple[set, dict]:
         name = _callee(call)
         keywords = {kw.arg: kw.value for kw in call.keywords}
         starred = [isinstance(arg, ast.Starred) for arg in call.args]
-        for param, (index, _) in opts[name].items():
+        for param, (index, _, default) in opts[name].items():
             key = (name, param)
             if None in keywords or (index is not None
                                     and any(starred[:index + 1])):
@@ -84,7 +96,7 @@ def _scan_calls(opts: dict) -> tuple[set, dict]:
             value = keywords.get(param)
             if value is None and index is not None and index < len(call.args):
                 value = call.args[index]
-            if value is None:
+            if value is None or _is_default(value, default):
                 continue
             source = None
             if isinstance(value, ast.Name):
@@ -114,7 +126,7 @@ def unset_options() -> list[str]:
                 changed = True
     return sorted(f"{label}({param}=)"
                   for name, params in opts.items()
-                  for param, (_, label) in params.items()
+                  for param, (_, label, _) in params.items()
                   if (name, param) not in is_set)
 
 
@@ -122,3 +134,15 @@ def test_every_option_is_set_by_a_caller():
     unset = unset_options()
     assert not unset, ("defaulted parameters that no caller sets: "
                        + ", ".join(unset))
+
+
+def test_default_literal_does_not_count_as_set():
+    _, _, default = _options()["lipschitz_seminorm"]["h_decades"]  # 4.0
+
+    def parsed(text):
+        return ast.parse(text, mode="eval").body
+
+    assert _is_default(parsed("4.0"), default)
+    assert not _is_default(parsed("3.0"), default)
+    assert not _is_default(parsed("4"), default)
+    assert not _is_default(parsed("span / 2"), default)

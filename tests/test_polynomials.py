@@ -195,6 +195,12 @@ def test_finite_difference_requires_positive_order():
         finite_difference(lambda t: t, 0, [0.0], [1.0])
 
 
+def test_coeffs_dict_drops_only_zeros():
+    d = Polynomial(1, 2, [np.nan, 0.0, 1.0]).coeffs_dict()
+    assert list(d) == [(0,), (2,)] and math.isnan(d[(0,)])
+    assert Polynomial(1, 1, [0.0, -0.0]).coeffs_dict() == {}
+
+
 def test_multiplication_against_expansion():
     p = Polynomial.from_dict(1, {(0,): 1.0, (1,): 1.0})  # 1 + x
     cube = p * p * p

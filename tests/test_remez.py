@@ -290,7 +290,7 @@ def test_markov_constant_polynomial():
 def test_markov_identity_function():
     # cloud representatives stop at 1 - 2^-depth, so allow that gap
     X = build_preset("cube:1", 10)
-    p = Polynomial.variable(0, 1)
+    p = Polynomial.variable()
     c = markov_check(p, X, [0.0], 1.0)
     assert c == pytest.approx(1.0, rel=2.0 ** -10 * 1.5)
 
@@ -316,7 +316,7 @@ def test_markov_zero_division():
 def test_markov_empty_ball():
     X = build_preset("cantor:1/3", 5)
     with pytest.raises(ValueError):
-        markov_check(Polynomial.variable(0, 1), X, [0.5], 2.0)
+        markov_check(Polynomial.variable(), X, [0.5], 2.0)
 
 
 # -- BMO and reverse Holder ---------------------------------------------------
