@@ -9,7 +9,7 @@ monotonicity in 1/lambda, gradient-ratio boundedness on a product set,
 best-approximation oracle agreement, majorant arithmetic, the end-to-end
 extension operator, and the BMO / reverse Holder witnesses.
 
-Serially the suite takes about 13 s on 2 CPUs; everything is deterministic.
+Serially the suite takes about 8 s on 2 CPUs; everything is deterministic.
 """
 
 from __future__ import annotations

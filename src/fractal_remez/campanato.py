@@ -21,16 +21,16 @@ probing with |h| log-uniform across several decades.
 
 Best approximations: q = 2 is a weighted least-squares solve (minimum-norm
 on rank-deficient cubes); q = 1 and q = infinity are solved exactly as
-linear programs.  The basis is monomials in (x - c_Q)/r_Q for conditioning,
-and results come back in that basis: `ApproxResult.coefs` together with
-the cube.  `ApproxResult.poly` is a lazy global view, converted on first
-access, so callers that only need the value never pay for it.
+linear programs.  Results come back in the monomials of (x - c_Q)/r_Q:
+`ApproxResult.coefs` with the cube, and `ApproxResult.poly`, a global
+view converted on first access.
 
-The q = 2 fit is linear in f, so its data-independent half is a
-`FitPlan`: the sets Q cap X and one orthonormal factor per distinct
-member set, applied to any number of data vectors.  A `CubeFamily` owns
-one plan per order k, built on first use and freed with the family;
-`campanato_seminorm` at q = 2 and the extension chain read it, and
+E_k(f; Q) depends on Q only through Q cap X, so every fit reads a
+`FitPlan`: the sets Q cap X, and each distinct set's frame, rank and
+orthonormal factor.  The q = 2 fit applies the factor to the data; q = 1
+and q = infinity solve one linear program per set, in the set's frame.
+A `CubeFamily` owns one plan per order k, built on first use;
+`campanato_seminorm` and the extension chain read it, and
 `local_best_approx` is a one-cube plan.
 """
 
@@ -85,9 +85,7 @@ def dyadic_radii(r_min: float, r_max: float) -> list[float]:
         raise ValueError("need 0 < r_min <= r_max")
     j_lo = math.ceil(math.log2(r_min) - 1e-12)
     j_hi = math.floor(math.log2(r_max) + 1e-12)
-    if j_hi < j_lo:
-        j_hi = j_lo
-    return [2.0 ** j for j in range(j_lo, j_hi + 1)]
+    return [2.0 ** j for j in range(j_lo, max(j_hi, j_lo) + 1)]
 
 
 def build_cube_family(X: FractalSet, center_budget: int | None = None,
@@ -151,14 +149,6 @@ class Majorant:
             return cls.const(float(arg), k)
         raise KeyError(f"unknown majorant id {text!r}")
 
-    @property
-    def id(self) -> str:
-        if self.kind == "power":
-            return f"power:{self.param:g}"
-        if self.kind == "constant":
-            return f"const:{self.param:g}"
-        return "table"
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
@@ -200,11 +190,9 @@ def quasipower_check(omega: Majorant, grid_lo: float = 1e-8,
     if np.any(np.diff(ratio) > 1e-9 * ratio[:-1]):
         return QuasipowerReport(False, math.inf, f"omega(t)/t^{k} increasing")
     # C_omega = sup_t (1/omega(t)) int_0^t omega(u)/u du on the log grid
-    logs = np.log(ts)
-    integrand = vals  # omega(u)/u du = omega d(ln u)
-    cum = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
-                                    * np.diff(logs))])
+    # omega(u)/u du = omega d(ln u), by the trapezoid rule
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1])
+                                           * np.diff(np.log(ts)))])
     with np.errstate(divide="ignore", invalid="ignore"):
         sup = np.nanmax(np.where(vals > 0, cum / vals, 0.0))
     return QuasipowerReport(bool(np.isfinite(sup)), float(sup))
@@ -247,7 +235,9 @@ class ApproxResult:
     `coefs` are the coefficients of the achieved polynomial of degree
     `degree` in the monomials of (x - c_Q)/r_Q, in graded order, so
     coefs[0] is its value at c_Q.  `poly` is the same polynomial in global
-    monomials, built on first access.  `fallback` marks an L1 or L-infinity
+    monomials, built on first access.  At q = 1 and q = infinity the fit
+    is solved in the frame of the member set Q cap X, so cubes with the
+    same points get the same value bit for bit.  `fallback` marks such a
     fit whose linear program failed; its coefficients are the L2 fit's.
     """
 
@@ -292,19 +282,19 @@ def _factor(points: np.ndarray, sqrt_w: np.ndarray, k: int):
 
 
 class FitPlan:
-    """The data-independent half of the q = 2 fits of a list of cubes at
-    one order k.
+    """The data-independent half of the fits of a list of cubes at one
+    order k.
 
     The plan finds Q cap X for every cube with the test of Cube.contains,
-    one radius at a time, and factors each distinct member set once
-    (`_factor`).  Per cube it keeps a (columns x columns) map from the
-    set's orthonormal basis to coefficients in the cube's frame
-    (x - c_Q)/r_Q, minimum-norm on rank-deficient cubes (flagged in
-    `deficient`) as lstsq's are.  `apply(f)` then fits every cube to one
-    data vector without a per-cube loop.  Memory is one basis per distinct
-    member set (members x columns floats) plus the per-cube maps; cubes
-    that hold the same points, such as every cube larger than the set,
-    share a basis.
+    one radius at a time, and factors each distinct member set once in
+    the set's frame (`_factor`; `frames` holds its center and radius).
+    Per cube it keeps a (columns x columns) map from the set's orthonormal
+    basis to coefficients in the cube's frame (x - c_Q)/r_Q, minimum-norm
+    on rank-deficient cubes (flagged in `deficient`) as lstsq's are.
+    `apply(f)` then fits every cube at q = 2 without a per-cube loop.
+    Memory is one basis per distinct member set (members x columns
+    floats) plus the per-cube maps; cubes that hold the same points, such
+    as every cube larger than the set, share a basis.
     """
 
     def __init__(self, X: FractalSet, cubes, k: int):
@@ -337,26 +327,27 @@ class FitPlan:
         self.sqrt_w = np.sqrt(w / np.repeat(np.add.reduceat(w, self.starts),
                                             self.counts))
 
+        self.k, self.points, self.centers = k, X.points, centers
         self.basis = np.zeros((ncols, len(self.index)))
         self.maps = np.zeros((len(cubes), ncols, ncols))
         self.deficient = np.zeros(len(cubes), dtype=bool)
+        self.frames = np.empty((len(sets), n + 1))  # center, radius; k >= 1
         if ncols == 0:
             return
-        frames = np.empty((len(sets), n + 1))
         ranks = np.empty(len(sets), dtype=int)
         rows = np.zeros((len(sets), ncols, ncols))  # S V^T of each set
         for j, (a, m) in enumerate(zip(self.starts.tolist(),
                                        self.counts.tolist())):
             c, r, U, SV = _factor(X.points[self.index[a:a + m]],
                                   self.sqrt_w[a:a + m], k)
-            frames[j], ranks[j] = (*c, r), len(SV)
+            self.frames[j], ranks[j] = (*c, r), len(SV)
             self.basis[:len(SV), a:a + m] = U.T
             rows[j, :len(SV)] = SV
         rank = ranks[self.cube_set]
         self.deficient = rank < ncols
         # the cube's design in its set's basis: S V^T times the change of
         # frame, (x - c_Q)/r_Q = (r z + c - c_Q)/r_Q in the set's frame z
-        f_c, f_r = frames[self.cube_set, :n], frames[self.cube_set, n:]
+        f_c, f_r = np.split(self.frames[self.cube_set], [n], axis=1)
         U, s, Vt = np.linalg.svd(rows[self.cube_set] @ affine_matrices(
             n, k - 1, f_r / self.radii[:, None],
             (f_c - centers) / self.radii[:, None]))
@@ -391,58 +382,69 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     """E_k(f; Q) over the cloud measure, with the achieved polynomial.
 
     k = 0 approximates by the zero polynomial, so the value is the
-    normalized L_q norm of f.  The q = 2 fit is a one-cube FitPlan; its
-    coefficients stand in for a failed linear program at q = 1 and
-    q = infinity.  Rank deficiency (fewer points than the polynomial
-    space dimension) is flagged; the q = 2 solve then returns the
-    minimum-norm coefficient vector so results stay reproducible.  At
-    q = 1 and q = infinity the flag is the rank of the cube's weighted
-    design, counted as lstsq counts it.
+    normalized L_q norm of f.  This is the fit of a one-cube FitPlan, so it
+    gives each family cube's value bit for bit, and the plan's rank flag:
+    on a rank-deficient cube the q = 2 solve returns the minimum-norm
+    coefficient vector, so results stay reproducible.
     """
     if q not in (1, 2, math.inf, "inf") or k < 0:
         raise ValueError("q must be 1, 2, or infinity, and k non-negative")
+    plan = FitPlan(X, (Q,), k)
+    coefs, values, fallback = _fit(plan, f_values, q)
+    return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1), Q,
+                        max(k - 1, 0), bool(plan.deficient[0]),
+                        bool(fallback[0]))
+
+
+def _fit(plan: FitPlan, f_values: np.ndarray, q):
+    """Every cube's coefficients in its own frame, E_k(f; Q) and linear
+    program failure flag.
+
+    q = 2 is `plan.apply`.  At q = 1 and q = infinity one linear program
+    is solved per member set, in the set's frame, and re-expanded in the
+    frame of each cube of the set.  A set whose program fails keeps the
+    q = 2 coefficients and takes the q-norm of their residual.
+    """
+    coefs, values = plan.apply(f_values)
+    failed = np.zeros(len(plan.starts), dtype=bool)
     if q == 2:
-        plan = FitPlan(X, (Q,), k)
-        coefs, values = plan.apply(f_values)
-        return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1),
-                            Q, max(k - 1, 0), bool(plan.deficient[0]))
-    inside = Q.contains(X.points)
-    if not np.any(inside):
-        raise ValueError("cube does not meet the cloud")
-    fv = np.asarray(f_values, dtype=float)[inside]
-    w = X.masses[inside]
-    w = w / w.sum()
-    if k == 0:
-        return ApproxResult(_normalized_norm(fv, w, q), np.zeros(1), Q, 0,
-                            False)
-    A = monomials((X.points[inside] - np.asarray(Q.center)) / Q.radius, k - 1)
-    # the rank lstsq would count; the weights are positive, so the
-    # weighted system has the rank of A
-    deficient = bool(np.linalg.matrix_rank(A * np.sqrt(w)[:, None])
-                     < A.shape[1])
-    if q == 1:
-        coefs = _lp_fit(A, fv, w, np.eye(len(fv)))
-    else:
-        coefs = _lp_fit(A, fv, np.ones(1), np.ones((len(fv), 1)))
-    fallback = coefs is None
-    if fallback:
-        coefs = FitPlan(X, (Q,), k).apply(f_values)[0][0]
-    value = _normalized_norm(fv - A @ coefs, w, q)
-    return ApproxResult(value, coefs, Q, k - 1, deficient, fallback)
+        return coefs, values, failed[plan.cube_set]
+    n, ncols = plan.centers.shape[1], len(plan.basis)
+    fv = np.asarray(f_values, dtype=float)[plan.index]
+    set_coefs = np.zeros((len(plan.starts), ncols))
+    values = np.empty(len(plan.starts))
+    for j, (a, m) in enumerate(zip(plan.starts.tolist(),
+                                   plan.counts.tolist())):
+        part = slice(a, a + m)
+        res, w, sw = fv[part], plan.sqrt_w[part] ** 2, plan.sqrt_w[part]
+        if ncols:
+            A = monomials((plan.points[plan.index[part]] - plan.frames[j, :n])
+                          / plan.frames[j, n], plan.k - 1)
+            c = _lp_fit(A, res, w, q)
+            failed[j] = c is None
+            if failed[j]:  # the q = 2 residual, from the set's basis
+                U = plan.basis[:, part]
+                res = res - U.T @ (U @ (sw * res)) / sw
+            else:
+                set_coefs[j], res = c, res - A @ c
+        values[j] = np.sum(w * np.abs(res)) if q == 1 else np.max(np.abs(res))
+    if ncols:  # set frame z = (r_Q y + c_Q - c) / r, cube frame y
+        f_c, f_r = np.split(plan.frames[plan.cube_set], [n], axis=1)
+        coefs = np.where(failed[plan.cube_set, None], coefs,
+                         compose_affine_many(set_coefs[plan.cube_set], n,
+                                             plan.k - 1,
+                                             plan.radii[:, None] / f_r,
+                                             (plan.centers - f_c) / f_r))
+    return coefs, values[plan.cube_set], failed[plan.cube_set]
 
 
-def _normalized_norm(vals: np.ndarray, w: np.ndarray, q) -> float:
-    if q in (np.inf, math.inf, "inf"):
-        return float(np.max(np.abs(vals)))
-    return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
-
-
-def _lp_fit(A: np.ndarray, f: np.ndarray, cost: np.ndarray,
-            slack: np.ndarray) -> np.ndarray | None:
+def _lp_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray,
+            q) -> np.ndarray | None:
     """Coefficients c of the linear program min cost.t subject to
     |f - A c| <= slack t, t >= 0 (None if the solver fails).  q = 1 takes
-    the weights and one slack per point, q = inf one slack for all."""
-    d = A.shape[1]
+    the weights w and one slack per point, q = inf one slack for all."""
+    m, d = A.shape
+    cost, slack = (w, np.eye(m)) if q == 1 else (np.ones(1), np.ones((m, 1)))
     A_ub = np.block([[A, -slack], [-A, -slack]])
     bounds = [(None, None)] * d + [(0, None)] * len(cost)
     res = linprog(np.concatenate([np.zeros(d), cost]), A_ub=A_ub,
@@ -474,12 +476,9 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
     """
     if not family.cubes:
         raise ValueError("empty cube family")
-    if q == 2:
-        values = family.fit_plan(k).apply(f_values)[1]
-    else:
-        values = np.array([local_best_approx(f_values, family.base_set, Qc,
-                                             k, q).value
-                           for Qc in family.cubes])
+    if q not in (1, 2, math.inf, "inf"):
+        raise ValueError("q must be 1, 2, or infinity")
+    values = _fit(family.fit_plan(k), f_values, q)[1]
     ratios = values / omega(np.array([Qc.radius for Qc in family.cubes]))
     j = int(np.argmax(ratios))
     return SeminormResult(value=float(ratios[j]), witness=family.cubes[j],

@@ -52,7 +52,7 @@ PARAMS_PROPERTIES = {
                  "gamma": _NUMBER, "grid_n": _COUNT},
     "campanato": {**_FIT, "q": _QR},
     "extension": {**_FIT, "pad": {"type": "number", "minimum": 0},
-                  "grid_nodes": {"type": "integer", "minimum": 2}},
+                  "grid_nodes": {"type": "integer", "minimum": 4}},
 }
 
 CONFIG_SCHEMA = {
@@ -132,10 +132,13 @@ def _resolve_function(fid: str, X, seed: int) -> np.ndarray:
         return x1 ** 2
     if fid == "sinpi":
         return np.sin(math.pi * x1)
-    if fid.startswith("poly"):
-        parts = fid.split(":")
-        deg = int(parts[1]) if len(parts) > 1 else 3
-        p = Polynomial.random(np.random.default_rng(seed), X.ambient_dim, deg)
+    name, colon, deg = fid.partition(":")
+    if name == "poly":
+        deg = deg if colon else "3"
+        if not deg.isdecimal():
+            raise ConfigError(f"function id {fid!r} needs a degree >= 0")
+        p = Polynomial.random(np.random.default_rng(seed), X.ambient_dim,
+                              int(deg))
         return np.real(p.eval_many(X.points))
     raise ConfigError(f"unknown function id {fid!r}")
 
@@ -158,11 +161,17 @@ def _run_remez(config: dict, seed: int, out: str):
         radius = 0.5 * float(np.linalg.norm(hi - lo)) + 0.25 * X.diam
         V = Ball(tuple(center), radius)
     else:
+        if len(vspec["center"]) != X.ambient_dim:
+            raise ConfigError(f"V center has {len(vspec['center'])} "
+                              f"coordinates, the set is {X.ambient_dim}-D")
         cls = Ball if vspec.get("kind", "ball") == "ball" else Cube
         V = cls(tuple(vspec["center"]), float(vspec["radius"]))
 
-    rep = remez.empirical_remez(p, V, X, q, r,
-                                budget=params.get("budget", remez.SUP_BUDGET))
+    try:
+        rep = remez.empirical_remez(
+            p, V, X, q, r, budget=params.get("budget", remez.SUP_BUDGET))
+    except ValueError as exc:  # V does not contain the set
+        raise ConfigError(str(exc))
     failures = []
     if rep.hypothesis_violated:
         failures.append("polynomial vanishes identically on omega")

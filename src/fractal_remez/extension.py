@@ -54,7 +54,6 @@ from .remez import sup_norm
 __all__ = [
     "Chain", "GridSpec", "ExtensionField", "project", "trace_tilde",
     "build_chain", "chain_seminorm", "whitney_extend", "verify_extension",
-    "local_decay_diagnostic",
 ]
 
 
@@ -428,6 +427,9 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
 
     lo = np.asarray(fld.grid.lo) + fld.grid.spacing
     hi = np.asarray(fld.grid.hi) - fld.grid.spacing
+    if not np.all(lo < hi):
+        raise ValueError(f"the probe box (the grid less one spacing at each "
+                         f"end) is empty: {fld.grid.shape} grid nodes")
     hm = float(np.min(hi - lo)) / (2.0 * k)
     hmin = h_min if h_min is not None else 4.0 * fld.grid.spacing
     decades = max(math.log10(hm / hmin), 0.5)
@@ -440,27 +442,3 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
     ratio = None if na else lip / camp
     return ExtensionReport(trace_error=trace_err, lipschitz=lip,
                            campanato=camp, ratio=ratio, not_applicable=na)
-
-
-def local_decay_diagnostic(f_values: np.ndarray, X: FractalSet, Q: Cube,
-                           K: Cube, omega: Majorant) -> dict:
-    """Both sides of the first-order decay estimate on nested cubes.
-
-    Compares E_1(f; Q) with r * int_r^{2R} omega(t)/t^2 dt plus
-    (r/R) times the normalized L2 norm of f over the doubled outer cube; no
-    constant is asserted, the two sides are reported for inspection.
-    """
-    r, R = Q.radius, K.radius
-    if not r < R:
-        raise ValueError("need r_Q < r_K")
-    e1 = local_best_approx(f_values, X, Q, 1, 2).value
-    ts = np.exp(np.linspace(math.log(r), math.log(2.0 * R), 400))
-    integral = float(np.trapezoid(omega(ts) / ts ** 2, ts))
-    ktilde = Cube(K.center, 2.0 * R)
-    norm_term = local_best_approx(f_values, X, ktilde, 0, 2).value
-    return {
-        "E1": e1,
-        "integral_term": r * integral,
-        "norm_term": (r / R) * norm_term,
-        "rhs_total": r * integral + (r / R) * norm_term,
-    }

@@ -220,10 +220,6 @@ class Polynomial:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.coeffs)
 
-    def coeffs_dict(self) -> dict:
-        idx = multi_indices(self.num_vars, self.degree_bound)
-        return {a: c for a, c in zip(idx, self.coeffs) if c != 0}
-
     def degree(self) -> int:
         """Actual total degree (0 for the zero polynomial)."""
         return int(self.exponents.sum(axis=1)[self.coeffs != 0].max(initial=0))

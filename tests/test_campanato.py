@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fractal_remez.campanato import (CubeFamily, FitPlan, Majorant,
                                      MajorantSumError, build_cube_family,
@@ -170,11 +171,11 @@ def _lstsq_fit(X, Q, k, fv):
 
 
 @st.composite
-def plan_cases(draw):
+def plan_cases(draw, max_n=3, max_k=4):
     """Points on the lattice (Z/4)^n, duplicates allowed, cubes centered on
     them: radius 1/8 holds one location, radii 2 and 4 hold every point."""
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(0, 4))
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, max_k))
     size = draw(st.integers(1, 12))
     cells = draw(st.lists(st.lists(st.integers(0, 4), min_size=n,
                                    max_size=n), min_size=size, max_size=size))
@@ -205,6 +206,67 @@ def test_plan_matches_per_cube_lstsq(case):
         assert abs(values[j] - value) <= 1e-12
         scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
         assert np.max(np.abs(coefs[j] - want), initial=0.0) <= 1e-12 * scale
+
+
+def _linprog_fit(X, Q, k, fv, q):
+    """Reference q = 1 or q = inf value of one cube: the primal linear
+    program min cost.t subject to |f - A c| <= slack t in the cube's
+    frame, one slack per point at q = 1 and one for all at q = inf."""
+    inside = Q.contains(X.points)
+    f, w = fv[inside], X.masses[inside] / X.masses[inside].sum()
+    res = f
+    if k > 0:
+        A = monomials((X.points[inside] - np.asarray(Q.center)) / Q.radius,
+                      k - 1)
+        m, d = A.shape
+        cost, slack = ((w, np.eye(m)) if q == 1
+                       else (np.ones(1), np.ones((m, 1))))
+        lp = linprog(np.concatenate([np.zeros(d), cost]),
+                     A_ub=np.block([[A, -slack], [-A, -slack]]),
+                     b_ub=np.concatenate([f, -f]),
+                     bounds=[(None, None)] * d + [(0, None)] * len(cost),
+                     method="highs")
+        assert lp.success
+        res = f - A @ lp.x[:d]
+    return float(np.sum(w * np.abs(res)) if q == 1 else np.max(np.abs(res)))
+
+
+@given(plan_cases(max_n=2, max_k=3), st.sampled_from([1, INF]))
+@settings(max_examples=150, deadline=None)
+def test_lp_fits_are_one_per_member_set(case, q):
+    X, cubes, k, fv = case
+    fam = CubeFamily(X, cubes, 4.0 * X.diam)
+    om = Majorant.power(1.0, k)
+    ratios = campanato_seminorm(fv, fam, k, q, om).ratios
+    by_set = {}
+    for j, Q in enumerate(cubes):
+        res = local_best_approx(fv, X, Q, k, q)
+        assert ratios[j] == res.value / om(Q.radius)  # bit for bit
+        members = tuple(np.flatnonzero(Q.contains(X.points)))
+        assert by_set.setdefault(members, res.value) == res.value
+        # HiGHS's feasibility tolerance
+        assert abs(res.value - _linprog_fit(X, Q, k, fv, q)) <= \
+            1e-7 * max(1.0, float(np.max(np.abs(fv))))
+
+
+def test_seminorm_solves_one_program_per_member_set(monkeypatch):
+    from fractal_remez import campanato
+
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=12)
+    calls = []
+    solve = campanato.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(campanato, "linprog", counting)
+    campanato_seminorm(np.abs(X.points[:, 0] - 0.5), fam, 2, 1,
+                       Majorant.power(1.0, 2))
+    sets = {tuple(np.flatnonzero(Q.contains(X.points))) for Q in fam.cubes}
+    assert len(fam.cubes) == 120
+    assert len(calls) == len(sets) == 61
 
 
 def test_plan_is_kept_and_reapplied_bitwise():
@@ -253,6 +315,12 @@ def test_lp_failure_is_flagged(monkeypatch, q):
     want = (np.max(np.abs(resid)) if q == INF
             else float(np.sum(w * np.abs(resid))))
     assert res.value == pytest.approx(want, rel=1e-9)
+    # the seminorm falls back set by set, to the same values
+    fam = build_cube_family(X, center_budget=4)
+    om = Majorant.power(1.0, 2)
+    ratios = campanato_seminorm(fv, fam, 2, q, om).ratios
+    assert ratios.tolist() == [local_best_approx(fv, X, Qc, 2, q).value
+                               / om(Qc.radius) for Qc in fam.cubes]
 
 
 # -- seminorm -----------------------------------------------------------------

@@ -73,6 +73,27 @@ def test_run_deterministic_bytes(tmp_path):
                  id="one-grid-node"),
     pytest.param({"experiment": "remez", "polynomial": {"degre": 7}},
                  "degre", id="unknown-polynomial-key"),
+    pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
+                  "params": {"grid_nodes": 3}}, "params.grid_nodes",
+                 id="empty-probe-box"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"function": "poly:x"}}, "poly:x",
+                 id="poly-degree-not-a-number"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"function": "poly:-1"}}, "poly:-1",
+                 id="poly-degree-negative"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"function": "polynomial"}}, "polynomial",
+                 id="unknown-function"),
+    pytest.param({"experiment": "remez", "depth": 5,
+                  "params": {"V": {"center": [5.0], "radius": 0.1}}},
+                 "not contained in V", id="V-misses-the-set"),
+    pytest.param({"experiment": "remez", "depth": 5,
+                  "params": {"V": {"center": [0.5, 0.5], "radius": 2.0}}},
+                 "V center", id="V-center-dimension"),
+    pytest.param({"experiment": "remez", "depth": 5,
+                  "params": {"V": {"center": [], "radius": 2.0}}},
+                 "V center", id="V-center-empty"),
 ])
 def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     cfg = write_config(tmp_path, config)

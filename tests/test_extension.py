@@ -6,9 +6,8 @@ from scipy.spatial import cKDTree
 
 from fractal_remez.campanato import CubeFamily, Majorant, build_cube_family
 from fractal_remez.extension import (Chain, GridSpec, build_chain,
-                                     chain_seminorm, local_decay_diagnostic,
-                                     project, trace_tilde, verify_extension,
-                                     whitney_extend, _bump,
+                                     chain_seminorm, project, trace_tilde,
+                                     verify_extension, whitney_extend, _bump,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
@@ -487,12 +486,13 @@ def test_trace_recovery_improves_with_grid():
     assert errs[2] <= 0.8 * errs[1]
 
 
-def test_local_decay_diagnostic_finite():
-    X = interval_set(9)
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_verify_extension_rejects_an_empty_probe_box(nodes):
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=8)
     fv = np.abs(X.points[:, 0] - 0.5)
     om = Majorant.power(1.0, 2)
-    d = local_decay_diagnostic(fv, X, Cube((0.5,), 0.0625), Cube((0.5,), 0.5),
-                               om)
-    assert set(d) == {"E1", "integral_term", "norm_term", "rhs_total"}
-    assert all(np.isfinite(v) and v >= 0 for v in d.values())
-    assert d["rhs_total"] > 0
+    fld = whitney_extend(build_chain(fv, X, fam, 2, om), X,
+                         GridSpec((-0.25,), (1.25,), (nodes,)))
+    with pytest.raises(ValueError, match="probe box"):
+        verify_extension(fv, fld, X, 2, om, family=fam)
