@@ -62,7 +62,6 @@ class CubeFamily:
 
     base_set: FractalSet
     cubes: tuple
-    radius_cap: float
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -96,8 +95,7 @@ def build_cube_family(X: FractalSet, center_budget: int | None = None,
     given budget); otherwise a seeded random subset.  Because the family
     is a sample, any sup over it is a certified lower bound.
     """
-    cap = 4.0 * X.diam
-    radii = dyadic_radii(4.0 * X.cell_diam, cap)
+    radii = dyadic_radii(4.0 * X.cell_diam, 4.0 * X.diam)
     centers = X.points
     budget = center_budget if center_budget is not None else 1000
     if X.size > budget:
@@ -106,7 +104,7 @@ def build_cube_family(X: FractalSet, center_budget: int | None = None,
         idx = rng.choice(X.size, size=budget, replace=False)
         centers = X.points[np.sort(idx)]
     cubes = [Cube(tuple(c), r) for c in centers for r in radii]
-    return CubeFamily(base_set=X, cubes=cubes, radius_cap=cap)
+    return CubeFamily(base_set=X, cubes=cubes)
 
 
 # -- smoothness moduli -----------------------------------------------------
@@ -488,8 +486,6 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
 @dataclass
 class LipschitzEstimate:
     value: float
-    argmax_x: np.ndarray
-    argmax_h: np.ndarray
     num_probes: int
 
 
@@ -523,9 +519,8 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box,
     Hs = dirs * mags[:, None]
     inside = np.all((x + k * Hs >= lo) & (x + k * Hs <= hi), axis=1)
     x, Hs, mags = x[inside], Hs[inside], mags[inside]
-    diffs = np.abs(finite_difference_many(g, k, x, Hs))
-    ratios = diffs / omega(mags)
-    if len(ratios) == 0:
-        return LipschitzEstimate(0.0, lo, np.zeros(n), 0)
-    j = int(np.argmax(ratios))
-    return LipschitzEstimate(float(ratios[j]), x[j], Hs[j], int(len(ratios)))
+    if not len(x):
+        raise ValueError(f"no probe of length up to h_max = {h_max} fits "
+                         f"{k} steps inside the box")
+    ratios = np.abs(finite_difference_many(g, k, x, Hs)) / omega(mags)
+    return LipschitzEstimate(float(np.max(ratios)), len(ratios))

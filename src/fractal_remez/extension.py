@@ -274,6 +274,16 @@ class GridSpec:
     hi: tuple
     shape: tuple
 
+    def __post_init__(self):
+        if not len(self.lo) == len(self.hi) == len(self.shape) > 0:
+            raise ValueError(f"grid lo, hi and shape differ in length: "
+                             f"{self.lo}, {self.hi}, {self.shape}")
+        if min(self.shape) < 2:
+            raise ValueError(f"every grid axis needs two nodes: {self.shape}")
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"grid needs lo < hi on every axis: "
+                             f"{self.lo}, {self.hi}")
+
     @property
     def dim(self) -> int:
         return len(self.shape)
@@ -296,12 +306,8 @@ class GridSpec:
 class ExtensionField:
     grid: GridSpec
     values: np.ndarray
-    provenance: list
     holes: list
     chain_k: int
-
-    def interpolate(self, points) -> np.ndarray:
-        return self.as_callable()(points)
 
     def as_callable(self):
         interp = RegularGridInterpolator(tuple(self.grid.axes()),
@@ -344,8 +350,7 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
     """Blend chain polynomials over an ambient grid with Whitney scaling.
 
     Nodes are handled in blocks of about _BLOCK_ENTRIES node-cube pairs,
-    every step as one array operation over the block.  Provenance lists
-    (cube index, weight) in increasing index over the full-rank cubes.
+    every step as one array operation over the block.
     """
     nodes = grid.nodes()
     n = grid.dim
@@ -359,7 +364,6 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
     dist, _ = cKDTree(X.points).query(nodes)
 
     values = np.full(len(nodes), np.nan)
-    provenance: list = [None] * len(nodes)
     holes: list = []
     step = max(1, _BLOCK_ENTRIES // len(keep))
     for lo in range(0, len(nodes), step):
@@ -388,14 +392,9 @@ def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionFiel
         w /= np.repeat(total, counts)
         local = (y[rows] - centers[cols]) / radii[cols, None]
         vals = np.einsum("ij,ij->i", monomials(local, deg), C[cols])
-        owners = lo + rows[starts]
-        values[owners] = np.add.reduceat(w * vals, starts)
-        cl, wl = cols.tolist(), w.tolist()
-        for i, a, b in zip(owners.tolist(), starts.tolist(),
-                           (starts + counts).tolist()):
-            provenance[i] = list(zip(cl[a:b], wl[a:b]))
-    return ExtensionField(grid=grid, values=values, provenance=provenance,
-                          holes=holes, chain_k=chain.k)
+        values[lo + rows[starts]] = np.add.reduceat(w * vals, starts)
+    return ExtensionField(grid=grid, values=values, holes=holes,
+                          chain_k=chain.k)
 
 
 # -- end-to-end verification --------------------------------------------------
@@ -407,7 +406,6 @@ class ExtensionReport:
     lipschitz: float
     campanato: float
     ratio: float | None
-    not_applicable: bool
 
 
 def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
@@ -438,7 +436,6 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
     camp = campanato_seminorm(f_values, family, k, 2, omega).value
 
     scale = float(np.max(np.abs(f_values))) if len(f_values) else 1.0
-    na = camp <= 1e-12 * max(scale, 1.0)
-    ratio = None if na else lip / camp
+    ratio = None if camp <= 1e-12 * max(scale, 1.0) else lip / camp
     return ExtensionReport(trace_error=trace_err, lipschitz=lip,
-                           campanato=camp, ratio=ratio, not_applicable=na)
+                           campanato=camp, ratio=ratio)

@@ -218,7 +218,6 @@ class RegularityEstimate:
     b_hat: float
     s: float
     num_samples: int
-    radius_range: tuple
 
     def __post_init__(self):
         if not (0.0 < self.b_hat <= self.a_hat < math.inf):
@@ -241,8 +240,8 @@ def estimate_regularity(X: FractalSet, num_samples: int = 1000,
                         samples=None) -> RegularityEstimate:
     """Empirical Ahlfors constants: extremes of ball_measure / r^s.
 
-    Radii below 4 cell diameters are rejected; beneath cell resolution the
-    cloud no longer represents the measure.
+    Radii, drawn or given, must lie between 4 cell diameters and diam X;
+    beneath cell resolution the cloud no longer represents the measure.
     """
     if X.size < 2:
         raise ValueError("degenerate set: need at least two cloud points")
@@ -250,23 +249,23 @@ def estimate_regularity(X: FractalSet, num_samples: int = 1000,
         if radius_range is None:
             radius_range = (4.0 * X.cell_diam, X.diam)
         r_min, r_max = radius_range
-        if not (0.0 < r_min < r_max <= X.diam * (1 + 1e-9)):
+        if not 0.0 < r_min < r_max:
             raise ValueError(f"degenerate radius range {radius_range}")
-        if r_min < 4.0 * X.cell_diam * (1 - 1e-9):
-            raise ValueError("radius range extends below 4x cell resolution")
         if rng is None:
             rng = np.random.default_rng(0)
-        centers, radii = regularity_samples(X, num_samples, radius_range, rng)
-    else:
-        centers, radii = samples
-        radius_range = (float(np.min(radii)), float(np.max(radii)))
+        samples = regularity_samples(X, num_samples, radius_range, rng)
+    centers, radii = samples
+    rad = np.asarray(radii, dtype=float)
+    if not np.all((rad > 0.0) & (rad <= X.diam * (1 + 1e-9))):
+        raise ValueError("radii must be positive and at most diam X")
+    if not np.all(rad >= 4.0 * X.cell_diam * (1 - 1e-9)):
+        raise ValueError("radii extend below 4x cell resolution")
     ratios = np.array([
         ball_measure(X, c, r) / r ** X.s for c, r in zip(centers, radii)
     ])
     return RegularityEstimate(a_hat=float(ratios.max()),
                               b_hat=float(ratios.min()),
-                              s=X.s, num_samples=len(radii),
-                              radius_range=tuple(radius_range))
+                              s=X.s, num_samples=len(radii))
 
 
 # -- constructions on sets ---------------------------------------------

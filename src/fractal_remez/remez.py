@@ -222,8 +222,6 @@ def markov_check(p: Polynomial, F: FractalSet, x, r: float) -> float:
 @dataclass
 class OscillationReport:
     max_oscillation: float
-    witness_center: np.ndarray | None
-    witness_radius: float | None
     max_excluded_mass: float
     num_samples: int
 
@@ -256,7 +254,6 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
     else:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
     best = -math.inf
-    witness = (None, None)
     max_excluded = 0.0
     count = 0
     for x in centers:
@@ -276,13 +273,10 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
             mean = float(np.sum(w * logs))
             osc = float(np.sum(w * np.abs(logs - mean)))
             count += 1
-            if osc > best:
-                best = osc
-                witness = (x, r)
+            best = max(best, osc)
     if count == 0:
         raise ValueError("all mass excluded at every sampled ball")
-    return OscillationReport(max_oscillation=best, witness_center=witness[0],
-                             witness_radius=witness[1],
+    return OscillationReport(max_oscillation=best,
                              max_excluded_mass=max_excluded,
                              num_samples=count)
 

@@ -41,7 +41,6 @@ def test_family_centers_on_cloud_and_radius_cap():
     cloud = {tuple(p) for p in X.points}
     assert all(q.center in cloud for q in fam.cubes)
     assert all(q.radius <= 4.0 * X.diam for q in fam.cubes)
-    assert fam.radius_cap == 4.0 * X.diam
 
 
 def test_family_budget():
@@ -235,7 +234,7 @@ def _linprog_fit(X, Q, k, fv, q):
 @settings(max_examples=150, deadline=None)
 def test_lp_fits_are_one_per_member_set(case, q):
     X, cubes, k, fv = case
-    fam = CubeFamily(X, cubes, 4.0 * X.diam)
+    fam = CubeFamily(X, cubes)
     om = Majorant.power(1.0, k)
     ratios = campanato_seminorm(fv, fam, k, q, om).ratios
     by_set = {}
@@ -496,6 +495,14 @@ def test_lipschitz_probe_directions_are_finite(n):
     u = sobol_unit(2 * n + 1, 64)[:, :n]
     assert est.num_probes == np.sum(np.all((u > 0) & (u < 1), axis=1))
     assert est.value <= math.sqrt(n) * (1.0 + 1e-6)
+
+
+def test_lipschitz_rejects_a_box_no_probe_fits():
+    # one decade below h_max = 10: every step is longer than [0, 1]
+    with pytest.raises(ValueError, match="no probe"):
+        lipschitz_seminorm(lambda pts: pts[:, 0], 1, Majorant.power(1.0, 1),
+                           (np.array([0.0]), np.array([1.0])), budget=4,
+                           h_decades=1.0, h_max=10.0)
 
 
 def test_lipschitz_monotone_in_budget():

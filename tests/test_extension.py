@@ -201,7 +201,7 @@ def test_chain_seminorm_two_cube_formula():
     chain = Chain(cubes=[small, big], coefs=np.array([[0.0, 0.0],
                                                       [eps, 0.0]]),
                   deficient=np.zeros(2, dtype=bool), k=2, omega=om)
-    fam = CubeFamily(X, (small, big), 4.0 * X.diam)
+    fam = CubeFamily(X, (small, big))
     res = chain_seminorm(chain, fam)
     assert res.value == pytest.approx(eps / 1.0, abs=1e-12)
     assert res.num_pairs == 1
@@ -226,7 +226,7 @@ def test_chain_seminorm_nan_not_replaced_by_a_later_pair():
     chain = Chain(cubes=cubes,
                   coefs=np.array([[np.nan, 0.0], [0.0, 0.0], [0.5, 0.0]]),
                   deficient=np.zeros(3, dtype=bool), k=2, omega=om)
-    fam = CubeFamily(X, cubes, 4.0 * X.diam)
+    fam = CubeFamily(X, cubes)
     res = chain_seminorm(chain, fam)
     assert math.isnan(res.value)
     assert res.witness == (cubes[0], cubes[1])
@@ -331,11 +331,12 @@ def test_partition_of_unity_weights():
     X = interval_set()
     fam = build_cube_family(X, center_budget=48)
     om = Majorant.power(1.0, 2)
-    chain = build_chain(np.zeros(X.size), X, fam, 2, om)
+    # constant data: the weights of every covered node sum to one
+    chain = build_chain(np.ones(X.size), X, fam, 2, om)
     fld = whitney_extend(chain, X, GridSpec((-0.3,), (1.3,), (65,)))
-    for prov in fld.provenance:
-        if prov is not None:
-            assert sum(w for _, w in prov) == pytest.approx(1.0, abs=1e-12)
+    covered = np.setdiff1d(np.arange(len(fld.values)), fld.holes)
+    assert len(covered)
+    assert np.max(np.abs(fld.values[covered] - 1.0)) <= 1e-12
 
 
 def test_trace_consistency_at_grid_resolution():
@@ -346,7 +347,7 @@ def test_trace_consistency_at_grid_resolution():
     chain = build_chain(fv, X, fam, 2, om)
     grid = GridSpec((-0.25,), (1.25,), (129,))
     fld = whitney_extend(chain, X, grid)
-    vals = fld.interpolate(X.points)
+    vals = fld.as_callable()(X.points)
     assert np.max(np.abs(vals - fv)) <= 5.0 * grid.spacing
 
 
@@ -361,7 +362,6 @@ def _whitney_per_node(chain, X, grid):
     radii = np.array([Q.radius for Q in cubes])
     dist, _ = cKDTree(X.points).query(nodes)
     values = np.full(len(nodes), np.nan)
-    provenance = [None] * len(nodes)
     holes, fallbacks = [], 0
     for i, y in enumerate(nodes):
         d = dist[i]
@@ -384,8 +384,7 @@ def _whitney_per_node(chain, X, grid):
         z = (y - centers[sel]) / radii[sel, None]
         mono = np.prod(np.power(z[:, None, :], exps[None]), axis=2)
         values[i] = float(w @ np.sum(C[sel] * mono, axis=1))
-        provenance[i] = list(zip(sel.tolist(), w.tolist()))
-    return values, provenance, holes, fallbacks
+    return values, holes, fallbacks
 
 
 @pytest.mark.parametrize("preset,depth,grid,noise", [
@@ -407,7 +406,7 @@ def test_whitney_extend_matches_per_node_assembly(preset, depth, grid, noise):
     else:
         fv = np.sin(3.0 * x[:, 0]) + np.abs(x[:, -1] - 0.3)
     chain = build_chain(fv, X, fam, 3, Majorant.power(1.0, 3))
-    values, provenance, holes, fallbacks = _whitney_per_node(chain, X, grid)
+    values, holes, fallbacks = _whitney_per_node(chain, X, grid)
     if not noise:
         # deficient cubes, on-set nodes (dyadic grid), band fallbacks, holes
         assert chain.deficient.any()
@@ -420,13 +419,6 @@ def test_whitney_extend_matches_per_node_assembly(preset, depth, grid, noise):
     # relative to the value: quadratics far off the set reach about 200
     assert np.all(np.abs(fld.values[ok] - values[ok])
                   <= 1e-14 * np.maximum(1.0, np.abs(values[ok])))
-    for got, want in zip(fld.provenance, provenance):
-        assert (got is None) == (want is None)
-        if want is None:
-            continue
-        assert [j for j, _ in got] == [j for j, _ in want]
-        assert np.max(np.abs(np.array([w for _, w in got])
-                             - [w for _, w in want])) <= 1e-13
 
 
 def test_far_nodes_reported_as_holes():
@@ -453,7 +445,7 @@ def test_verify_polynomial_input_not_applicable():
     rep = verify_extension(fv, fld, X, 2, om, family=fam)
     assert rep.trace_error <= 1e-8
     assert rep.lipschitz <= 1e-8
-    assert rep.not_applicable
+    assert rep.ratio is None
 
 
 def test_verify_scaling_doubles_seminorms():
@@ -481,9 +473,23 @@ def test_trace_recovery_improves_with_grid():
     errs = []
     for nodes in (65, 129, 257):
         fld = whitney_extend(chain, X, GridSpec((-0.25,), (1.25,), (nodes,)))
-        errs.append(float(np.mean(np.abs(fld.interpolate(X.points) - fv))))
+        errs.append(float(np.mean(np.abs(fld.as_callable()(X.points) - fv))))
     assert errs[1] <= 0.8 * errs[0]
     assert errs[2] <= 0.8 * errs[1]
+
+
+@pytest.mark.parametrize("lo,hi,shape", [
+    pytest.param((0.0,), (1.0,), (1,), id="one-node"),
+    pytest.param((0.0, 0.0), (1.0, 1.0), (5, 1), id="one-node-axis"),
+    pytest.param((1.0,), (1.0,), (5,), id="lo-equals-hi"),
+    pytest.param((0.0, 1.0), (1.0, 0.0), (5, 5), id="lo-above-hi"),
+    pytest.param((0.0,), (1.0, 1.0), (5, 5), id="short-lo"),
+    pytest.param((0.0, 0.0), (1.0, 1.0), (5,), id="short-shape"),
+    pytest.param((), (), (), id="no-axis"),
+])
+def test_grid_spec_rejects_unusable_grids(lo, hi, shape):
+    with pytest.raises(ValueError, match="grid"):
+        GridSpec(lo, hi, shape)
 
 
 @pytest.mark.parametrize("nodes", [2, 3])

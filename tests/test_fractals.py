@@ -134,6 +134,11 @@ def test_regularity_rejects_degenerate():
         estimate_regularity(single, 10)
     with pytest.raises(ValueError):
         estimate_regularity(X, 10, ( 0.5, 0.1))
+    # given samples obey the radius rules of a drawn range
+    centers = X.points[:8]
+    for r in (0.1 * X.cell_diam, 10.0 * X.diam, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radii"):
+            estimate_regularity(X, samples=(centers, np.full(8, r)))
 
 
 def test_product_dimensions_add():
