@@ -48,6 +48,7 @@ ALPHA = 0.9
 BETA = 2.5
 MAX_CARTAN_DEGREE = 50
 FLOOR_RTOL = 1e-9  # relative grace of the off-ball floors
+BLOCK_ENTRIES = 1 << 18  # distances per tau block: 2 MB of float64
 
 
 # -- measure spaces ----------------------------------------------------
@@ -139,8 +140,9 @@ class MajorantFn:
             raise ValueError("table needs matching ts/vals of length >= 2")
         if ts[0] != 0.0 or vals[0] != 0.0:
             raise ValueError("table must start at (0, 0)")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("table values must be strictly increasing")
+        for name, xs in (("knots", ts), ("values", vals)):
+            if any(b <= a for a, b in zip(xs, xs[1:])):
+                raise ValueError(f"table {name} must be strictly increasing")
         return cls("table", (ts, vals))
 
     def __call__(self, t):
@@ -219,44 +221,65 @@ def _step_scan(D: np.ndarray, masses: np.ndarray,
 
     xi(B_t(x)) jumps only at the atom distances; on each step interval
     [d_j, d_{j+1}) the condition xi >= phi(t) holds up to phi^{-1}(level_j),
-    so tau is the largest valid min(phi^{-1}(level_j), d_{j+1}).
+    so tau is the largest valid min(phi^{-1}(level_j), d_{j+1}).  With equal
+    masses every column gathers the same masses, so a plain sort and one
+    level vector (the same sequential sums) give the argsort path's bits;
+    NaN sorts last in both.
     """
-    order = np.argsort(D, axis=0)
-    Ds = np.take_along_axis(D, order, axis=0)
-    levels = masses[order]
-    del order
-    # the same sequential additions as np.cumsum(levels, axis=0)
-    for j in range(1, len(levels)):
-        levels[j] += levels[j - 1]
-    inv = phi.inverse(levels)
-    del levels
-    valid = inv >= Ds
+    if np.all(masses == masses[:1]):
+        Ds = np.sort(D, axis=0)
+        # np.cumsum adds a 1-D vector sequentially, like the loop below
+        inv = phi.inverse(np.cumsum(masses))[:, None]
+    else:
+        order = np.argsort(D, axis=0)
+        Ds = np.take_along_axis(D, order, axis=0)
+        levels = masses[order]
+        del order
+        # the same sequential additions as np.cumsum(levels, axis=0)
+        for j in range(1, len(levels)):
+            levels[j] += levels[j - 1]
+        inv = phi.inverse(levels)
+        del levels
+    invalid = ~(inv >= Ds)
     # min(phi^{-1}(level_j), d_{j+1}), with d_{j+1} = inf on the last row
-    np.minimum(inv[:-1], Ds[1:], out=inv[:-1])
+    cand = np.empty(Ds.shape)
+    np.minimum(inv[:-1], Ds[1:], out=cand[:-1])
+    cand[-1:] = inv[-1:]
     del Ds
-    inv[~valid] = 0.0
-    return np.max(inv, axis=0, initial=0.0)
+    np.copyto(cand, 0.0, where=invalid)
+    return np.max(cand, axis=0, initial=0.0)
+
+
+def _check_width(space: DiscreteMeasureSpace, points: np.ndarray,
+                 what: str) -> None:
+    if points.shape[1] != space.points.shape[1]:
+        raise ValueError(f"{what} points are {points.shape[1]}-dimensional, "
+                         f"the space's {space.points.shape[1]}-dimensional")
 
 
 def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
              queries: np.ndarray) -> np.ndarray:
     """Exact tau at each query point: distances, prune, step scan.
 
-    The prune is exact.  Every step level is a partial sum of the masses,
-    so it is at most the total mass A and phi^{-1}(level) <= phi^{-1}(A).
-    A query whose nearest atom lies farther than phi^{-1}(A) fails
-    phi^{-1}(level_j) >= d_j at every jump and has tau = 0, so it skips the
-    scan.  The reach is widened by the rounding of the running sums (m eps
-    relative) and a few ulps of phi^{-1}: the prune may keep extra queries
-    but never drops one whose tau is positive.  Queries must be finite,
-    and phi^{-1} of the smallest positive mass must not underflow below
-    the normal range: at 0 the scan would read an irregular atom as
-    regular, and a subnormal radius has too few bits for the cover's
-    budget audit.
+    Queries stream in blocks of about BLOCK_ENTRIES distances, so each
+    (atoms x block) array stays in cache; every entry is computed as it
+    would be in one array.  The prune is exact.  Every step level is a
+    partial sum of the masses, so it is at most the total mass A and
+    phi^{-1}(level) <= phi^{-1}(A).  A query whose nearest atom lies
+    farther than phi^{-1}(A) fails phi^{-1}(level_j) >= d_j at every jump
+    and has tau = 0, so it skips the scan.  The reach is widened by the
+    rounding of the running sums (m eps relative) and a few ulps of
+    phi^{-1}: the prune may keep extra queries but never drops one whose
+    tau is positive.  Queries must be finite and have the space's
+    dimension, and phi^{-1} of the smallest positive mass must not
+    underflow below the normal range: at 0 the scan would read an
+    irregular atom as regular, and a subnormal radius has too few bits for
+    the cover's budget audit.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if not np.all(np.isfinite(queries)):
         raise ValueError("query points must be finite")
+    _check_width(space, queries, "query")
     keep = space.masses > 0
     atoms = space.points[keep]
     masses = space.masses[keep]
@@ -267,13 +290,15 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     if float(phi.inverse(masses.min())) < np.finfo(float).tiny:
         raise ValueError("phi^{-1} of the smallest positive mass underflows; "
                          "rescale the masses")
-    D = _atom_distances(space, atoms, queries)
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
-    # written as "not beyond" so that a NaN distance is scanned, not dropped
-    live = ~(D.min(axis=0) > reach)
-    D = D[:, live]  # rebinding frees the full array before the scan
-    out[live] = _step_scan(D, masses, phi)
+    step = max(1, BLOCK_ENTRIES // len(atoms))
+    for lo in range(0, len(queries), step):
+        D = _atom_distances(space, atoms, queries[lo:lo + step])
+        # "not beyond", so that a NaN distance is scanned, not dropped
+        live = ~(D.min(axis=0) > reach)
+        out[lo:lo + step][live] = _step_scan(np.compress(live, D, axis=1),
+                                             masses, phi)
     return out
 
 
@@ -319,6 +344,7 @@ def _candidates(space: DiscreteMeasureSpace,
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not np.all(np.isfinite(probes)):
         raise ValueError("probe points must be finite")
+    _check_width(space, probes, "probe")
     return np.concatenate([space.points, probes])
 
 
@@ -381,7 +407,8 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     }
     cands = _candidates(space, probes)
     outside = ~_in_balls(space, cover.centers, cover.radii, cands)
-    # recompute tau with the unpruned scan, independently of tau_many
+    # recompute tau with the unpruned scan in one block, independently of
+    # tau_many's blocks and prune
     keep = space.masses > 0
     support = space.points[keep]
     taus_out = _step_scan(_atom_distances(space, support, cands[outside]),
@@ -409,6 +436,7 @@ def potential_many(space: DiscreteMeasureSpace,
                    queries: np.ndarray) -> np.ndarray:
     """The potential u at each query point under the space's metric."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    _check_width(space, queries, "query")
     keep = space.masses > 0
     if not np.any(keep):
         return np.zeros(len(queries))

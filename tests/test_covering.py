@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fractal_remez.covering import (CartanDiskReport, DiscreteMeasureSpace,
-                                    MajorantFn, _atom_distances,
+from fractal_remez.covering import (BLOCK_ENTRIES, CartanDiskReport,
+                                    DiscreteMeasureSpace, MajorantFn,
+                                    _atom_distances,
                                     _circle_max_abs, _distances,
                                     _step_scan, cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
@@ -133,6 +134,23 @@ def test_non_finite_query_rejected():
                          probes=np.array(bad))
 
 
+def test_query_dimension_mismatch_rejected():
+    sp = unit_atoms([[0.0, 0.0], [1.0, 0.0]])
+    phi = MajorantFn.power(1.0, 1.0)
+    cover = greedy_ball_cover(sp, phi)
+    for bad, n in ((np.array([[0.0, 0.0, 5.0]]), 3),
+                   (np.array([[0.0]]), 1)):
+        msg = f"{n}-dimensional, the space's 2-dimensional"
+        with pytest.raises(ValueError, match=msg):
+            tau_many(sp, phi, bad)
+        with pytest.raises(ValueError, match=msg):
+            potential_many(sp, bad)
+        with pytest.raises(ValueError, match=msg):
+            greedy_ball_cover(sp, phi, probes=bad)
+        with pytest.raises(ValueError, match=msg):
+            verify_cover(sp, phi, cover, probes=bad)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_distances_match_linalg_norm_bitwise(n):
     rng = np.random.default_rng(20 + n)
@@ -188,9 +206,15 @@ def pruning_cases(draw):
                                    min_size=m, max_size=m)))
     dups = draw(st.lists(st.integers(0, m - 1), max_size=m))
     atoms[dups] = atoms[0]  # duplicate atoms tie in every distance profile
-    masses = np.array(draw(st.lists(
-        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
-        min_size=m, max_size=m)))
+    # equal masses take the sorted scan; 0.1 has inexact running sums, so
+    # a (j + 1) * mass shortcut for the levels would show
+    equal = draw(st.none() | st.sampled_from([1.0, 0.5, 0.1]))
+    if equal is None:
+        masses = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+            min_size=m, max_size=m)))
+    else:
+        masses = np.full(m, equal)
     offset = st.floats(-0.3, 0.3, allow_nan=False)
     near = atoms[draw(st.lists(st.integers(0, m - 1), max_size=12))] + \
         np.array(draw(st.lists(st.lists(offset, min_size=n, max_size=n),
@@ -225,6 +249,29 @@ def test_pruned_tau_matches_unpruned_scan_bitwise(case):
     pruned = tau_many(space, phi, probes)
     assert np.array_equal(pruned, unpruned)
     assert np.array_equal(unpruned, dense_tau_many(space, phi, probes))
+
+
+@pytest.mark.parametrize("masses", [np.full(10, 0.1),
+                                    np.linspace(0.2, 2.0, 10)])
+def test_blocked_tau_matches_references_bitwise(masses):
+    rng = np.random.default_rng(31)
+    atoms = rng.uniform(-1.0, 1.0, (10, 2))
+    # seven coincident atoms: with masses 0.1, tau on them is phi^{-1} of
+    # the ninth running sum 0.8999999999999999, not of 9 * 0.1 = 0.9
+    atoms[1:7] = atoms[0]
+    space = DiscreteMeasureSpace(atoms, masses)
+    phi = MajorantFn.power(space.A / 1.5, 1.0)  # reach phi^{-1}(A) = 1.5
+    step = BLOCK_ENTRIES // len(atoms)
+    probes = rng.uniform(-4.0, 4.0, (3 * step + 17, 2))  # 3 blocks + rest
+    probes[:len(atoms)] = atoms
+    probes[step:step + 50] = atoms[0]  # in reach across a block edge
+    pruned = tau_many(space, phi, probes)
+    unpruned = _step_scan(_atom_distances(space, atoms, probes), masses, phi)
+    assert np.array_equal(pruned, unpruned)
+    assert np.array_equal(pruned, dense_tau_many(space, phi, probes))
+    for lo in range(0, len(probes), step):  # every block has both kinds
+        assert np.any(pruned[lo:lo + step] > 0.0)
+        assert np.any(pruned[lo:lo + step] == 0.0)
 
 
 # A heavy atom (tau 1) whose emitted ball of radius 2.5 holds a light
@@ -360,6 +407,11 @@ def test_table_majorant_roundtrip():
     phi.validate(total_mass=3.0, diam=0.5)
     with pytest.raises(ValueError):
         MajorantFn.table([0.0, 1.0], [0.5, 1.0])  # must start at (0, 0)
+    # unordered knots would make phi^{-1}(1) = 2 but phi^{-1}(2) = 1
+    with pytest.raises(ValueError, match="knots must be strictly increasing"):
+        MajorantFn.table([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="knots must be strictly increasing"):
+        MajorantFn.table([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         # never exceeds the mass within its range
         MajorantFn.table([0.0, 1.0], [0.0, 1.0]).validate(5.0, 0.05)
