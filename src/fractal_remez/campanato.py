@@ -20,18 +20,18 @@ seminorm sup |delta_h^k g(x)| / omega(|h|) is estimated by quasi-random
 probing with |h| log-uniform across several decades.
 
 Best approximations: q = 2 is a weighted least-squares solve (minimum-norm
-on rank-deficient cubes); q = 1 and q = infinity are solved exactly as
-linear programs.  Results come back in the monomials of (x - c_Q)/r_Q:
-`ApproxResult.coefs` with the cube, and `ApproxResult.poly`, a global
-view converted on first access.
+on rank-deficient cubes), the same bit for bit from any plan; q = 1 and
+q = infinity are linear programs, bracketed by weak duality.  Results are
+in the monomials of (x - c_Q)/r_Q: `ApproxResult.coefs` with the cube,
+and `ApproxResult.poly`, a global view converted on first access.
 
 E_k(f; Q) depends on Q only through Q cap X, so every fit reads a
 `FitPlan`: the sets Q cap X, and each distinct set's frame, rank and
-orthonormal factor.  The q = 2 fit applies the factor to the data; q = 1
-and q = infinity solve one linear program per set, in the set's frame.
-A `CubeFamily` owns one plan per order k, built on first use;
-`campanato_seminorm` and the extension chain read it, and
-`local_best_approx` is a one-cube plan.
+orthonormal factor.  q = 2 applies the factor to the data; q = 1 and
+q = infinity solve one sparse block-diagonal dual program per call over
+every set, bit for bit the same within a call.  A `CubeFamily` owns one
+plan per order k, built on first use; `campanato_seminorm` and the
+extension chain read it, and `local_best_approx` is a one-cube plan.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array, hstack
 
 from .fractals import FractalSet
 from .geometry import Cube, gaussian_directions, sobol_unit
@@ -233,10 +234,10 @@ class ApproxResult:
     `coefs` are the coefficients of the achieved polynomial of degree
     `degree` in the monomials of (x - c_Q)/r_Q, in graded order, so
     coefs[0] is its value at c_Q.  `poly` is the same polynomial in global
-    monomials, built on first access.  At q = 1 and q = infinity the fit
-    is solved in the frame of the member set Q cap X, so cubes with the
-    same points get the same value bit for bit.  `fallback` marks such a
-    fit whose linear program failed; its coefficients are the L2 fit's.
+    monomials, built on first access.  At q = 1 and q = infinity, plans
+    agree within their weak-duality bracket gaps, not bit for bit.
+    `fallback` marks such a fit whose linear program failed, in its block
+    and alone; its coefficients are the L2 fit's.
     """
 
     value: float
@@ -363,16 +364,21 @@ class FitPlan:
         Each cube's numbers depend only on its member set's rows, so a
         cube gets the same value bit for bit from any plan that holds it.
         """
-        y = self.sqrt_w * np.asarray(f_values, dtype=float)[self.index]
+        z, res = self.project(self.sqrt_w
+                              * np.asarray(f_values, dtype=float)[self.index])
+        values = np.sqrt(np.add.reduceat(res * res, self.starts))
+        coefs = (self.maps @ z[self.cube_set, :, None])[:, :, 0]
+        return coefs, values[self.cube_set]
+
+    def project(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of y (one entry per member, in `index` order) in
+        each set's orthonormal basis, and the rest of y off the basis."""
         z = np.empty((len(self.starts), len(self.basis)))
         fit = np.zeros_like(y)
         for c, u in enumerate(self.basis):
             z[:, c] = np.add.reduceat(u * y, self.starts)
             fit += u * np.repeat(z[:, c], self.counts)
-        res = y - fit
-        values = np.sqrt(np.add.reduceat(res * res, self.starts))
-        coefs = (self.maps @ z[self.cube_set, :, None])[:, :, 0]
-        return coefs, values[self.cube_set]
+        return z, y - fit
 
 
 def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
@@ -380,74 +386,96 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     """E_k(f; Q) over the cloud measure, with the achieved polynomial.
 
     k = 0 approximates by the zero polynomial, so the value is the
-    normalized L_q norm of f.  This is the fit of a one-cube FitPlan, so it
-    gives each family cube's value bit for bit, and the plan's rank flag:
-    on a rank-deficient cube the q = 2 solve returns the minimum-norm
-    coefficient vector, so results stay reproducible.
+    normalized L_q norm of f.  This is the fit of a one-cube FitPlan, and
+    the plan's rank flag: on a rank-deficient cube the q = 2 solve returns
+    the minimum-norm coefficient vector, so results stay reproducible.
     """
     if q not in (1, 2, math.inf, "inf") or k < 0:
         raise ValueError("q must be 1, 2, or infinity, and k non-negative")
     plan = FitPlan(X, (Q,), k)
-    coefs, values, fallback = _fit(plan, f_values, q)
+    coefs, values, _, failed = _fit(plan, f_values, q)
     return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1), Q,
                         max(k - 1, 0), bool(plan.deficient[0]),
-                        bool(fallback[0]))
+                        bool(failed[0]))
+
+
+# HiGHS tolerances: at the defaults (1e-7), block values drift up to 4e-8
+_HIGHS = {"primal_feasibility_tolerance": 1e-10,
+          "dual_feasibility_tolerance": 1e-10}
 
 
 def _fit(plan: FitPlan, f_values: np.ndarray, q):
-    """Every cube's coefficients in its own frame, E_k(f; Q) and linear
-    program failure flag.
+    """Every cube's coefficients in its own frame, E_k(f; Q), a lower bound
+    on it, and each member set's linear program failure flag.
 
-    q = 2 is `plan.apply`.  At q = 1 and q = infinity one linear program
-    is solved per member set, in the set's frame, and re-expanded in the
-    frame of each cube of the set.  A set whose program fails keeps the
-    q = 2 coefficients and takes the q-norm of their residual.
+    q = 2 is `plan.apply`.  q = 1 and q = infinity solve one sparse dual
+    over the sets with finite data (the rest get NaN): max f.u subject to
+    A_j^T u_j = 0 and |u_i| <= w_i, or ||u_j||_1 <= 1 with u = u+ - u-.
+    The negated equality marginals are the primal coefficients.  If the
+    block fails, each set is solved alone; a set that fails again keeps
+    the q = 2 fit.  The lower bound is weak duality on u (w f if failed)
+    projected off the set's basis, less a bound on its rounding.
     """
     coefs, values = plan.apply(f_values)
-    failed = np.zeros(len(plan.starts), dtype=bool)
+    sets, st, sw = len(plan.starts), plan.starts, plan.sqrt_w
+    failed = np.zeros(sets, dtype=bool)
     if q == 2:
-        return coefs, values, failed[plan.cube_set]
-    n, ncols = plan.centers.shape[1], len(plan.basis)
-    fv = np.asarray(f_values, dtype=float)[plan.index]
-    set_coefs = np.zeros((len(plan.starts), ncols))
-    values = np.empty(len(plan.starts))
-    for j, (a, m) in enumerate(zip(plan.starts.tolist(),
-                                   plan.counts.tolist())):
-        part = slice(a, a + m)
-        res, w, sw = fv[part], plan.sqrt_w[part] ** 2, plan.sqrt_w[part]
-        if ncols:
-            A = monomials((plan.points[plan.index[part]] - plan.frames[j, :n])
-                          / plan.frames[j, n], plan.k - 1)
-            c = _lp_fit(A, res, w, q)
-            failed[j] = c is None
-            if failed[j]:  # the q = 2 residual, from the set's basis
-                U = plan.basis[:, part]
-                res = res - U.T @ (U @ (sw * res)) / sw
-            else:
-                set_coefs[j], res = c, res - A @ c
-        values[j] = np.sum(w * np.abs(res)) if q == 1 else np.max(np.abs(res))
-    if ncols:  # set frame z = (r_Q y + c_Q - c) / r, cube frame y
+        return coefs, values, values, failed
+    n, d = plan.centers.shape[1], len(plan.basis)
+    fv, w = np.asarray(f_values, dtype=float)[plan.index], sw ** 2
+    seg = np.repeat(np.arange(sets), plan.counts)
+    finite = np.logical_and.reduceat(np.isfinite(fv), st)
+    set_coefs, u, A = np.zeros((sets, d)), w * fv, np.zeros((len(fv), 1))
+    if d:
+        A = monomials((plan.points[plan.index] - plan.frames[seg, :n])
+                      / plan.frames[seg, n:], plan.k - 1)
+
+    def solve(ids):  # the sets ids as one block
+        at = np.isin(seg, ids)
+        m, j, b = int(at.sum()), np.searchsorted(ids, seg[at]), len(ids)
+        At = csr_array((A[at].ravel(), ((j[:, None] * d + np.arange(d))
+                                        .ravel(), np.repeat(np.arange(m), d))))
+        if q == 1:
+            res = linprog(-fv[at], A_eq=At, b_eq=np.zeros(b * d),
+                          bounds=np.column_stack([-w[at], w[at]]),
+                          method="highs", options=_HIGHS)
+        else:
+            res = linprog(np.concatenate([-fv[at], fv[at]]), A_ub=csr_array(
+                (np.ones(2 * m), (np.tile(j, 2), np.arange(2 * m)))),
+                b_ub=np.ones(b), A_eq=hstack([At, -At]), b_eq=np.zeros(b * d),
+                bounds=(0, None), method="highs", options=_HIGHS)
+        if res.success:
+            set_coefs[ids] = -res.eqlin.marginals.reshape(b, d)
+            u[at] = res.x if q == 1 else res.x[:m] - res.x[m:]
+        return res.success
+
+    live = np.flatnonzero(finite)
+    if d and len(live) and not solve(live):
+        failed[live] = [not solve(ids) for ids in live[:, None]]
+    solved, dual = finite & ~failed, sw * plan.project(u / sw)[1]
+    Ac = A * set_coefs[seg]
+    res = np.where(solved[seg], fv - np.sum(Ac, axis=1), dual / w)
+    if q == 1:
+        values = np.add.reduceat(w * np.abs(res), st)
+        scale = np.maximum.reduceat(np.abs(dual) / w, st)
+    else:
+        values = np.maximum.reduceat(np.abs(res), st)
+        scale = np.add.reduceat(np.abs(dual), st)
+    # f.u' less a bound on the rounding of f.u', of A^T u' and of f - A c
+    err = plan.counts * np.finfo(float).eps * np.add.reduceat(
+        np.abs(dual) * (np.abs(fv) + np.sum(np.abs(Ac), axis=1)), st)
+    lower = (np.add.reduceat(fv * dual, st) - err) / np.maximum(scale, 1.0)
+    lower = lower if d else values
+    values[~finite] = lower[~finite] = np.nan
+    if d:  # set frame z = (r_Q y + c_Q - c) / r, cube frame y
         f_c, f_r = np.split(plan.frames[plan.cube_set], [n], axis=1)
-        coefs = np.where(failed[plan.cube_set, None], coefs,
+        coefs = np.where(solved[plan.cube_set, None],
                          compose_affine_many(set_coefs[plan.cube_set], n,
                                              plan.k - 1,
                                              plan.radii[:, None] / f_r,
-                                             (plan.centers - f_c) / f_r))
-    return coefs, values[plan.cube_set], failed[plan.cube_set]
-
-
-def _lp_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray,
-            q) -> np.ndarray | None:
-    """Coefficients c of the linear program min cost.t subject to
-    |f - A c| <= slack t, t >= 0 (None if the solver fails).  q = 1 takes
-    the weights w and one slack per point, q = inf one slack for all."""
-    m, d = A.shape
-    cost, slack = (w, np.eye(m)) if q == 1 else (np.ones(1), np.ones((m, 1)))
-    A_ub = np.block([[A, -slack], [-A, -slack]])
-    bounds = [(None, None)] * d + [(0, None)] * len(cost)
-    res = linprog(np.concatenate([np.zeros(d), cost]), A_ub=A_ub,
-                  b_ub=np.concatenate([f, -f]), bounds=bounds, method="highs")
-    return res.x[:d] if res.success else None
+                                             (plan.centers - f_c) / f_r),
+                         coefs)
+    return coefs, values[plan.cube_set], lower[plan.cube_set], failed
 
 
 # -- seminorms -------------------------------------------------------------
@@ -456,12 +484,15 @@ def _lp_fit(A: np.ndarray, f: np.ndarray, w: np.ndarray,
 @dataclass
 class SeminormResult:
     """The sup with its witness cube; `ratios[j]` is E_k / omega(r) on
-    family.cubes[j]."""
+    family.cubes[j], `lower` the sup of their certified lower bounds, and
+    `fallbacks` counts the sets whose linear program failed (`_fit`)."""
 
     value: float
     witness: Cube | None
     num_cubes: int
     ratios: np.ndarray
+    lower: float
+    fallbacks: int
 
 
 def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
@@ -470,17 +501,21 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
     and every cube's ratio.
 
     Over a sampled family this is a certified lower bound for the full sup.
-    The first NaN ratio, if any, is the sup and its cube the witness.
+    The first NaN ratio (its cube holds a datum that is not finite), if
+    any, is the sup and its cube the witness.
     """
     if not family.cubes:
         raise ValueError("empty cube family")
     if q not in (1, 2, math.inf, "inf"):
         raise ValueError("q must be 1, 2, or infinity")
-    values = _fit(family.fit_plan(k), f_values, q)[1]
-    ratios = values / omega(np.array([Qc.radius for Qc in family.cubes]))
+    _, values, lower, failed = _fit(family.fit_plan(k), f_values, q)
+    om = omega(np.array([Qc.radius for Qc in family.cubes]))
+    ratios = values / om
     j = int(np.argmax(ratios))
     return SeminormResult(value=float(ratios[j]), witness=family.cubes[j],
-                          num_cubes=len(family.cubes), ratios=ratios)
+                          num_cubes=len(family.cubes), ratios=ratios,
+                          lower=float(np.max(lower / om)),
+                          fallbacks=int(np.sum(failed)))
 
 
 @dataclass

@@ -251,6 +251,8 @@ def _run_campanato(config: dict, seed: int, out: str):
     qp = campanato.quasipower_check(omega)
     report = {"experiment": "campanato", "config": config,
               "result": {"seminorm": res.value,
+                         "seminorm_lower": res.lower,
+                         "lp_fallbacks": res.fallbacks,
                          "witness": {"center": list(res.witness.center),
                                      "radius": res.witness.radius},
                          "num_cubes": res.num_cubes,

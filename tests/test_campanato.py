@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fractal_remez.campanato import (CubeFamily, FitPlan, Majorant,
                                      dyadic_radii, lipschitz_seminorm,
                                      local_best_approx, majorant_sum_check,
                                      quasipower_check)
+from fractal_remez.campanato import _fit
 from fractal_remez.fractals import FractalSet, build_preset
 from fractal_remez.geometry import Cube, sobol_unit
 from fractal_remez.polynomials import Polynomial, monomials
@@ -237,14 +239,21 @@ def test_lp_fits_are_one_per_member_set(case, q):
     fam = CubeFamily(X, cubes)
     om = Majorant.power(1.0, k)
     ratios = campanato_seminorm(fv, fam, k, q, om).ratios
+    _, values, lower, _ = _fit(fam.fit_plan(k), fv, q)
+    assert np.array_equal(ratios, values / om([Q.radius for Q in cubes]))
+    assert np.all(lower <= values)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(fv))))
     by_set = {}
     for j, Q in enumerate(cubes):
-        res = local_best_approx(fv, X, Q, k, q)
-        assert ratios[j] == res.value / om(Q.radius)  # bit for bit
+        _, one, one_lower, _ = _fit(FitPlan(X, (Q,), k), fv, q)
+        assert local_best_approx(fv, X, Q, k, q).value == one[0]
+        # both values are upper bounds, both lower ends lower bounds
+        gap = max(values[j] - lower[j], one[0] - one_lower[0])
+        assert abs(values[j] - one[0]) <= gap + tol
         members = tuple(np.flatnonzero(Q.contains(X.points)))
-        assert by_set.setdefault(members, res.value) == res.value
+        assert by_set.setdefault(members, values[j]) == values[j]
         # HiGHS's feasibility tolerance
-        assert abs(res.value - _linprog_fit(X, Q, k, fv, q)) <= \
+        assert abs(one[0] - _linprog_fit(X, Q, k, fv, q)) <= \
             1e-7 * max(1.0, float(np.max(np.abs(fv))))
 
 
@@ -261,11 +270,33 @@ def test_seminorm_solves_one_program_per_member_set(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(campanato, "linprog", counting)
-    campanato_seminorm(np.abs(X.points[:, 0] - 0.5), fam, 2, 1,
-                       Majorant.power(1.0, 2))
     sets = {tuple(np.flatnonzero(Q.contains(X.points))) for Q in fam.cubes}
-    assert len(fam.cubes) == 120
-    assert len(calls) == len(sets) == 61
+    assert len(fam.cubes) == 120 and len(sets) == 61
+    for q in (1, INF):
+        calls.clear()
+        res = campanato_seminorm(np.abs(X.points[:, 0] - 0.5), fam, 2, q,
+                                 Majorant.power(1.0, 2))
+        # one block program covers all 61 member sets
+        assert len(calls) == 1 and res.fallbacks == 0
+
+
+@pytest.mark.parametrize("q", [1, INF])
+@pytest.mark.parametrize("depth", [6, 8])
+def test_lp_values_are_bracketed(depth, q):
+    X = build_preset("cantor:1/3", depth)
+    fam = build_cube_family(X, center_budget=12)
+    om = Majorant.power(1.0, 3)
+    for fv in (np.abs(X.points[:, 0] - 0.5), 3 * X.points[:, 0] ** 3):
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(fv))))
+        for k in (1, 2, 3):
+            _, values, lower, failed = _fit(fam.fit_plan(k), fv, q)
+            assert not failed.any()
+            assert np.all(lower <= values)
+            assert np.all(values - lower <= tol)
+            res = campanato_seminorm(fv, fam, k, q, om)
+            assert res.lower <= res.value
+    exact = campanato_seminorm(fv, fam, 2, 2, om)
+    assert exact.lower == exact.value
 
 
 def test_plan_is_kept_and_reapplied_bitwise():
@@ -293,8 +324,6 @@ def test_family_is_frozen():
 
 @pytest.mark.parametrize("q", [1, INF])
 def test_lp_failure_is_flagged(monkeypatch, q):
-    from types import SimpleNamespace
-
     from fractal_remez import campanato
 
     X = build_preset("cube:1", 6)
@@ -317,9 +346,53 @@ def test_lp_failure_is_flagged(monkeypatch, q):
     # the seminorm falls back set by set, to the same values
     fam = build_cube_family(X, center_budget=4)
     om = Majorant.power(1.0, 2)
-    ratios = campanato_seminorm(fv, fam, 2, q, om).ratios
-    assert ratios.tolist() == [local_best_approx(fv, X, Qc, 2, q).value
-                               / om(Qc.radius) for Qc in fam.cubes]
+    res = campanato_seminorm(fv, fam, 2, q, om)
+    assert res.ratios.tolist() == [local_best_approx(fv, X, Qc, 2, q).value
+                                   / om(Qc.radius) for Qc in fam.cubes]
+    assert res.fallbacks == len(fam.fit_plan(2).starts)
+    assert res.lower <= res.value
+
+
+@pytest.mark.parametrize("q", [1, INF])
+def test_failed_block_is_solved_set_by_set(monkeypatch, q):
+    from fractal_remez import campanato
+
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=6)
+    fv = 3 * X.points[:, 0] ** 3 - X.points[:, 0]
+    om = Majorant.power(1.0, 2)
+    solve = campanato.linprog
+
+    def one_set_only(*args, A_eq, **kwargs):  # k = 2 on a line: 2 rows a set
+        if A_eq.shape[0] > 2:
+            return SimpleNamespace(success=False)
+        return solve(*args, A_eq=A_eq, **kwargs)
+
+    monkeypatch.setattr(campanato, "linprog", one_set_only)
+    res = campanato_seminorm(fv, fam, 2, q, om)
+    assert res.fallbacks == 0
+    assert res.ratios.tolist() == [local_best_approx(fv, X, Qc, 2, q).value
+                                   / om(Qc.radius) for Qc in fam.cubes]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("q", [1, 2, INF])
+def test_non_finite_datum_sinks_only_its_sets(q, bad):
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=8)
+    om = Majorant.power(1.0, 2)
+    fv = np.abs(X.points[:, 0] - 0.5)
+    clean = campanato_seminorm(fv, fam, 2, q, om)
+    fv[3] = bad
+    res = campanato_seminorm(fv, fam, 2, q, om)
+    holds = np.array([Q.contains(X.points[3:4])[0] for Q in fam.cubes])
+    assert holds.any() and not holds.all()
+    assert np.isnan(res.ratios[holds]).all()
+    assert np.isnan(res.value) and np.isnan(res.lower)
+    assert res.witness == fam.cubes[int(np.flatnonzero(holds)[0])]
+    # the other sets keep their values (bit for bit at q = 2)
+    tol = 0.0 if q == 2 else 1e-12
+    assert np.max(np.abs(res.ratios[~holds] - clean.ratios[~holds])) <= tol
 
 
 # -- seminorm -----------------------------------------------------------------
