@@ -26,12 +26,12 @@ in the monomials of (x - c_Q)/r_Q: `ApproxResult.coefs` with the cube,
 and `ApproxResult.poly`, a global view converted on first access.
 
 E_k(f; Q) depends on Q only through Q cap X, so every fit reads a
-`FitPlan`: the sets Q cap X, and each distinct set's frame, rank and
-orthonormal factor.  q = 2 applies the factor to the data; q = 1 and
-q = infinity solve one sparse block-diagonal dual program per call over
-every set, bit for bit the same within a call.  A `CubeFamily` owns one
-plan per order k, built on first use; `campanato_seminorm` and the
-extension chain read it, and `local_best_approx` is a one-cube plan.
+`FitPlan`: the sets Q cap X, each distinct set's frame, design and
+orthonormal factor (one SVD per stack of sets of equal size), and a map
+per cube from its set's factor into its frame.  q = 2 applies the
+factors; q = 1 and q = infinity solve one sparse block-diagonal dual
+program per call over every set, mapped by the same maps.  A `CubeFamily`
+owns one plan per order k; `local_best_approx` is a one-cube plan.
 """
 
 from __future__ import annotations
@@ -232,12 +232,12 @@ class ApproxResult:
     """A local best approximation over Q cap X.
 
     `coefs` are the coefficients of the achieved polynomial of degree
-    `degree` in the monomials of (x - c_Q)/r_Q, in graded order, so
-    coefs[0] is its value at c_Q.  `poly` is the same polynomial in global
-    monomials, built on first access.  At q = 1 and q = infinity, plans
-    agree within their weak-duality bracket gaps, not bit for bit.
-    `fallback` marks such a fit whose linear program failed, in its block
-    and alone; its coefficients are the L2 fit's.
+    `degree` in the monomials of (x - c_Q)/r_Q, graded, so coefs[0] is
+    its value at c_Q; minimum-norm, with these values on Q cap X, on a
+    rank-deficient cube.  `poly` is the same polynomial in global
+    monomials, built on first access.  Plans agree at q = 1 and q = inf
+    within their weak-duality bracket gaps; `fallback` marks such a fit
+    whose linear program failed, with the L2 fit's coefficients.
     """
 
     value: float
@@ -260,43 +260,31 @@ class ApproxResult:
 _MASK_ENTRIES = 2 ** 20
 
 
-def _factor(points: np.ndarray, sqrt_w: np.ndarray, k: int):
-    """SVD of the weighted design of one member set, cut to its rank.
-
-    The design is taken in the set's own frame: the center and the largest
-    half-width of its bounding box (1 for a single location).  The frame
-    depends only on the set, so every cube with these members shares the
-    factor bit for bit.  Returns the frame center and radius, the basis
-    U (members x rank) of the column space and the rows S V^T that map
-    frame coefficients into it, the rank counted as np.linalg.lstsq
-    counts it.
-    """
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    center = 0.5 * (lo + hi)
-    radius = float(np.max(0.5 * (hi - lo))) or 1.0
-    A = monomials((points - center) / radius, k - 1) * sqrt_w[:, None]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s[0]))
-    return center, radius, U[:, :rank], s[:rank, None] * Vt[:rank]
+def _check_args(k: int, q=2):  # of FitPlan and both fit entry points
+    if q not in (1, 2, math.inf, "inf") or k < 0:
+        raise ValueError("q must be 1, 2, or infinity, and k non-negative")
 
 
 class FitPlan:
-    """The data-independent half of the fits of a list of cubes at one
-    order k.
+    """The data-independent half of the fits of a list of cubes at order k.
 
     The plan finds Q cap X for every cube with the test of Cube.contains,
-    one radius at a time, and factors each distinct member set once in
-    the set's frame (`_factor`; `frames` holds its center and radius).
-    Per cube it keeps a (columns x columns) map from the set's orthonormal
-    basis to coefficients in the cube's frame (x - c_Q)/r_Q, minimum-norm
-    on rank-deficient cubes (flagged in `deficient`) as lstsq's are.
-    `apply(f)` then fits every cube at q = 2 without a per-cube loop.
-    Memory is one basis per distinct member set (members x columns
-    floats) plus the per-cube maps; cubes that hold the same points, such
-    as every cube larger than the set, share a basis.
+    one radius at a time.  Each distinct member set has a frame (`frames`:
+    the center and largest half-width of its bounding box, 1 for a single
+    location), in which `design` builds every member's row.  One SVD per
+    stack of sets with equal member counts factors the weighted designs,
+    cut to the rank np.linalg.lstsq counts (`ranks`), so every cube with
+    the same members shares the factor bit for bit.  `maps` takes each
+    cube's set basis to coefficients in the cube's frame (x - c_Q)/r_Q,
+    minimum-norm where `deficient`, as lstsq's; it is the only change of
+    frame.  Memory is one basis per distinct set (members x columns
+    floats) plus the per-cube maps.
     """
 
     def __init__(self, X: FractalSet, cubes, k: int):
+        _check_args(k)
+        if not cubes:
+            raise ValueError("empty cube family")
         n = X.ambient_dim
         ncols = len(multi_indices(n, k - 1)) if k > 0 else 0
         centers = np.array([Q.center for Q in cubes], dtype=float)
@@ -306,66 +294,84 @@ class FitPlan:
         self.cube_set = np.empty(len(cubes), dtype=np.intp)
         step = max(1, _MASK_ENTRIES // (X.size * n))
         for r in sorted(set(self.radii.tolist())):
-            at = np.flatnonzero(self.radii == r)
+            at = (self.radii == r).nonzero()[0]
             for lo in range(0, len(at), step):
                 block = at[lo:lo + step]
-                inside = np.max(np.abs(X.points - centers[block, None]),
-                                axis=2) <= r
+                inside = np.abs(X.points - centers[block, None]).max(
+                    axis=2) <= r
                 for j, row, key in zip(block.tolist(), inside,
                                        np.packbits(inside, axis=1)):
                     j_set = set_of.setdefault(key.tobytes(), len(sets))
                     if j_set == len(sets):
-                        sets.append(np.flatnonzero(row))
+                        sets.append(row.nonzero()[0])
                     self.cube_set[j] = j_set
-        if any(len(idx) == 0 for idx in sets):
-            raise ValueError("cube does not meet the cloud")
         self.counts = np.array([len(idx) for idx in sets])
+        if not self.counts.all():
+            raise ValueError("cube does not meet the cloud")
         self.index = np.concatenate(sets)
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.starts = np.cumsum(self.counts) - self.counts
         w = X.masses[self.index]
         self.sqrt_w = np.sqrt(w / np.repeat(np.add.reduceat(w, self.starts),
                                             self.counts))
-
         self.k, self.points, self.centers = k, X.points, centers
+        members = X.points[self.index]
+        lo = np.minimum.reduceat(members, self.starts)
+        hi = np.maximum.reduceat(members, self.starts)
+        half = (0.5 * (hi - lo)).max(axis=1, keepdims=True)
+        self.frames = np.concatenate([0.5 * (lo + hi), half + (half == 0)], 1)
+
         self.basis = np.zeros((ncols, len(self.index)))
         self.maps = np.zeros((len(cubes), ncols, ncols))
         self.deficient = np.zeros(len(cubes), dtype=bool)
-        self.frames = np.empty((len(sets), n + 1))  # center, radius; k >= 1
+        self.ranks = np.zeros(len(sets), dtype=int)
         if ncols == 0:
             return
-        ranks = np.empty(len(sets), dtype=int)
+        A = self.design() * self.sqrt_w[:, None]
         rows = np.zeros((len(sets), ncols, ncols))  # S V^T of each set
-        for j, (a, m) in enumerate(zip(self.starts.tolist(),
-                                       self.counts.tolist())):
-            c, r, U, SV = _factor(X.points[self.index[a:a + m]],
-                                  self.sqrt_w[a:a + m], k)
-            self.frames[j], ranks[j] = (*c, r), len(SV)
-            self.basis[:len(SV), a:a + m] = U.T
-            rows[j, :len(SV)] = SV
-        rank = ranks[self.cube_set]
+        for m in sorted(set(self.counts.tolist())):  # one stack per count
+            at = (self.counts == m).nonzero()[0]
+            cols = (self.starts[at, None] + np.arange(m) if len(at) > 1
+                    else slice(self.starts[at[0]], self.starts[at[0]] + m))
+            U, s, Vt = np.linalg.svd(A[cols], full_matrices=False)
+            self.ranks[at] = (s > np.finfo(float).eps * max(m, ncols)
+                              * s[..., :1]).sum(axis=-1)
+            self.basis.T[cols, :s.shape[-1]] = U
+            rows[at, :s.shape[-1]] = s[..., None] * Vt
+        rank = self.ranks[self.cube_set]
         self.deficient = rank < ncols
+        if self.deficient.any():  # zero the factors beyond each set's rank
+            cut = np.arange(ncols) >= self.ranks[:, None]
+            rows[cut] = 0.0
+            self.basis[cut.repeat(self.counts, axis=0).T] = 0.0
         # the cube's design in its set's basis: S V^T times the change of
         # frame, (x - c_Q)/r_Q = (r z + c - c_Q)/r_Q in the set's frame z
-        f_c, f_r = np.split(self.frames[self.cube_set], [n], axis=1)
+        f = self.frames[self.cube_set]
         U, s, Vt = np.linalg.svd(rows[self.cube_set] @ affine_matrices(
-            n, k - 1, f_r / self.radii[:, None],
-            (f_c - centers) / self.radii[:, None]))
+            n, k - 1, f[:, n:] / self.radii[:, None],
+            (f[:, :n] - centers) / self.radii[:, None]))
         # its pseudo-inverse cut at the set's rank: minimum norm in the
         # cube's frame, as lstsq's
-        inv = np.divide(1.0, s, out=np.zeros_like(s),
+        inv = np.divide(1.0, s, out=np.zeros(s.shape),
                         where=np.arange(ncols) < rank[:, None])
-        self.maps = np.swapaxes(Vt, 1, 2) * inv[:, None, :] @ \
-            np.swapaxes(U, 1, 2)
+        self.maps = Vt.transpose(0, 2, 1) * inv[:, None, :] @ \
+            U.transpose(0, 2, 1)
+
+    def design(self) -> np.ndarray:
+        """The unweighted design in each set's frame, rows in `index`."""
+        f = self.frames.repeat(self.counts, axis=0)
+        return monomials((self.points[self.index] - f[:, :-1]) / f[:, -1:],
+                         self.k - 1)
 
     def apply(self, f_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of every cube's fit in its own frame (cubes x
-        columns) and every E_k(f; Q) for q = 2.
+        """Every cube's q = 2 coefficients in its own frame (cubes x
+        columns) and E_k(f; Q), the same bits from any plan holding the
+        cube; NaN where its set holds a datum that is not finite."""
+        f = np.asarray(f_values, dtype=float)
+        return self.fit(np.where(np.isinf(f), np.nan, f)[self.index])
 
-        Each cube's numbers depend only on its member set's rows, so a
-        cube gets the same value bit for bit from any plan that holds it.
-        """
-        z, res = self.project(self.sqrt_w
-                              * np.asarray(f_values, dtype=float)[self.index])
+    def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`apply` to y given in `index` order; a NaN makes its set NaN."""
+        z, res = self.project(self.sqrt_w * y)
         values = np.sqrt(np.add.reduceat(res * res, self.starts))
         coefs = (self.maps @ z[self.cube_set, :, None])[:, :, 0]
         return coefs, values[self.cube_set]
@@ -374,7 +380,7 @@ class FitPlan:
         """Coordinates of y (one entry per member, in `index` order) in
         each set's orthonormal basis, and the rest of y off the basis."""
         z = np.empty((len(self.starts), len(self.basis)))
-        fit = np.zeros_like(y)
+        fit = np.zeros(len(y))
         for c, u in enumerate(self.basis):
             z[:, c] = np.add.reduceat(u * y, self.starts)
             fit += u * np.repeat(z[:, c], self.counts)
@@ -390,8 +396,7 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     the plan's rank flag: on a rank-deficient cube the q = 2 solve returns
     the minimum-norm coefficient vector, so results stay reproducible.
     """
-    if q not in (1, 2, math.inf, "inf") or k < 0:
-        raise ValueError("q must be 1, 2, or infinity, and k non-negative")
+    _check_args(k, q)
     plan = FitPlan(X, (Q,), k)
     coefs, values, _, failed = _fit(plan, f_values, q)
     return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1), Q,
@@ -410,25 +415,24 @@ def _fit(plan: FitPlan, f_values: np.ndarray, q):
 
     q = 2 is `plan.apply`.  q = 1 and q = infinity solve one sparse dual
     over the sets with finite data (the rest get NaN): max f.u subject to
-    A_j^T u_j = 0 and |u_i| <= w_i, or ||u_j||_1 <= 1 with u = u+ - u-.
-    The negated equality marginals are the primal coefficients.  If the
-    block fails, each set is solved alone; a set that fails again keeps
-    the q = 2 fit.  The lower bound is weak duality on u (w f if failed)
-    projected off the set's basis, less a bound on its rounding.
+    A_j^T u_j = 0 and |u_i| <= w_i, or ||u_j||_1 <= 1 with u = u+ - u-,
+    in the set's frame.  The negated equality marginals are the primal
+    coefficients; the plan's q = 2 fit of their values on Q cap X gives
+    them in the cube's frame.  A failed block is solved set by set, and a
+    set that fails again keeps the q = 2 fit.  The lower bound is weak
+    duality on u (w f if failed) off the set's basis, less its rounding.
     """
-    coefs, values = plan.apply(f_values)
+    fv = np.asarray(f_values, dtype=float)
+    fv = np.where(np.isinf(fv), np.nan, fv)[plan.index]  # inf -> NaN: quiet
+    coefs, values = plan.fit(fv)
     sets, st, sw = len(plan.starts), plan.starts, plan.sqrt_w
     failed = np.zeros(sets, dtype=bool)
     if q == 2:
         return coefs, values, values, failed
-    n, d = plan.centers.shape[1], len(plan.basis)
-    fv, w = np.asarray(f_values, dtype=float)[plan.index], sw ** 2
-    seg = np.repeat(np.arange(sets), plan.counts)
-    finite = np.logical_and.reduceat(np.isfinite(fv), st)
-    set_coefs, u, A = np.zeros((sets, d)), w * fv, np.zeros((len(fv), 1))
-    if d:
-        A = monomials((plan.points[plan.index] - plan.frames[seg, :n])
-                      / plan.frames[seg, n:], plan.k - 1)
+    d, seg = len(plan.basis), np.repeat(np.arange(sets), plan.counts)
+    finite, w = np.logical_and.reduceat(~np.isnan(fv), st), sw ** 2
+    set_coefs, u = np.zeros((sets, d)), w * fv
+    A = plan.design() if d else np.zeros((len(fv), 0))
 
     def solve(ids):  # the sets ids as one block
         at = np.isin(seg, ids)
@@ -465,16 +469,9 @@ def _fit(plan: FitPlan, f_values: np.ndarray, q):
     err = plan.counts * np.finfo(float).eps * np.add.reduceat(
         np.abs(dual) * (np.abs(fv) + np.sum(np.abs(Ac), axis=1)), st)
     lower = (np.add.reduceat(fv * dual, st) - err) / np.maximum(scale, 1.0)
-    lower = lower if d else values
-    values[~finite] = lower[~finite] = np.nan
-    if d:  # set frame z = (r_Q y + c_Q - c) / r, cube frame y
-        f_c, f_r = np.split(plan.frames[plan.cube_set], [n], axis=1)
-        coefs = np.where(solved[plan.cube_set, None],
-                         compose_affine_many(set_coefs[plan.cube_set], n,
-                                             plan.k - 1,
-                                             plan.radii[:, None] / f_r,
-                                             (plan.centers - f_c) / f_r),
-                         coefs)
+    lower = lower if d else values  # NaN, as values, where a datum is NaN
+    coefs = np.where(solved[plan.cube_set, None],
+                     plan.fit(np.sum(Ac, axis=1))[0], coefs)
     return coefs, values[plan.cube_set], lower[plan.cube_set], failed
 
 
@@ -504,10 +501,7 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
     The first NaN ratio (its cube holds a datum that is not finite), if
     any, is the sup and its cube the witness.
     """
-    if not family.cubes:
-        raise ValueError("empty cube family")
-    if q not in (1, 2, math.inf, "inf"):
-        raise ValueError("q must be 1, 2, or infinity")
+    _check_args(k, q)
     _, values, lower, failed = _fit(family.fit_plan(k), f_values, q)
     om = omega(np.array([Qc.radius for Qc in family.cubes]))
     ratios = values / om

@@ -153,6 +153,10 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                                         offsets / anchor.radius)
         deficient[big] = False
     rung = {Q.center: i for i, Q in enumerate(cubes) if Q.radius == deepest}
+    missing = [Q.center for Q in cubes if Q.center not in rung]
+    if missing:
+        raise ValueError(f"no deepest-rung cube (radius {deepest}) at "
+                         f"the center {missing[0]}")
     rows[:, 0] = fits[[rung[Q.center] for Q in cubes], 0]
     return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
                  omega=omega)

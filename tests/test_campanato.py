@@ -16,7 +16,7 @@ from fractal_remez.campanato import (CubeFamily, FitPlan, Majorant,
 from fractal_remez.campanato import _fit
 from fractal_remez.fractals import FractalSet, build_preset
 from fractal_remez.geometry import Cube, sobol_unit
-from fractal_remez.polynomials import Polynomial, monomials
+from fractal_remez.polynomials import Polynomial, affine_matrices, monomials
 
 INF = math.inf
 
@@ -209,6 +209,74 @@ def test_plan_matches_per_cube_lstsq(case):
         assert np.max(np.abs(coefs[j] - want), initial=0.0) <= 1e-12 * scale
 
 
+def _factor(points, sqrt_w, k):
+    """Reference factor of one member set, one SVD per set: the frame
+    (bounding-box center and largest half-width, 1 for a single location)
+    and, for k >= 1, the basis and the rows S V^T cut to the rank."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    center = 0.5 * (lo + hi)
+    radius = float(np.max(0.5 * (hi - lo))) or 1.0
+    if k == 0:
+        return center, radius, np.zeros((len(points), 0)), np.zeros((0, 0))
+    A = monomials((points - center) / radius, k - 1) * sqrt_w[:, None]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s[0]))
+    return center, radius, U[:, :rank], s[:rank, None] * Vt[:rank]
+
+
+def _per_set_factors(plan, X):
+    """The plan's frames, ranks, basis, maps and deficient flags rebuilt
+    with a loop over its member sets, one `_factor` call each."""
+    n, k, ncols = X.ambient_dim, plan.k, len(plan.basis)
+    frames = np.empty((len(plan.counts), n + 1))
+    ranks = np.zeros(len(plan.counts), dtype=int)
+    basis = np.zeros((ncols, len(plan.index)))
+    rows = np.zeros((len(plan.counts), ncols, ncols))
+    for j, (a, m) in enumerate(zip(plan.starts.tolist(),
+                                   plan.counts.tolist())):
+        c, r, U, SV = _factor(X.points[plan.index[a:a + m]],
+                              plan.sqrt_w[a:a + m], k)
+        frames[j], ranks[j] = (*c, r), len(SV)
+        basis[:len(SV), a:a + m] = U.T
+        rows[j, :len(SV)] = SV
+    rank = ranks[plan.cube_set]
+    maps = np.zeros((len(plan.cube_set), ncols, ncols))
+    if ncols:
+        f_c, f_r = np.split(frames[plan.cube_set], [n], axis=1)
+        U, s, Vt = np.linalg.svd(rows[plan.cube_set] @ affine_matrices(
+            n, k - 1, f_r / plan.radii[:, None],
+            (f_c - plan.centers) / plan.radii[:, None]))
+        inv = np.divide(1.0, s, out=np.zeros_like(s),
+                        where=np.arange(ncols) < rank[:, None])
+        maps = np.swapaxes(Vt, 1, 2) * inv[:, None, :] @ np.swapaxes(U, 1, 2)
+    return frames, ranks, basis, maps, rank < ncols
+
+
+def _assert_factors_bitwise(plan, X):
+    want = _per_set_factors(plan, X)
+    got = (plan.frames, plan.ranks, plan.basis, plan.maps, plan.deficient)
+    for name, a, b in zip(("frames", "ranks", "basis", "maps", "deficient"),
+                          got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@given(plan_cases())
+@settings(max_examples=300, deadline=None)
+def test_stacked_factors_match_the_per_set_loop_bitwise(case):
+    X, cubes, k, _ = case
+    _assert_factors_bitwise(FitPlan(X, cubes, k), X)
+
+
+def test_stacked_factors_bitwise_on_deficient_sets():
+    X = build_preset("dust2d:1/4", 4)
+    fam = build_cube_family(X)
+    plan = fam.fit_plan(3)
+    # 85 sets in 4 stacks of equal counts, 64 of them rank-deficient
+    assert len(plan.counts) == 85 and len(set(plan.counts.tolist())) == 4
+    assert np.sum(plan.ranks < len(plan.basis)) == 64
+    _assert_factors_bitwise(plan, X)
+
+
 def _linprog_fit(X, Q, k, fv, q):
     """Reference q = 1 or q = inf value of one cube: the primal linear
     program min cost.t subject to |f - A c| <= slack t in the cube's
@@ -255,6 +323,41 @@ def test_lp_fits_are_one_per_member_set(case, q):
         # HiGHS's feasibility tolerance
         assert abs(one[0] - _linprog_fit(X, Q, k, fv, q)) <= \
             1e-7 * max(1.0, float(np.max(np.abs(fv))))
+
+
+def _assert_lp_coefficients(X, cubes, k, fv, q):
+    """Each cube's q = 1 or q = inf coefficients reproduce its value on
+    Q cap X and are the least-norm cube-frame ones with their values."""
+    coefs, values, _, failed = _fit(FitPlan(X, cubes, k), fv, q)
+    assert not failed.any()
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(fv))))
+    for j, Q in enumerate(cubes):
+        inside = Q.contains(X.points)
+        w = X.masses[inside] / X.masses[inside].sum()
+        A = monomials((X.points[inside] - np.asarray(Q.center)) / Q.radius,
+                      max(k - 1, 0))[:, :coefs.shape[1]]
+        res = fv[inside] - A @ coefs[j]
+        # the coefficients reproduce the program's value on Q cap X ...
+        got = np.sum(w * np.abs(res)) if q == 1 else np.max(np.abs(res))
+        assert abs(got - values[j]) <= 1e-9 * max(tol, values[j]) + tol
+        # ... and are the least-norm ones with their values there
+        least = np.linalg.lstsq(A, A @ coefs[j], rcond=None)[0]
+        scale = max(1.0, float(np.max(np.abs(least), initial=0.0)))
+        assert np.max(np.abs(coefs[j] - least), initial=0.0) <= 1e-9 * scale
+
+
+@given(plan_cases(max_n=2, max_k=3), st.sampled_from([1, INF]))
+@settings(max_examples=150, deadline=None)
+def test_lp_coefficients_are_minimum_norm_in_the_cube_frame(case, q):
+    _assert_lp_coefficients(*case, q)
+
+
+@pytest.mark.parametrize("q", [1, INF])
+def test_lp_coefficients_on_rank_deficient_cubes(q):
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=12)
+    assert fam.fit_plan(3).deficient.sum() == 5
+    _assert_lp_coefficients(X, fam.cubes, 3, np.abs(X.points[:, 0] - 0.5), q)
 
 
 def test_seminorm_solves_one_program_per_member_set(monkeypatch):
@@ -375,6 +478,7 @@ def test_failed_block_is_solved_set_by_set(monkeypatch, q):
                                    / om(Qc.radius) for Qc in fam.cubes]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("q", [1, 2, INF])
 def test_non_finite_datum_sinks_only_its_sets(q, bad):
@@ -393,6 +497,12 @@ def test_non_finite_datum_sinks_only_its_sets(q, bad):
     # the other sets keep their values (bit for bit at q = 2)
     tol = 0.0 if q == 2 else 1e-12
     assert np.max(np.abs(res.ratios[~holds] - clean.ratios[~holds])) <= tol
+    coefs, values, lower, _ = _fit(fam.fit_plan(2), fv, q)
+    assert np.isnan(coefs[holds]).all() and np.isfinite(coefs[~holds]).all()
+    assert np.isnan(lower[holds]).all() and np.isfinite(lower[~holds]).all()
+    coefs, values = fam.fit_plan(2).apply(fv)
+    assert np.isnan(coefs[holds]).all() and np.isnan(values[holds]).all()
+    assert np.isfinite(values[~holds]).all()
 
 
 # -- seminorm -----------------------------------------------------------------
@@ -434,6 +544,27 @@ def test_negative_order_raises():
     X = three_point_set()
     with pytest.raises(ValueError):
         local_best_approx(np.zeros(3), X, Cube((0.0,), 1.0), -1, 2)
+
+
+def test_negative_order_rejected_by_the_seminorm_and_the_plan():
+    X = build_preset("cantor:1/3", 6)
+    fam = build_cube_family(X, center_budget=8)
+    fv = X.points[:, 0] ** 2
+    with pytest.raises(ValueError, match="k non-negative") as lba:
+        local_best_approx(fv, X, fam.cubes[0], -1, 2)
+    for q in (1, 2, INF):
+        with pytest.raises(ValueError) as err:
+            campanato_seminorm(fv, fam, -1, q, Majorant.power(1.0, 1))
+        assert str(err.value) == str(lba.value)
+    for build in (lambda: fam.fit_plan(-1), lambda: FitPlan(X, fam.cubes, -1)):
+        with pytest.raises(ValueError, match="k non-negative"):
+            build()
+
+
+def test_empty_family_rejected_by_the_plan():
+    X = build_preset("cantor:1/3", 5)
+    with pytest.raises(ValueError, match="empty cube family"):
+        CubeFamily(X, ()).fit_plan(1)
 
 
 def test_seminorm_stable_under_density_doubling():

@@ -126,24 +126,26 @@ def test_run_campanato_solves_each_cube_once(tmp_path, monkeypatch):
               "seed": 4, "params": {"k": 2, "q": 2, "function": "poly:3",
                                     "center_budget": 40}}
     cfg = write_config(tmp_path, config)
-    factored = []
-    factor = campanato._factor
+    plans = []
 
-    def counting(points, sqrt_w, k):
-        factored.append(len(points))
-        return factor(points, sqrt_w, k)
+    class Counted(campanato.FitPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
 
-    monkeypatch.setattr(campanato, "_factor", counting)
+    monkeypatch.setattr(campanato, "FitPlan", Counted)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
     X = cli._resolve_set(config)
     fvals = cli._resolve_function("poly:3", X, 4)
     family = campanato.build_cube_family(X, center_budget=40)
-    # each distinct member set Q cap X is factored once
+    # one plan, which factors each distinct member set Q cap X once
     geometries = {tuple(np.flatnonzero(Q.contains(X.points)))
                   for Q in family.cubes}
-    assert len(factored) == len(geometries) < len(family.cubes)
+    assert [len(p.radii) for p in plans] == [len(family.cubes)]
+    assert [len(p.counts) for p in plans] == [len(geometries)]
+    assert len(geometries) < len(family.cubes)
     solve = campanato.local_best_approx
     # the plot takes the max over every cube of each radius
     omega = campanato.Majorant.from_id("power:1", 2)

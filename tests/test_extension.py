@@ -134,25 +134,27 @@ def test_chain_solves_each_cube_once(monkeypatch):
     fam = build_cube_family(X, center_budget=16)
     om = Majorant.power(1.0, 2)
     fv = np.abs(X.points[:, 0] - 0.5)
-    factored = []
-    factor = campanato._factor
+    plans = []
 
-    def counted(points, sqrt_w, k):
-        factored.append(len(points))
-        return factor(points, sqrt_w, k)
+    class Counted(campanato.FitPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
 
-    monkeypatch.setattr(campanato, "_factor", counted)
+    monkeypatch.setattr(campanato, "FitPlan", Counted)
     build_chain(fv, X, fam, 2, om)
     geometries = {tuple(np.flatnonzero(Q.contains(X.points)))
                   for Q in fam.cubes}
-    # one factorization per distinct member set, and the anchor cube's fit
-    assert len(factored) == len(geometries) + 1
+    # the family's plan factors each distinct member set once, in one
+    # stack per member count, and the anchor cube's plan its one set
+    assert [len(p.radii) for p in plans] == [len(fam.cubes), 1]
+    assert [len(p.counts) for p in plans] == [len(geometries), 1]
     assert len(geometries) < len(fam.cubes)
-    factored.clear()
+    plans.clear()
     build_chain(2.0 * fv, X, fam, 2, om)
     campanato.campanato_seminorm(fv, fam, 2, 2, om)
     # the family's plan is kept: only the anchor, all of X, is factored
-    assert factored == [X.size]
+    assert [p.counts.tolist() for p in plans] == [[X.size]]
 
 
 def test_chain_rejects_another_set():
@@ -161,6 +163,22 @@ def test_chain_rejects_another_set():
     other = transform(X, 1.0, [0.0])
     with pytest.raises(ValueError, match="base set"):
         build_chain(np.zeros(X.size), other, fam, 2, Majorant.power(1.0, 2))
+
+
+def test_chain_rejects_a_center_without_a_deepest_rung_cube():
+    X = build_preset("cube:1", 6)
+    x = tuple(X.points[5])
+    fam = CubeFamily(X, [Cube(x, 0.5), Cube(x, 0.25)])
+    with pytest.raises(ValueError, match=r"no deepest-rung cube \(radius "
+                                         r"0\.0625\) at the center \(0\."):
+        build_chain(np.zeros(X.size), X, fam, 2, Majorant.power(1.0, 2))
+
+
+def test_chain_rejects_an_empty_family():
+    X = interval_set()
+    with pytest.raises(ValueError, match="empty cube family"):
+        build_chain(np.zeros(X.size), X, CubeFamily(X, ()), 2,
+                    Majorant.power(1.0, 2))
 
 
 def test_chain_needs_three_rungs():
