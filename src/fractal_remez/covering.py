@@ -21,6 +21,9 @@ emitted balls B_k satisfy, for any gamma < ALPHA / BETA,
 and every candidate outside their union is regular.  For atomic measures
 the number of balls never exceeds the number of atoms (each ball of radius
 tau_k around its witness carries positive mass; these are pairwise disjoint).
+The construction computes tau only for candidates that no ball covers yet,
+and with equal masses it emits a witness of the largest possible tau as
+soon as one is scanned (see greedy_ball_cover).
 
 The two corollaries turn this into quantitative statements about the
 log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
@@ -257,6 +260,17 @@ def _check_width(space: DiscreteMeasureSpace, points: np.ndarray,
                          f"the space's {space.points.shape[1]}-dimensional")
 
 
+def _finite_points(space: DiscreteMeasureSpace, points,
+                   what: str) -> np.ndarray:
+    """Points as a float array, rejected unless finite and of the space's
+    dimension."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{what} points must be finite")
+    _check_width(space, points, what)
+    return points
+
+
 def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
              queries: np.ndarray) -> np.ndarray:
     """Exact tau at each query point: distances, prune, step scan.
@@ -276,10 +290,7 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     irregular atom as regular, and a subnormal radius has too few bits for
     the cover's budget audit.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("query points must be finite")
-    _check_width(space, queries, "query")
+    queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
     atoms = space.points[keep]
     masses = space.masses[keep]
@@ -341,11 +352,8 @@ def _candidates(space: DiscreteMeasureSpace,
     """The atoms followed by the probe points, which must be finite."""
     if probes is None or len(probes) == 0:
         return space.points
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if not np.all(np.isfinite(probes)):
-        raise ValueError("probe points must be finite")
-    _check_width(space, probes, "probe")
-    return np.concatenate([space.points, probes])
+    return np.concatenate([space.points,
+                           _finite_points(space, probes, "probe")])
 
 
 def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
@@ -358,33 +366,66 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     probes extend the regularity guarantee to off-atom points.  The
     witness at each step is the candidate of maximal tau, ties broken by
     lowest index, so runs are reproducible.
+
+    Candidates stream in index order in tau_many's blocks, and tau is
+    computed only for those no ball covers yet.  With equal positive
+    masses no tau exceeds top, the largest entry of the level vector
+    phi^{-1}(cumsum(masses)) that the step scan reads, so an uncovered
+    candidate whose tau equals top is the next witness and is emitted as
+    soon as its block is scanned.  The argmax loop then runs on the known
+    taus.  The balls are the same bits as the argmax loop's over every tau.
     """
     if not 0.0 < gamma < ALPHA / BETA:
         raise ValueError(f"gamma must lie in (0, {ALPHA / BETA:g})")
     phi.validate(space.A, space.extent())
 
     cands = _candidates(space, probes)
-    taus_all = tau_many(space, phi, cands)
-    # A regular candidate is never a witness and nothing reads whether it
-    # is covered, so the loop runs on the irregular ones only, kept in
-    # index order so that the lowest-index tie-break still holds.
-    irregular = taus_all > 0.0
-    cands, taus_all = cands[irregular], taus_all[irregular]
+    masses = space.masses[space.masses > 0]
+    top = (float(np.max(phi.inverse(np.cumsum(masses))))
+           if len(masses) and np.all(masses == masses[0]) else np.inf)
     uncovered = np.ones(len(cands), dtype=bool)
-
     centers, radii, taus = [], [], []
-    for _ in range(len(cands) + 1):
-        if not np.any(uncovered):
-            break
-        masked = np.where(uncovered, taus_all, -np.inf)
-        k = int(np.argmax(masked))
-        tau_k = taus_all[k]
+
+    def emit(x_k, tau_k, points):
+        """Record the ball around x_k; mask of the points it leaves out."""
         t_k = BETA * tau_k
-        x_k = cands[k]
         centers.append(x_k)
         radii.append(t_k)
         taus.append(tau_k)
-        uncovered &= _atom_distances(space, x_k[None], cands)[0] > t_k
+        return _atom_distances(space, x_k[None], points)[0] > t_k
+
+    # A regular candidate is never a witness and nothing reads whether it
+    # is covered, so only the irregular ones are kept, in index order so
+    # that the lowest-index tie-break still holds.
+    irregular, irregular_taus = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    step = max(1, BLOCK_ENTRIES // max(1, len(masses)))
+    for lo in range(0, len(cands), step):
+        live = uncovered[lo:lo + step]
+        if not np.any(live):
+            continue
+        queries = cands[lo:lo + step]
+        if not np.all(live):
+            queries = np.compress(live, queries, axis=0)
+        block_taus = tau_many(space, phi, queries)
+        ids = lo + np.flatnonzero(live)
+        irregular.append(ids[block_taus > 0.0])
+        irregular_taus.append(block_taus[block_taus > 0.0])
+        witnesses = ids[block_taus == top]
+        while len(witnesses):
+            k = witnesses[0]
+            uncovered &= emit(cands[k], top, cands)
+            witnesses = witnesses[uncovered[witnesses]]
+
+    irregular = np.concatenate(irregular)
+    left = uncovered[irregular]
+    cands = cands[irregular[left]]
+    taus_all = np.concatenate(irregular_taus)[left]
+    uncovered = np.ones(len(cands), dtype=bool)
+    for _ in range(len(cands) + 1):
+        if not np.any(uncovered):
+            break
+        k = int(np.argmax(np.where(uncovered, taus_all, -np.inf)))
+        uncovered &= emit(cands[k], taus_all[k], cands)
 
     centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
     radii = np.array(radii)
@@ -453,18 +494,19 @@ def _off_ball_floor(space: DiscreteMeasureSpace, centers: np.ndarray,
                     bound: float) -> tuple:
     """Check values(x) >= bound at the points outside the closed balls.
 
+    values is called with the mask of those points among `points`.
     Returns (number checked, violations, worst margin).  A point violates
     the floor when its margin falls below -FLOOR_RTOL (1 + |bound|); the
     worst margin is None when no point is checked.
     """
-    outside = np.compress(~_in_balls(space, centers, radii, points), points,
-                          axis=0)  # far faster than boolean row indexing
-    margins = values(outside) - bound
+    off = ~_in_balls(space, centers, radii, points)
+    margins = values(off) - bound
     worst = float(margins.min()) if len(margins) else None
     bad = margins < -FLOOR_RTOL * (1.0 + abs(bound))
     violations = [{"point": list(map(float, pt)), "margin": float(m)}
-                  for pt, m in zip(outside[bad], margins[bad])]
-    return len(outside), violations, worst
+                  for pt, m in zip(points[np.flatnonzero(off)[bad]],
+                                   margins[bad])]
+    return len(margins), violations, worst
 
 
 # -- corollary: radius-sum budget + potential lower bound -----------------
@@ -499,6 +541,8 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     """
     if not (H > 0.0 and s > 0.0 and 0.0 < gamma < ALPHA / BETA):
         raise ValueError(f"need H, s > 0 and 0 < gamma < {ALPHA / BETA:g}")
+    if grid is not None and len(grid):
+        grid = _finite_points(space, grid, "grid")
     k = space.A
     cap = (H / gamma) ** s / s
     if k == 0.0:
@@ -514,9 +558,9 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     checked, violations, worst = 0, [], None
     if grid is not None and len(grid):
         checked, violations, worst = _off_ball_floor(
-            space, cover.centers, cover.radii,
-            np.atleast_2d(np.asarray(grid, dtype=float)),
-            lambda pts: potential_many(space, pts), bound)
+            space, cover.centers, cover.radii, grid,
+            lambda off: potential_many(space, np.compress(off, grid, axis=0)),
+            bound)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
                                 radius_cap=cap, lower_bound=bound,
                                 num_checked=checked, violations=violations,
@@ -603,6 +647,14 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         raise ValueError("eta must lie in (0, 3e/2]")
     if R <= 0:
         raise ValueError("R must be positive")
+    if grid is not None and len(grid):
+        grid = np.asarray(grid)
+        if grid.ndim != 1 or not np.iscomplexobj(grid):
+            raise ValueError("grid must be a 1-D array of complex points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("grid points must be finite")
+    else:
+        grid = None
     f0 = f.eval_many(np.array([0.0 + 0.0j]))[0]
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
@@ -616,20 +668,14 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     roots = polynomial_zeros(f)
     zeros_in = roots[np.abs(roots) <= 2.0 * R]
 
-    grid_pts = None
-    if grid is not None and len(grid):
-        grid = np.asarray(grid)
-        if grid.ndim != 1 or not np.iscomplexobj(grid):
-            raise ValueError("grid must be a 1-D array of complex points")
-        grid_pts = np.column_stack([grid.real, grid.imag])
-
     space = DiscreteMeasureSpace.from_complex(zeros_in)
     centers, radii = np.zeros((0, 2)), np.zeros(0)
     radius_sum = 0.0
     if len(zeros_in):
         H_c = 4.0 * DEFAULT_GAMMA * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)
-        cover = greedy_ball_cover(space, phi, probes=grid_pts)
+        cover = greedy_ball_cover(space, phi, probes=None if grid is None
+                                  else np.column_stack([grid.real, grid.imag]))
         centers, radii = cover.centers, cover.radii
         radius_sum = float(np.sum(radii))
         # A ball can swallow a zero in its outer half, where the halved
@@ -648,14 +694,15 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
                 radius_sum += float(r)
 
     checked, violations, worst = 0, [], None
-    if grid_pts is not None:
-        def log_abs_f(pts):
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(f.eval_many(pts[:, 0] + 1j * pts[:, 1])))
+    if grid is not None:
+        zs = np.compress(np.abs(grid) <= R, grid)
 
-        in_R = np.abs(grid_pts[:, 0] + 1j * grid_pts[:, 1]) <= R
+        def log_abs_f(off):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(f.eval_many(np.compress(off, zs))))
+
         checked, violations, worst = _off_ball_floor(
-            space, centers, radii, np.compress(in_R, grid_pts, axis=0),
+            space, centers, radii, np.column_stack([zs.real, zs.imag]),
             log_abs_f, lower)
 
     half_ok = bool(np.all(_in_balls(space, centers, radii / 2.0 + 1e-12,

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fractal_remez.covering import (BLOCK_ENTRIES, CartanDiskReport,
+from fractal_remez import covering
+from fractal_remez.covering import (BETA, BLOCK_ENTRIES, DEFAULT_GAMMA,
+                                    CartanDiskReport, CoverOutput,
                                     DiscreteMeasureSpace, MajorantFn,
                                     _atom_distances,
                                     _circle_max_abs, _distances,
@@ -378,6 +381,117 @@ def test_greedy_cover_ignores_regular_probes():
     assert most_balls >= 3 and 0 < most_irregular < len(probes)
 
 
+def argmax_reference_cover(space, phi, probes):
+    """The greedy cover at the default gamma as one argmax loop over every
+    candidate's tau."""
+    phi.validate(space.A, space.extent())
+    cands = space.points if len(probes) == 0 else \
+        np.concatenate([space.points, probes])
+    taus_all = tau_many(space, phi, cands)
+    irregular = taus_all > 0.0
+    cands, taus_all = cands[irregular], taus_all[irregular]
+    uncovered = np.ones(len(cands), dtype=bool)
+    centers, radii, taus = [], [], []
+    while np.any(uncovered):
+        k = int(np.argmax(np.where(uncovered, taus_all, -np.inf)))
+        centers.append(cands[k])
+        radii.append(BETA * taus_all[k])
+        taus.append(taus_all[k])
+        uncovered &= _atom_distances(space, cands[k][None], cands)[0] \
+            > radii[-1]
+    radii = np.array(radii)
+    budget = float(np.sum(phi(DEFAULT_GAMMA * radii))) if len(radii) else 0.0
+    return CoverOutput(np.array(centers).reshape(-1, cands.shape[1]), radii,
+                       np.array(taus), DEFAULT_GAMMA, budget)
+
+
+def cover_or_error(make):
+    try:
+        cover = make()
+    except ValueError as err:
+        return str(err)
+    return cover.centers, cover.radii, cover.taus, cover.budget_used
+
+
+def assert_same_cover(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+@given(pruning_cases(), st.sampled_from([BLOCK_ENTRIES, 1, 7, 24]))
+@settings(max_examples=200, deadline=None)
+def test_streamed_cover_matches_argmax_reference_bitwise(case, entries):
+    # small blocks put witnesses, top-valued or not, in later blocks
+    space, phi, probes = case
+    try:
+        phi.validate(space.A, space.extent())
+    except ValueError:
+        assume(False)  # a table majorant that never exceeds the mass
+    with mock.patch.object(covering, "BLOCK_ENTRIES", entries):
+        want = cover_or_error(
+            lambda: argmax_reference_cover(space, phi, probes))
+        got = cover_or_error(
+            lambda: greedy_ball_cover(space, phi, probes=probes))
+    assert_same_cover(got, want)
+
+
+def test_streamed_cover_skips_covered_blocks():
+    # unit atoms at 0 and 3, phi(t) = t: top = phi^{-1}(2) = 2.  The atoms
+    # have tau 1; the first top-valued candidates, 1.5 and 1.6, share the
+    # second block of four; the disk of radius 5 around 1.5 covers 1.6 and
+    # every probe of the third and fourth blocks but 7, the only one whose
+    # tau is computed there.
+    space = unit_atoms([[0.0], [3.0]])
+    phi = MajorantFn.power(1.0, 1.0)
+    probes = np.array([[10.0], [11.0], [1.5], [1.6], [0.5], [-1.0],
+                       [2.0], [4.0], [2.5], [6.0], [-3.0], [7.0]])
+    cands = np.concatenate([space.points, probes])
+    taus_all = tau_many(space, phi, cands)
+    top_valued = np.flatnonzero(taus_all == 2.0)
+    assert np.array_equal(top_valued[:2], [4, 5]) and np.all(taus_all <= 2.0)
+    seen = []
+
+    def counted(space, phi, queries):
+        seen.append(len(queries))
+        return tau_many(space, phi, queries)
+
+    with mock.patch.object(covering, "BLOCK_ENTRIES", 8), \
+            mock.patch.object(covering, "tau_many", counted):
+        got = cover_or_error(
+            lambda: greedy_ball_cover(space, phi, probes=probes))
+        want = cover_or_error(
+            lambda: argmax_reference_cover(space, phi, probes))
+    assert seen == [4, 4, 1]
+    assert_same_cover(got, want)
+    assert got[0][0, 0] == 1.5 and got[2][0] == 2.0
+
+
+def test_streamed_cover_emits_every_uncovered_top_witness():
+    # phi rises by 1e6 just past t = 1, so phi^{-1} rounds every step
+    # level to 1: top = 1, and every candidate within 1 of an atom is
+    # top-valued.  With blocks of three, atoms 0, 10 and 20 share the
+    # first block and all three are emitted: the disk of radius 2.5 around
+    # 0 leaves 10 uncovered, the one around 10 leaves 20.
+    space = unit_atoms([[0.0], [10.0], [20.0], [10.5]])
+    phi = MajorantFn.table([0.0, 1.0, np.nextafter(1.0, 2.0), 100.0],
+                           [0.0, 0.5, 1e6, 2e6])
+    probes = np.array([[0.7], [30.0], [40.0], [20.5], [19.0], [50.0]])
+    assert np.max(phi.inverse(np.cumsum(space.masses))) == 1.0
+    with mock.patch.object(covering, "BLOCK_ENTRIES", 12):
+        got = cover_or_error(
+            lambda: greedy_ball_cover(space, phi, probes=probes))
+        want = cover_or_error(
+            lambda: argmax_reference_cover(space, phi, probes))
+    assert_same_cover(got, want)
+    assert np.array_equal(got[0][:, 0], [0.0, 10.0, 20.0])
+    assert np.all(got[2] == 1.0)
+
+
 def test_parameter_validation():
     sp = unit_atoms([[0.0]])
     phi = MajorantFn.power(1.0, 1.0)
@@ -473,6 +587,20 @@ def test_potential_bound_empty_measure_vacuous():
                                  grid=np.random.default_rng(0).random((50, 2)))
     assert rep.ok
     assert rep.cover.count == 0
+
+
+def test_potential_bound_empty_measure_reads_grid():
+    # the zero-mass report counts the grid as checked, so it must read it
+    sp = DiscreteMeasureSpace(np.zeros((2, 2)), np.zeros(2))
+    grid = np.array([[0.5, 0.5], [1.0, -1.0]])
+    assert potential_bound_verify(sp, H=0.25, s=1.0, grid=grid).num_checked \
+        == 2
+    for bad in (np.array([[0.5, 0.5], [np.nan, 0.0]]),
+                np.array([[0.0, np.inf]])):
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            potential_bound_verify(sp, H=0.25, s=1.0, grid=bad)
+    with pytest.raises(ValueError, match="3-dimensional"):
+        potential_bound_verify(sp, H=0.25, s=1.0, grid=np.zeros((4, 3)))
 
 
 def test_potential_bound_clustered_atoms():
@@ -585,6 +713,37 @@ def test_cartan_grid_must_be_complex_points():
                 grid.reshape(5, 5)):
         with pytest.raises(ValueError):
             cartan_exclusion_disks(f, R=2.0, eta=1.0, grid=bad)
+
+
+def test_cartan_rejects_non_finite_grid():
+    # 1 + 0.01 z has no zero in |z| <= 2R, so no cover runs; the grid is
+    # still read, and it is rejected for every f
+    grid = np.array([0.5 + 0.5j, np.nan, complex(1.0, np.inf), 0.1j])
+    for coeffs in ([1.0, 0.01], [1.0, -1.0, 0.5]):
+        f = Polynomial(1, len(coeffs) - 1, np.array(coeffs))
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            cartan_exclusion_disks(f, R=2.0, eta=0.5, grid=grid)
+
+
+def test_cartan_floor_matches_real_pair_grid_bitwise():
+    # the floor reads the caller's complex points; every imaginary part
+    # here is -0.0, which the pair (re, im) turned back into a complex
+    # number would make +0.0, and the margins must not move
+    grid = np.empty(401, dtype=complex)
+    grid.real = np.linspace(-2.0, 2.0, 401)
+    grid.imag = -0.0
+    f = Polynomial(1, 3, np.array([1.0, -0.8 + 0.3j, 0.9j, -0.6]))
+    rep = cartan_exclusion_disks(f, R=1.5, eta=0.25, grid=grid)
+    assert rep.disks and np.all(np.signbit(grid.imag))
+    pts = np.column_stack([grid.real, grid.imag])
+    pts = pts[np.abs(pts[:, 0] + 1j * pts[:, 1]) <= 1.5]
+    centers = np.array([[c.real, c.imag] for c, _ in rep.disks])
+    radii = np.array([r for _, r in rep.disks])
+    off = ~np.any(_distances(centers, pts) <= radii[:, None], axis=0)
+    zs = pts[off, 0] + 1j * pts[off, 1]
+    margins = np.log(np.abs(f.eval_many(zs))) - rep.lower_bound
+    assert rep.num_checked == int(np.sum(off)) > 0
+    assert rep.worst_margin == float(margins.min())
 
 
 def test_cartan_certificate_random_poly():
