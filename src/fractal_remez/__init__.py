@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .polynomials import Polynomial, chebyshev, finite_difference
+from .polynomials import Polynomial, chebyshev
 from .fractals import (FractalSet, IFS, Similarity, build_set, build_preset,
                        ball_measure, estimate_regularity, product_set,
                        transform)

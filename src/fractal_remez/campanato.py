@@ -50,6 +50,9 @@ from .polynomials import (Polynomial, affine_matrices, compose_affine_many,
                           finite_difference_many, monomials, multi_indices)
 
 LN2 = math.log(2.0)
+QUASIPOWER_GRID = (1e-8, 1e4)  # t range of the quadrature for tables
+LIPSCHITZ_BUDGET = 2 ** 12
+FAMILY_SEED = 0  # draws the centers of a family over a large cloud
 
 
 # -- cube families -------------------------------------------------------
@@ -88,20 +91,19 @@ def dyadic_radii(r_min: float, r_max: float) -> list[float]:
     return [2.0 ** j for j in range(j_lo, max(j_hi, j_lo) + 1)]
 
 
-def build_cube_family(X: FractalSet, center_budget: int | None = None,
-                      rng=None) -> CubeFamily:
+def build_cube_family(X: FractalSet,
+                      center_budget: int | None = None) -> CubeFamily:
     """Cubes centered at cloud points with dyadic radii up to 4 diam X.
 
     All cloud points serve as centers below 1000 points (or within the
-    given budget); otherwise a seeded random subset.  Because the family
-    is a sample, any sup over it is a certified lower bound.
+    given budget); otherwise a random subset drawn with FAMILY_SEED.  As
+    the family is a sample, any sup over it is a certified lower bound.
     """
     radii = dyadic_radii(4.0 * X.cell_diam, 4.0 * X.diam)
     centers = X.points
     budget = center_budget if center_budget is not None else 1000
     if X.size > budget:
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(FAMILY_SEED)
         idx = rng.choice(X.size, size=budget, replace=False)
         centers = X.points[np.sort(idx)]
     cubes = [Cube(tuple(c), r) for c in centers for r in radii]
@@ -121,14 +123,14 @@ class Majorant:
 
     @classmethod
     def power(cls, lam: float, k: int) -> "Majorant":
-        if lam <= 0:
-            raise ValueError("power exponent must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("power exponent must be positive and finite")
         return cls("power", float(lam), k)
 
     @classmethod
     def const(cls, value: float, k: int) -> "Majorant":
-        if value <= 0:
-            raise ValueError("constant majorant must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError("constant majorant must be positive and finite")
         return cls("constant", float(value), k)
 
     @classmethod
@@ -165,10 +167,10 @@ class QuasipowerReport:
     reason: str = ""
 
 
-def quasipower_check(omega: Majorant, grid_lo: float = 1e-8,
-                     grid_hi: float = 1e4) -> QuasipowerReport:
+def quasipower_check(omega: Majorant) -> QuasipowerReport:
     """Verify omega(+0) = 0, monotonicity, omega(t)/t^k nonincreasing, and
-    compute C_omega (closed form for powers, log-grid quadrature otherwise)."""
+    compute C_omega (closed form for powers, otherwise quadrature on a log
+    grid over QUASIPOWER_GRID)."""
     k = omega.k
     if omega.kind == "power":
         lam = omega.param
@@ -178,7 +180,7 @@ def quasipower_check(omega: Majorant, grid_lo: float = 1e-8,
         return QuasipowerReport(True, 1.0 / lam)
     if omega.kind == "constant":
         return QuasipowerReport(False, math.inf, "omega(+0) != 0")
-    ts = np.exp(np.linspace(math.log(grid_lo), math.log(grid_hi), 400))
+    ts = np.exp(np.linspace(*np.log(QUASIPOWER_GRID), 400))
     vals = omega(ts)
     # omega(+0) = 0 checked as decay across the lower half of the log grid
     if vals[0] > 0.5 * vals[len(vals) // 2]:
@@ -469,7 +471,8 @@ def _fit(plan: FitPlan, f_values: np.ndarray, q):
     err = plan.counts * np.finfo(float).eps * np.add.reduceat(
         np.abs(dual) * (np.abs(fv) + np.sum(np.abs(Ac), axis=1)), st)
     lower = (np.add.reduceat(fv * dual, st) - err) / np.maximum(scale, 1.0)
-    lower = lower if d else values  # NaN, as values, where a datum is NaN
+    # a value is attained, so a lower end above it is rounding; NaN stays
+    lower = np.minimum(lower, values) if d else values
     coefs = np.where(solved[plan.cube_set, None],
                      plan.fit(np.sum(Ac, axis=1))[0], coefs)
     return coefs, values[plan.cube_set], lower[plan.cube_set], failed
@@ -519,10 +522,9 @@ class LipschitzEstimate:
 
 
 def lipschitz_seminorm(g, k: int, omega: Majorant, box,
-                       budget: int = 2 ** 12,
                        h_decades: float = 4.0,
                        h_max: float | None = None) -> LipschitzEstimate:
-    """sup |delta_h^k g(x)| / omega(|h|) over quasi-random probes.
+    """sup |delta_h^k g(x)| / omega(|h|) over LIPSCHITZ_BUDGET Sobol probes.
 
     g must accept an (N, n) array and return (N,).  Base points x are
     kept inside the probe box together with x + k h, and |h| is
@@ -535,7 +537,7 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box,
     span = float(np.min(hi - lo))
     if h_max is None:
         h_max = span / (2.0 * k)
-    u = sobol_unit(2 * n + 1, budget)
+    u = sobol_unit(2 * n + 1, LIPSCHITZ_BUDGET)
     x = lo + u[:, :n] * (hi - lo)
     if n == 1:
         dirs = np.where(u[:, n:n + 1] < 0.5, -1.0, 1.0)

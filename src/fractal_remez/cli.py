@@ -206,7 +206,7 @@ def _run_covering(config: dict, seed: int, out: str):
     gx, gy = np.meshgrid(axis, axis)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     try:
-        rep = covering.potential_bound_verify(space, H, s, gamma, grid)
+        rep = covering.potential_bound_verify(space, H, s, gamma, grid=grid)
     except ValueError as exc:  # gamma, H or s out of range
         raise ConfigError(str(exc))
     failures = []

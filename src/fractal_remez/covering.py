@@ -131,8 +131,8 @@ class MajorantFn:
 
     @classmethod
     def power(cls, p: float, s: float) -> "MajorantFn":
-        if p <= 0 or s <= 0:
-            raise ValueError("power majorant needs p > 0, s > 0")
+        if not (0.0 < p < math.inf and 0.0 < s < math.inf):
+            raise ValueError("power majorant needs finite p > 0, s > 0")
         return cls("power", (float(p), float(s)))
 
     @classmethod
@@ -253,13 +253,6 @@ def _step_scan(D: np.ndarray, masses: np.ndarray,
     return np.max(cand, axis=0, initial=0.0)
 
 
-def _check_width(space: DiscreteMeasureSpace, points: np.ndarray,
-                 what: str) -> None:
-    if points.shape[1] != space.points.shape[1]:
-        raise ValueError(f"{what} points are {points.shape[1]}-dimensional, "
-                         f"the space's {space.points.shape[1]}-dimensional")
-
-
 def _finite_points(space: DiscreteMeasureSpace, points,
                    what: str) -> np.ndarray:
     """Points as a float array, rejected unless finite and of the space's
@@ -267,7 +260,9 @@ def _finite_points(space: DiscreteMeasureSpace, points,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{what} points must be finite")
-    _check_width(space, points, what)
+    if points.shape[1] != space.points.shape[1]:
+        raise ValueError(f"{what} points are {points.shape[1]}-dimensional, "
+                         f"the space's {space.points.shape[1]}-dimensional")
     return points
 
 
@@ -475,9 +470,9 @@ def potential(space: DiscreteMeasureSpace, x) -> float:
 
 def potential_many(space: DiscreteMeasureSpace,
                    queries: np.ndarray) -> np.ndarray:
-    """The potential u at each query point under the space's metric."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    _check_width(space, queries, "query")
+    """The potential u at each query point under the space's metric;
+    queries must be finite and have the space's dimension."""
+    queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
     if not np.any(keep):
         return np.zeros(len(queries))
@@ -528,9 +523,8 @@ class PotentialBoundReport:
 
 
 def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
-                           gamma: float = DEFAULT_GAMMA,
-                           grid: np.ndarray | None = None
-                           ) -> PotentialBoundReport:
+                           gamma: float = DEFAULT_GAMMA, *,
+                           grid: np.ndarray) -> PotentialBoundReport:
     """Emit exclusion balls for the total mass k and certify on a grid that
 
         sum r_j^s < (H / gamma)^s / s   and   u(x) >= k ln(H / e)
@@ -541,26 +535,22 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     """
     if not (H > 0.0 and s > 0.0 and 0.0 < gamma < ALPHA / BETA):
         raise ValueError(f"need H, s > 0 and 0 < gamma < {ALPHA / BETA:g}")
-    if grid is not None and len(grid):
-        grid = _finite_points(space, grid, "grid")
+    grid = _finite_points(space, grid, "grid")
     k = space.A
     cap = (H / gamma) ** s / s
     if k == 0.0:
         empty = CoverOutput(np.zeros((0, space.points.shape[1])),
                             np.zeros(0), np.zeros(0), gamma, 0.0)
-        return PotentialBoundReport(empty, 0.0, cap, 0.0,
-                                    0 if grid is None else len(grid), [], None)
+        return PotentialBoundReport(empty, 0.0, cap, 0.0, len(grid), [], None)
     p = (k * s) ** (1.0 / s) / H
     phi = MajorantFn.power(p, s)
     cover = greedy_ball_cover(space, phi, gamma=gamma, probes=grid)
     radius_sum_s = float(np.sum(cover.radii ** s))
     bound = k * math.log(H / math.e)
-    checked, violations, worst = 0, [], None
-    if grid is not None and len(grid):
-        checked, violations, worst = _off_ball_floor(
-            space, cover.centers, cover.radii, grid,
-            lambda off: potential_many(space, np.compress(off, grid, axis=0)),
-            bound)
+    checked, violations, worst = _off_ball_floor(
+        space, cover.centers, cover.radii, grid,
+        lambda off: potential_many(space, np.compress(off, grid, axis=0)),
+        bound)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
                                 radius_cap=cap, lower_bound=bound,
                                 num_checked=checked, violations=violations,
@@ -627,7 +617,7 @@ class CartanDiskReport:
 
 
 def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
-                           grid: np.ndarray | None = None) -> CartanDiskReport:
+                           grid: np.ndarray) -> CartanDiskReport:
     """Exclusion disks for ln|f| on |z| <= R, for univariate f with f(0) = 1.
 
     The zeros of f in |z| <= 2R carry unit masses and the ball construction
@@ -647,14 +637,11 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         raise ValueError("eta must lie in (0, 3e/2]")
     if R <= 0:
         raise ValueError("R must be positive")
-    if grid is not None and len(grid):
-        grid = np.asarray(grid)
-        if grid.ndim != 1 or not np.iscomplexobj(grid):
-            raise ValueError("grid must be a 1-D array of complex points")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("grid points must be finite")
-    else:
-        grid = None
+    grid = np.asarray(grid)
+    if grid.ndim != 1 or not np.iscomplexobj(grid):
+        raise ValueError("grid must be a 1-D array of complex points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
     f0 = f.eval_many(np.array([0.0 + 0.0j]))[0]
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
@@ -674,8 +661,8 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     if len(zeros_in):
         H_c = 4.0 * DEFAULT_GAMMA * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)
-        cover = greedy_ball_cover(space, phi, probes=None if grid is None
-                                  else np.column_stack([grid.real, grid.imag]))
+        cover = greedy_ball_cover(
+            space, phi, probes=np.column_stack([grid.real, grid.imag]))
         centers, radii = cover.centers, cover.radii
         radius_sum = float(np.sum(radii))
         # A ball can swallow a zero in its outer half, where the halved
@@ -693,17 +680,15 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
             for r in r_extra:
                 radius_sum += float(r)
 
-    checked, violations, worst = 0, [], None
-    if grid is not None:
-        zs = np.compress(np.abs(grid) <= R, grid)
+    zs = np.compress(np.abs(grid) <= R, grid)
 
-        def log_abs_f(off):
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(f.eval_many(np.compress(off, zs))))
+    def log_abs_f(off):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(f.eval_many(np.compress(off, zs))))
 
-        checked, violations, worst = _off_ball_floor(
-            space, centers, radii, np.column_stack([zs.real, zs.imag]),
-            log_abs_f, lower)
+    checked, violations, worst = _off_ball_floor(
+        space, centers, radii, np.column_stack([zs.real, zs.imag]),
+        log_abs_f, lower)
 
     half_ok = bool(np.all(_in_balls(space, centers, radii / 2.0 + 1e-12,
                                     space.points)))

@@ -29,6 +29,7 @@ from scipy.spatial import cKDTree
 
 MAX_CELLS = 10 ** 7
 BUCKET_THRESHOLD = 10 ** 5
+REGULARITY_SAMPLES = 1000
 
 
 class CellCountError(ValueError):
@@ -145,8 +146,8 @@ class FractalSet:
                    delimiter=",", header=header, comments="")
 
 
-def build_set(ifs: IFS, depth: int, diam: float | None = None) -> FractalSet:
-    """Refine the IFS to the given depth.
+def build_set(ifs: IFS, depth: int, diam: float) -> FractalSet:
+    """Refine the IFS to the given depth; diam is the set's diameter.
 
     Cell representatives are S_w(x0) with x0 the fixed point of map 0, and
     the cell mass is prod p_i over the word (total mass 1), where p_i = 1/m
@@ -171,10 +172,6 @@ def build_set(ifs: IFS, depth: int, diam: float | None = None) -> FractalSet:
     for _ in range(depth):
         points = np.concatenate([mp.apply(points) for mp in ifs.maps])
         masses = np.concatenate([p * masses for p in probs])
-
-    if diam is None:
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        diam = float(np.linalg.norm(hi - lo))
     cell_diam = diam * float(ratios.max()) ** depth
     return FractalSet(points=points, masses=masses, s=ifs.similarity_dim,
                       diam=diam, cell_diam=cell_diam, total_mass=1.0,
@@ -192,11 +189,11 @@ def ball_measure(X: FractalSet, x, r: float) -> float:
     indices within a slightly widened radius, in increasing order, and
     those with d < r by the same distance formula are kept.  Both paths
     sum the same masses in the same index order, so their results are
-    bitwise identical.
+    bitwise identical.  The center and the radius must be finite.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (0.0 < r < math.inf and np.isfinite(x).all()):
+        raise ValueError("need a finite center and a finite radius > 0")
     if X.size < BUCKET_THRESHOLD:
         d = np.linalg.norm(X.points - x, axis=1)
         return float(np.sum(X.masses[d < r]))
@@ -235,10 +232,10 @@ def regularity_samples(X: FractalSet, num_samples: int, radius_range,
     return centers, radii
 
 
-def estimate_regularity(X: FractalSet, num_samples: int = 1000,
-                        radius_range=None, rng=None,
+def estimate_regularity(X: FractalSet, radius_range=None, rng=None,
                         samples=None) -> RegularityEstimate:
-    """Empirical Ahlfors constants: extremes of ball_measure / r^s.
+    """Empirical Ahlfors constants: extremes of ball_measure / r^s, over
+    the given samples or REGULARITY_SAMPLES drawn ones.
 
     Radii, drawn or given, must lie between 4 cell diameters and diam X;
     beneath cell resolution the cloud no longer represents the measure.
@@ -253,7 +250,8 @@ def estimate_regularity(X: FractalSet, num_samples: int = 1000,
             raise ValueError(f"degenerate radius range {radius_range}")
         if rng is None:
             rng = np.random.default_rng(0)
-        samples = regularity_samples(X, num_samples, radius_range, rng)
+        samples = regularity_samples(X, REGULARITY_SAMPLES, radius_range,
+                                     rng)
     centers, radii = samples
     rad = np.asarray(radii, dtype=float)
     if not np.all((rad > 0.0) & (rad <= X.diam * (1 + 1e-9))):
@@ -288,8 +286,8 @@ def product_set(X1: FractalSet, X2: FractalSet) -> FractalSet:
 
 def transform(X: FractalSet, scale: float, offset) -> FractalSet:
     """Dilation plus translation; mass rescales by scale^s."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     offset = np.broadcast_to(np.asarray(offset, dtype=float),
                              (X.ambient_dim,))
     factor = scale ** X.s

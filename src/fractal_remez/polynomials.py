@@ -41,7 +41,6 @@ __all__ = [
     "multi_indices",
     "exponent_array",
     "chebyshev",
-    "finite_difference",
     "finite_difference_many",
     "compose_affine_many",
     "affine_matrices",
@@ -184,10 +183,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int = 1) -> "Polynomial":
-        return cls(num_vars, 0, np.zeros(1))
-
-    @classmethod
     def constant(cls, value, num_vars: int = 1) -> "Polynomial":
         return cls(num_vars, 0, {(0,) * num_vars: value})
 
@@ -202,13 +197,9 @@ class Polynomial:
         return cls(num_vars, deg, coeffs)
 
     @classmethod
-    def random(cls, rng, num_vars: int, degree: int,
-               complex_coeffs: bool = False) -> "Polynomial":
+    def random(cls, rng, num_vars: int, degree: int) -> "Polynomial":
         m = len(multi_indices(num_vars, degree))
-        c = rng.uniform(-1.0, 1.0, size=m)
-        if complex_coeffs:
-            c = c + 1j * rng.uniform(-1.0, 1.0, size=m)
-        return cls(num_vars, degree, c)
+        return cls(num_vars, degree, rng.uniform(-1.0, 1.0, size=m))
 
     # -- views --------------------------------------------------------
 
@@ -423,22 +414,3 @@ def finite_difference_many(g, k: int, X: np.ndarray, H: np.ndarray) -> np.ndarra
         sign = -1.0 if (k - j) % 2 else 1.0
         total += sign * math.comb(k, j) * np.asarray(g(X + j * H), dtype=float)
     return total
-
-
-def finite_difference(f, k: int, x, h) -> float:
-    """k-th forward difference of f at x with step vector h.
-
-    f takes one point, a scalar when x has one coordinate.  Annihilates
-    polynomials of degree <= k - 1 exactly.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if x.shape != h.shape:
-        raise ValueError("x and h must have the same dimension")
-
-    def g(points):
-        return [float(f(p if len(p) > 1 else p[0])) for p in points]
-
-    return float(finite_difference_many(g, k, x[None, :], h[None, :])[0])

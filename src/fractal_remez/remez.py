@@ -60,9 +60,9 @@ def simple_bound(n: int, k: int, lam: float) -> float:
 # -- sup norms -----------------------------------------------------------
 
 
-def _refine_coordinates(p: Polynomial, domain, X: np.ndarray,
-                        sweeps: int = REFINE_SWEEPS) -> np.ndarray:
-    """Per-coordinate golden-section ascent of |p| from each row of X.
+def _refine_coordinates(p: Polynomial, domain, X: np.ndarray) -> np.ndarray:
+    """Per-coordinate golden-section ascent of |p| from each row of X,
+    REFINE_SWEEPS sweeps over the axes.
 
     All starts move together, each with its own bracket and running best;
     a start moves only to a strictly larger value, and stays put on an
@@ -71,7 +71,7 @@ def _refine_coordinates(p: Polynomial, domain, X: np.ndarray,
     """
     X = np.array(X, dtype=float)
     best = np.abs(p.eval_many(X))
-    for _ in range(sweeps):
+    for _ in range(REFINE_SWEEPS):
         for i in range(domain.dim):
             a, b = domain.coordinate_segments(X, i)
             rows = np.flatnonzero(b > a)
@@ -235,24 +235,20 @@ def _cloud_as_complex(X: FractalSet) -> np.ndarray:
 
 
 def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
-                    num_centers: int = 64,
-                    centers: np.ndarray | None = None) -> OscillationReport:
-    """Max mean oscillation of ln|p| over sampled balls of the cloud measure.
+                    centers: np.ndarray) -> OscillationReport:
+    """Max mean oscillation of ln|p| over the balls of the given centers
+    and radii under the cloud measure.
 
     Points with |p| below 1e-300 are excluded from the averages and their
     mass is reported; the zero set carries no measure in the regime where
     the statement applies, so the exclusion only guards the logarithm.
-    Explicit centers make runs comparable across refinement depths.
+    The same centers make runs comparable across refinement depths.
     """
     if p.num_vars != 1:
         raise ValueError("univariate complex polynomials only")
     zs = _cloud_as_complex(X)
     vals = np.abs(p.eval_many(zs))
-    if centers is None:
-        rng = np.random.default_rng(0)
-        centers = X.points[rng.integers(0, X.size, size=num_centers)]
-    else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     best = -math.inf
     max_excluded = 0.0
     count = 0

@@ -1,12 +1,14 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from fractal_remez import campanato
 from fractal_remez.campanato import (CubeFamily, FitPlan, Majorant,
                                      MajorantSumError, build_cube_family,
                                      campanato_seminorm,
@@ -302,6 +304,16 @@ def _linprog_fit(X, Q, k, fv, q):
 
 @given(plan_cases(max_n=2, max_k=3), st.sampled_from([1, INF]))
 @settings(max_examples=150, deadline=None)
+# the cube holds four points on a line, at three distinct places, so a
+# quadratic interpolates f there and E_3 = 0; the dual's rounding left the
+# q = 1 lower end at 2e-17, above the value
+@example(case=(FractalSet(points=np.array([[0.0, 0.0], [0.0, 0.5],
+                                           [0.0, 0.25], [0.0, 0.5],
+                                           [0.0, 0.75]]),
+                          masses=np.full(5, 0.2), s=2.0, diam=1.0,
+                          cell_diam=0.25, total_mass=1.0),
+               [Cube((0.0, 0.5), 0.25)], 3,
+               np.array([0.0, 0.0, 0.0, 0.0, 1.0])), q=1)
 def test_lp_fits_are_one_per_member_set(case, q):
     X, cubes, k, fv = case
     fam = CubeFamily(X, cubes)
@@ -567,12 +579,12 @@ def test_empty_family_rejected_by_the_plan():
         CubeFamily(X, ()).fit_plan(1)
 
 
-def test_seminorm_stable_under_density_doubling():
+def test_seminorm_stable_under_density_doubling(monkeypatch):
     X = build_preset("cube:1", 9)
     om = Majorant.power(1.0, 2)
     fv = np.abs(X.points[:, 0] - 0.5)
-    sparse = build_cube_family(X, center_budget=256,
-                               rng=np.random.default_rng(2))
+    monkeypatch.setattr(campanato, "FAMILY_SEED", 2)
+    sparse = build_cube_family(X, center_budget=256)
     dense = build_cube_family(X)  # all 512 centers
     a = campanato_seminorm(fv, sparse, 2, 2, om).value
     b = campanato_seminorm(fv, dense, 2, 2, om).value
@@ -602,10 +614,11 @@ def test_supercritical_power_rejected():
     assert "increasing" in rep.reason
 
 
-def test_table_majorant_quasipower():
+def test_table_majorant_quasipower(monkeypatch):
     ts = np.concatenate([[0.0], np.exp(np.linspace(-20, 10, 400))])
     om = Majorant.table(ts, np.sqrt(ts), k=2)
-    rep = quasipower_check(om, grid_lo=1e-6, grid_hi=1e3)
+    monkeypatch.setattr(campanato, "QUASIPOWER_GRID", (1e-6, 1e3))
+    rep = quasipower_check(om)
     assert rep.is_quasipower
     assert rep.C_omega == pytest.approx(2.0, rel=0.05)
 
@@ -657,28 +670,34 @@ def test_majorant_sum_cap_enforced():
 # -- Lipschitz seminorm ---------------------------------------------------------
 
 
+def lipschitz_at(budget, *args, **kwargs):
+    """lipschitz_seminorm with LIPSCHITZ_BUDGET set to budget."""
+    with mock.patch.object(campanato, "LIPSCHITZ_BUDGET", budget):
+        return lipschitz_seminorm(*args, **kwargs)
+
+
 def test_lipschitz_vanishes_on_low_degree():
     P = Polynomial.from_dict(1, {(0,): 1.0, (1,): -2.0})
     g = lambda pts: np.real(P.eval_many(pts))
     om = Majorant.power(1.0, 2)
-    est = lipschitz_seminorm(g, 2, om, (np.array([-1.0]), np.array([1.0])),
-                             budget=2 ** 10)
+    est = lipschitz_at(2 ** 10, g, 2, om,
+                       (np.array([-1.0]), np.array([1.0])))
     assert est.value <= 1e-9
 
 
 def test_lipschitz_identity():
     g = lambda pts: pts[:, 0]
     om = Majorant.power(1.0, 1)
-    est = lipschitz_seminorm(g, 1, om, (np.array([-1.0]), np.array([1.0])),
-                             budget=2 ** 10)
+    est = lipschitz_at(2 ** 10, g, 1, om,
+                       (np.array([-1.0]), np.array([1.0])))
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lipschitz_square():
     g = lambda pts: pts[:, 0] ** 2
     om = Majorant.power(2.0, 2)
-    est = lipschitz_seminorm(g, 2, om, (np.array([-1.0]), np.array([1.0])),
-                             budget=2 ** 11)
+    est = lipschitz_at(2 ** 11, g, 2, om,
+                       (np.array([-1.0]), np.array([1.0])))
     assert est.value == pytest.approx(2.0, abs=1e-6)
 
 
@@ -692,8 +711,7 @@ def test_lipschitz_probe_directions_are_finite(n):
         return pts.sum(axis=1)
 
     box = (np.zeros(n), np.ones(n))
-    est = lipschitz_seminorm(g, 1, Majorant.power(1.0, 1), box, budget=64,
-                             h_max=1e-9)
+    est = lipschitz_at(64, g, 1, Majorant.power(1.0, 1), box, h_max=1e-9)
     assert all(np.all(np.isfinite(pts)) for pts in seen)
     # with steps this short, only base points on the boundary are dropped
     u = sobol_unit(2 * n + 1, 64)[:, :n]
@@ -704,16 +722,16 @@ def test_lipschitz_probe_directions_are_finite(n):
 def test_lipschitz_rejects_a_box_no_probe_fits():
     # one decade below h_max = 10: every step is longer than [0, 1]
     with pytest.raises(ValueError, match="no probe"):
-        lipschitz_seminorm(lambda pts: pts[:, 0], 1, Majorant.power(1.0, 1),
-                           (np.array([0.0]), np.array([1.0])), budget=4,
-                           h_decades=1.0, h_max=10.0)
+        lipschitz_at(4, lambda pts: pts[:, 0], 1, Majorant.power(1.0, 1),
+                     (np.array([0.0]), np.array([1.0])), h_decades=1.0,
+                     h_max=10.0)
 
 
 def test_lipschitz_monotone_in_budget():
     g = lambda pts: np.abs(pts[:, 0])
     om = Majorant.power(1.0, 1)
     box = (np.array([-1.0]), np.array([1.0]))
-    vals = [lipschitz_seminorm(g, 1, om, box, budget=2 ** b).value
+    vals = [lipschitz_at(2 ** b, g, 1, om, box).value
             for b in (8, 10, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -737,7 +755,7 @@ def test_trace_seminorm_controlled_by_lipschitz():
     recorded = []
     for fv, g in suite:
         trace = campanato_seminorm(fv, fam, 2, 2, om).value
-        lip = lipschitz_seminorm(g, 2, om, box, budget=2 ** 12).value
+        lip = lipschitz_seminorm(g, 2, om, box).value
         assert np.isfinite(trace) and np.isfinite(lip) and lip > 0
         recorded.append(trace / lip)
     assert all(np.isfinite(c) for c in recorded)

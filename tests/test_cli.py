@@ -50,6 +50,20 @@ def test_run_deterministic_bytes(tmp_path):
     pytest.param({"experiment": "campanato", "depth": 5,
                   "params": {"omega": "power:-1"}}, "power:-1",
                  id="bad-majorant"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"omega": "power:nan"}}, "positive and finite",
+                 id="nan-majorant"),
+    pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
+                  "params": {"omega": "power:nan"}}, "positive and finite",
+                 id="nan-majorant-extension"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"omega": "power:inf"}}, "positive and finite",
+                 id="infinite-majorant"),
+    pytest.param({"experiment": "campanato", "depth": 5,
+                  "params": {"omega": "const:nan"}}, "positive and finite",
+                 id="nan-constant-majorant"),
+    pytest.param({"experiment": "covering", "params": {"s": float("inf")}},
+                 "finite p > 0, s > 0", id="covering-infinite-s"),
     pytest.param({"experiment": "extension", "set": "cube:1", "depth": 5,
                   "params": {"omega": "const:1"}}, "quasipower",
                  id="not-quasipower"),

@@ -135,6 +135,18 @@ def test_non_finite_query_rejected():
         with pytest.raises(ValueError):
             verify_cover(sp, phi, greedy_ball_cover(sp, phi),
                          probes=np.array(bad))
+        # the potential read -inf ("mass sits at x") at a NaN query
+        with pytest.raises(ValueError, match="query points must be finite"):
+            potential_many(sp, np.array(bad))
+        with pytest.raises(ValueError, match="query points must be finite"):
+            potential(sp, bad[-1])
+
+
+def test_power_majorant_rejects_non_finite_parameters():
+    for p, s in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+                 (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="finite p > 0, s > 0"):
+            MajorantFn.power(p, s)
 
 
 def test_query_dimension_mismatch_rejected():
@@ -506,10 +518,11 @@ def test_scale_equivariance():
     pts = rng.random((12, 2))
     masses = rng.uniform(0.2, 1.0, 12)
     c = 3.7
+    none = np.zeros((0, 2))  # no grid: the atoms are the only candidates
     rep1 = potential_bound_verify(DiscreteMeasureSpace(pts, masses),
-                                  H=0.25, s=1.0)
+                                  H=0.25, s=1.0, grid=none)
     rep2 = potential_bound_verify(DiscreteMeasureSpace(c * pts, masses),
-                                  H=c * 0.25, s=1.0)
+                                  H=c * 0.25, s=1.0, grid=none)
     assert np.allclose(rep2.cover.radii, c * rep1.cover.radii, rtol=1e-12)
 
 
@@ -669,8 +682,11 @@ def _circle_max_reference(f, radius, samples=4096):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_circle_max_matches_scalar_search(deg, radius, complex_coeffs, seed):
-    f = Polynomial.random(np.random.default_rng(seed), 1, deg,
-                          complex_coeffs=complex_coeffs)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, deg + 1)
+    if complex_coeffs:
+        c = c + 1j * rng.uniform(-1.0, 1.0, deg + 1)
+    f = Polynomial(1, deg, c)
     want = _circle_max_reference(f, radius)
     assert abs(_circle_max_abs(f, radius) - want) <= 1e-13 * want
 
@@ -685,7 +701,8 @@ def test_cartan_constant_one():
 
 def test_cartan_h_at_max_eta():
     f = Polynomial.constant(1.0)
-    rep = cartan_exclusion_disks(f, R=1.0, eta=1.5 * math.e)
+    rep = cartan_exclusion_disks(f, R=1.0, eta=1.5 * math.e,
+                                 grid=cartan_grid(R=1.0))
     assert rep.H_eta == pytest.approx(2.0, abs=1e-12)
 
 
@@ -700,10 +717,12 @@ def test_cartan_single_distant_root():
 
 def test_cartan_requires_normalization():
     f = Polynomial.from_dict(1, {(0,): 2.0, (1,): 1.0})
-    with pytest.raises(ValueError):
-        cartan_exclusion_disks(f, R=1.0, eta=1.0)
-    with pytest.raises(ValueError):
-        cartan_exclusion_disks(Polynomial.constant(1.0), R=1.0, eta=5.0)
+    grid = cartan_grid(R=1.0, n=5)
+    with pytest.raises(ValueError, match="f\\(0\\) must equal 1"):
+        cartan_exclusion_disks(f, R=1.0, eta=1.0, grid=grid)
+    with pytest.raises(ValueError, match="eta"):
+        cartan_exclusion_disks(Polynomial.constant(1.0), R=1.0, eta=5.0,
+                               grid=grid)
 
 
 def test_cartan_grid_must_be_complex_points():
@@ -744,6 +763,20 @@ def test_cartan_floor_matches_real_pair_grid_bitwise():
     margins = np.log(np.abs(f.eval_many(zs))) - rep.lower_bound
     assert rep.num_checked == int(np.sum(off)) > 0
     assert rep.worst_margin == float(margins.min())
+
+
+def test_empty_grids_check_nothing():
+    # with no grid point the atoms are the only candidates
+    f = Polynomial(1, 3, np.array([1.0, -0.8, 0.9, -0.6]))
+    rep = cartan_exclusion_disks(f, R=1.5, eta=0.25,
+                                 grid=np.zeros(0, dtype=complex))
+    assert rep.disks and rep.num_checked == 0 and rep.worst_margin is None
+    sp = DiscreteMeasureSpace(np.random.default_rng(0).random((5, 2)),
+                              np.ones(5))
+    pot = potential_bound_verify(sp, H=0.25, s=1.0, grid=np.zeros((0, 2)))
+    assert pot.num_checked == 0 and pot.worst_margin is None
+    cover = greedy_ball_cover(sp, MajorantFn.power(20.0, 1.0))
+    assert np.array_equal(pot.cover.radii, cover.radii)
 
 
 def test_cartan_certificate_random_poly():

@@ -70,6 +70,17 @@ def test_ball_misses_set():
     assert ball_measure(X, [10.0], 0.5) == 0.0
 
 
+@pytest.mark.parametrize("threshold", [fractals.BUCKET_THRESHOLD, 1])
+def test_ball_measure_rejects_non_finite_balls(monkeypatch, threshold):
+    # a NaN or infinite center misses every point, so it used to read 0.0
+    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", threshold)
+    X = build_preset("cantor:1/3", 5)
+    for x, r in (([np.nan], 0.5), ([-np.inf], 0.5), ([0.0], np.nan),
+                 ([0.0], np.inf), ([0.0], 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ball_measure(X, x, r)
+
+
 def test_ball_left_third():
     X = build_preset("cantor:1/3", 6)
     assert ball_measure(X, [0.0], 1 / 3 + 1e-9) == pytest.approx(0.5,
@@ -106,10 +117,12 @@ def test_index_agrees_exactly_at_boundary_radii(monkeypatch):
                 assert ball_measure(X, x, r) == _scan_measure(X, x, r)
 
 
-def test_regularity_unit_interval():
+def test_regularity_unit_interval(monkeypatch):
+    monkeypatch.setattr(fractals, "REGULARITY_SAMPLES", 500)
     X = build_preset("cube:1", 10)
-    est = estimate_regularity(X, 500, (4 * 2.0 ** -10, 0.5),
+    est = estimate_regularity(X, (4 * 2.0 ** -10, 0.5),
                               rng=np.random.default_rng(4))
+    assert est.num_samples == 500
     # a ball of radius r in [0,1] has length between r and 2r
     assert est.b_hat >= 1.0 - 0.25
     assert est.a_hat <= 2.0 + 0.25
@@ -131,9 +144,9 @@ def test_regularity_rejects_degenerate():
     single = FractalSet(points=X.points[:1], masses=X.masses[:1], s=X.s,
                         diam=X.diam, cell_diam=X.cell_diam, total_mass=1.0)
     with pytest.raises(ValueError):
-        estimate_regularity(single, 10)
+        estimate_regularity(single)
     with pytest.raises(ValueError):
-        estimate_regularity(X, 10, ( 0.5, 0.1))
+        estimate_regularity(X, (0.5, 0.1))
     # given samples obey the radius rules of a drawn range
     centers = X.points[:8]
     for r in (0.1 * X.cell_diam, 10.0 * X.diam, 0.0, -1.0, np.nan):
@@ -179,6 +192,13 @@ def test_transform_scales_mass_by_power():
     assert Y.total_mass == pytest.approx(0.5 ** C.s, rel=1e-12)
     assert Y.diam == pytest.approx(0.5 * C.diam)
     assert np.min(Y.points) >= 1.0
+
+
+def test_transform_rejects_non_finite_scale():
+    C = build_preset("cantor:1/3", 3)
+    for scale in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            transform(C, scale, [0.0])
 
 
 def test_product_id_parsing():
@@ -235,4 +255,4 @@ def test_build_set_depth_validation():
     ifs = IFS.from_maps([Similarity(1 / 3, (0.0,)),
                          Similarity(1 / 3, (2 / 3,))])
     with pytest.raises(ValueError):
-        build_set(ifs, 0)
+        build_set(ifs, 0, diam=1.0)

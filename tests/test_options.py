@@ -1,14 +1,16 @@
-"""Options audit: every defaulted parameter of the library is set by a caller.
+"""Options audit: every defaulted parameter of the library is set by a
+program caller.
 
-A parameter that no call site ever sets is a constant in disguise, and
-each one doubles the configurations that tests would have to cover.  The
+A parameter that no program ever sets is a constant in disguise, and
+each one doubles the configurations that tests would have to cover.  A
+test that needs another value patches the module constant instead.  The
 audit parses every function definition in src/fractal_remez and every
-call in src/, scripts/, perfbench/ and tests/, matching calls to
-definitions by name, by keyword and by position.  A call that passes the
-default's own literal (same type, same value) does not set the parameter.
-Passing a parameter of the enclosing function straight through sets the
-callee's parameter only if that one is set in turn.  A call with *args or
-**kwargs sets every parameter it can reach.
+call in the programs, src/, scripts/ and perfbench/ (tests do not count),
+matching calls to definitions by name, by keyword and by position.  A
+call that passes the default's own literal (same type, same value) does
+not set the parameter.  Passing a parameter of the enclosing function
+straight through sets the callee's parameter only if that one is set in
+turn.  A call with *args or **kwargs sets every parameter it can reach.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fractal_remez"
-CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+
+def _program_files() -> list[Path]:
+    """The Python files of the programs: CALLER_DIRS less their tests."""
+    return [path for folder in CALLER_DIRS
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if "tests" not in path.relative_to(ROOT).parts]
 
 
 def _options() -> dict:
@@ -107,9 +116,8 @@ def _scan_calls(opts: dict) -> tuple[set, dict]:
             else:
                 forward.setdefault(key, set()).add((source, value.id))
 
-    for folder in CALLER_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            visit(ast.parse(path.read_text()), [])
+    for path in _program_files():
+        visit(ast.parse(path.read_text()), [])
     return set_by_call, forward
 
 
@@ -134,6 +142,14 @@ def test_every_option_is_set_by_a_caller():
     unset = unset_options()
     assert not unset, ("defaulted parameters that no caller sets: "
                        + ", ".join(unset))
+
+
+def test_tests_are_not_callers():
+    files = {path.relative_to(ROOT).parts[0] for path in _program_files()}
+    assert files == set(CALLER_DIRS)
+    assert (ROOT / "perfbench" / "tests").is_dir()
+    assert not any("tests" in path.relative_to(ROOT).parts
+                   for path in _program_files())
 
 
 def test_default_literal_does_not_count_as_set():

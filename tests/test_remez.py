@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractal_remez import fractals
+from fractal_remez import fractals, remez
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Ball, Cube
 from fractal_remez.polynomials import Polynomial, chebyshev
@@ -185,8 +185,9 @@ def test_batched_ascent_matches_scalar_reference(n, deg, ball, seed):
     scale = domain.radius * np.concatenate([rng.uniform(0, 1, 3), np.ones(3)])
     starts = np.vstack([domain.axis_extremes(), np.asarray(domain.center)
                         + scale[:, None] * dirs])
-    with mock.patch.object(Polynomial, "eval_many", _eval_rowwise):
-        got = _refine_coordinates(p, domain, starts, sweeps=6)
+    with mock.patch.object(Polynomial, "eval_many", _eval_rowwise), \
+            mock.patch.object(remez, "REFINE_SWEEPS", 6):
+        got = _refine_coordinates(p, domain, starts)
         want = np.array([_refine_reference(p, domain, x, sweeps=6)
                          for x in starts])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
@@ -325,7 +326,8 @@ def test_markov_empty_ball():
 def test_bmo_constant_polynomial_zero():
     X = build_preset("cantor:1/3", 7)
     p = Polynomial.constant(3.0 + 0.0j, 1)
-    rep = bmo_oscillation(p, X, [0.5, 1.0], num_centers=8)
+    centers = X.points[np.random.default_rng(0).integers(0, X.size, 8)]
+    rep = bmo_oscillation(p, X, [0.5, 1.0], centers=centers)
     assert rep.max_oscillation == pytest.approx(0.0, abs=1e-12)
 
 
