@@ -154,8 +154,9 @@ def criterion_5_ahlfors_regularity() -> CriterionResult:
     """Sandwich spread and depth stability of the Cantor(1/3) constants."""
     X10 = fractals.build_preset("cantor:1/3", 10)
     X8 = fractals.build_preset("cantor:1/3", 8)
-    est10 = fractals.estimate_regularity(
-        X10, (4.0 * 3.0 ** -10, 1.0), rng=np.random.default_rng(11))
+    est10 = fractals.estimate_regularity(X10, fractals.regularity_samples(
+        X10, fractals.REGULARITY_SAMPLES, (4.0 * 3.0 ** -10, 1.0),
+        np.random.default_rng(11)))
     spread = est10.a_hat / est10.b_hat
     samples = fractals.regularity_samples(
         X8, fractals.REGULARITY_SAMPLES, (4.0 * 3.0 ** -8, 1.0),
@@ -485,9 +486,10 @@ def run_criterion(fn) -> CriterionResult:
     return result
 
 
-def run_all(max_workers: int | None = None) -> list[CriterionResult]:
-    """Run every criterion, optionally in parallel; results stay ordered."""
-    if max_workers is None or max_workers <= 1:
+def run_all(max_workers: int) -> list[CriterionResult]:
+    """Run every criterion, in parallel above one worker; results stay
+    ordered."""
+    if max_workers <= 1:
         return [run_criterion(fn) for fn in CRITERIA]
     from concurrent.futures import ThreadPoolExecutor
 

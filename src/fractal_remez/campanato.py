@@ -15,15 +15,15 @@ omega(t)/t^k is nonincreasing, and the Dini constant
 
     C_omega = sup_t (1/omega(t)) int_0^t omega(u)/u du
 
-is finite; for omega(t) = t^lam this is 1/lam.  The companion Lipschitz
+is finite.  The moduli are powers t^lam, quasipower iff lam <= k, with
+C_omega = 1/lam, and constants, which never are.  The companion Lipschitz
 seminorm sup |delta_h^k g(x)| / omega(|h|) is estimated by quasi-random
 probing with |h| log-uniform across several decades.
 
 Best approximations: q = 2 is a weighted least-squares solve (minimum-norm
 on rank-deficient cubes), the same bit for bit from any plan; q = 1 and
 q = infinity are linear programs, bracketed by weak duality.  Results are
-in the monomials of (x - c_Q)/r_Q: `ApproxResult.coefs` with the cube,
-and `ApproxResult.poly`, a global view converted on first access.
+in the monomials of (x - c_Q)/r_Q (`ApproxResult.coefs`).
 
 E_k(f; Q) depends on Q only through Q cap X, so every fit reads a
 `FitPlan`: the sets Q cap X, each distinct set's frame, design and
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -46,11 +45,10 @@ from scipy.sparse import csr_array, hstack
 
 from .fractals import FractalSet
 from .geometry import Cube, gaussian_directions, sobol_unit
-from .polynomials import (Polynomial, affine_matrices, compose_affine_many,
-                          finite_difference_many, monomials, multi_indices)
+from .polynomials import (affine_matrices, finite_difference_many, monomials,
+                          multi_indices)
 
 LN2 = math.log(2.0)
-QUASIPOWER_GRID = (1e-8, 1e4)  # t range of the quadrature for tables
 LIPSCHITZ_BUDGET = 2 ** 12
 FAMILY_SEED = 0  # draws the centers of a family over a large cloud
 
@@ -115,7 +113,7 @@ def build_cube_family(X: FractalSet,
 
 @dataclass(frozen=True)
 class Majorant:
-    """Modulus omega(t) of kind power t^lam, constant, or table."""
+    """Modulus omega(t) of kind power t^lam or constant."""
 
     kind: str
     param: object
@@ -134,14 +132,6 @@ class Majorant:
         return cls("constant", float(value), k)
 
     @classmethod
-    def table(cls, ts, vals, k: int) -> "Majorant":
-        ts = tuple(float(t) for t in ts)
-        vals = tuple(float(v) for v in vals)
-        if len(ts) != len(vals) or len(ts) < 2:
-            raise ValueError("table needs matching ts/vals, length >= 2")
-        return cls("table", (ts, vals), k)
-
-    @classmethod
     def from_id(cls, text: str, k: int) -> "Majorant":
         name, _, arg = text.partition(":")
         if name == "power":
@@ -154,10 +144,7 @@ class Majorant:
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
             return t ** self.param
-        if self.kind == "constant":
-            return np.full_like(t, self.param)
-        ts, vals = self.param
-        return np.interp(t, ts, vals)
+        return np.full_like(t, self.param)
 
 
 @dataclass(frozen=True)
@@ -168,35 +155,15 @@ class QuasipowerReport:
 
 
 def quasipower_check(omega: Majorant) -> QuasipowerReport:
-    """Verify omega(+0) = 0, monotonicity, omega(t)/t^k nonincreasing, and
-    compute C_omega (closed form for powers, otherwise quadrature on a log
-    grid over QUASIPOWER_GRID)."""
-    k = omega.k
-    if omega.kind == "power":
-        lam = omega.param
-        if lam > k:
-            return QuasipowerReport(False, math.inf,
-                                    f"omega(t)/t^{k} increasing (lam={lam:g})")
-        return QuasipowerReport(True, 1.0 / lam)
+    """Whether omega(+0) = 0 and omega(t)/t^k is nonincreasing, with
+    C_omega in closed form: 1/lam for t^lam."""
     if omega.kind == "constant":
         return QuasipowerReport(False, math.inf, "omega(+0) != 0")
-    ts = np.exp(np.linspace(*np.log(QUASIPOWER_GRID), 400))
-    vals = omega(ts)
-    # omega(+0) = 0 checked as decay across the lower half of the log grid
-    if vals[0] > 0.5 * vals[len(vals) // 2]:
-        return QuasipowerReport(False, math.inf, "omega(+0) != 0")
-    if np.any(np.diff(vals) < -1e-12 * vals.max()):
-        return QuasipowerReport(False, math.inf, "omega not nondecreasing")
-    ratio = vals / ts ** k
-    if np.any(np.diff(ratio) > 1e-9 * ratio[:-1]):
-        return QuasipowerReport(False, math.inf, f"omega(t)/t^{k} increasing")
-    # C_omega = sup_t (1/omega(t)) int_0^t omega(u)/u du on the log grid
-    # omega(u)/u du = omega d(ln u), by the trapezoid rule
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1])
-                                           * np.diff(np.log(ts)))])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sup = np.nanmax(np.where(vals > 0, cum / vals, 0.0))
-    return QuasipowerReport(bool(np.isfinite(sup)), float(sup))
+    k, lam = omega.k, omega.param
+    if lam > k:
+        return QuasipowerReport(False, math.inf,
+                                f"omega(t)/t^{k} increasing (lam={lam:g})")
+    return QuasipowerReport(True, 1.0 / lam)
 
 
 class MajorantSumError(AssertionError):
@@ -234,28 +201,17 @@ class ApproxResult:
     """A local best approximation over Q cap X.
 
     `coefs` are the coefficients of the achieved polynomial of degree
-    `degree` in the monomials of (x - c_Q)/r_Q, graded, so coefs[0] is
-    its value at c_Q; minimum-norm, with these values on Q cap X, on a
-    rank-deficient cube.  `poly` is the same polynomial in global
-    monomials, built on first access.  Plans agree at q = 1 and q = inf
+    k - 1 (zero at k = 0) in the monomials of (x - c_Q)/r_Q, graded, so
+    coefs[0] is its value at c_Q; minimum-norm, with these values on
+    Q cap X, on a rank-deficient cube.  Plans agree at q = 1 and q = inf
     within their weak-duality bracket gaps; `fallback` marks such a fit
     whose linear program failed, with the L2 fit's coefficients.
     """
 
     value: float
     coefs: np.ndarray
-    cube: Cube
-    degree: int
     rank_deficient: bool
-    fallback: bool = False
-
-    @cached_property
-    def poly(self) -> Polynomial:
-        c = np.asarray(self.cube.center, dtype=float)
-        r = self.cube.radius
-        g = compose_affine_many(self.coefs[None, :], len(c), self.degree,
-                                1.0 / r, -c / r)
-        return Polynomial(len(c), self.degree, g[0])
+    fallback: bool
 
 
 # member masks of a fit plan are built in blocks of about this many entries
@@ -401,9 +357,8 @@ def local_best_approx(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int,
     _check_args(k, q)
     plan = FitPlan(X, (Q,), k)
     coefs, values, _, failed = _fit(plan, f_values, q)
-    return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1), Q,
-                        max(k - 1, 0), bool(plan.deficient[0]),
-                        bool(failed[0]))
+    return ApproxResult(float(values[0]), coefs[0] if k else np.zeros(1),
+                        bool(plan.deficient[0]), bool(failed[0]))
 
 
 # HiGHS tolerances: at the defaults (1e-7), block values drift up to 4e-8
@@ -521,9 +476,8 @@ class LipschitzEstimate:
     num_probes: int
 
 
-def lipschitz_seminorm(g, k: int, omega: Majorant, box,
-                       h_decades: float = 4.0,
-                       h_max: float | None = None) -> LipschitzEstimate:
+def lipschitz_seminorm(g, k: int, omega: Majorant, box, h_decades: float,
+                       h_max: float) -> LipschitzEstimate:
     """sup |delta_h^k g(x)| / omega(|h|) over LIPSCHITZ_BUDGET Sobol probes.
 
     g must accept an (N, n) array and return (N,).  Base points x are
@@ -534,9 +488,6 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box,
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = len(lo)
-    span = float(np.min(hi - lo))
-    if h_max is None:
-        h_max = span / (2.0 * k)
     u = sobol_unit(2 * n + 1, LIPSCHITZ_BUDGET)
     x = lo + u[:, :n] * (hi - lo)
     if n == 1:

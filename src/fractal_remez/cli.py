@@ -352,18 +352,29 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _max_workers() -> int | None:
+def _max_workers() -> int:
+    """FRACTAL_REMEZ_THREADS, at least 1, else the CPU count (1 if
+    unknown); raises ConfigError on a value that is not an integer."""
     env = os.environ.get("FRACTAL_REMEZ_THREADS")
     if env:
-        return max(int(env), 1)
-    return os.cpu_count()
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ConfigError(f"FRACTAL_REMEZ_THREADS={env!r} is not an "
+                              f"integer") from None
+    return os.cpu_count() or 1
 
 
 def cmd_suite(args) -> int:
     if args.name != "acceptance":
         print(f"unknown suite {args.name!r}", file=sys.stderr)
         return 2
-    results = acceptance.run_all(max_workers=_max_workers())
+    try:
+        workers = _max_workers()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    results = acceptance.run_all(max_workers=workers)
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width + 5}} {'pass':<6} {'time':>8}  "
           f"measured | threshold")

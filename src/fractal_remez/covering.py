@@ -119,50 +119,23 @@ def _spot_check_pseudometric(space: DiscreteMeasureSpace):
 
 @dataclass(frozen=True)
 class MajorantFn:
-    """Strictly increasing threshold phi with phi(0) = 0.
+    """The threshold phi(t) = (p t)^s: strictly increasing, phi(0) = 0,
+    with a nondecreasing inverse, which the tau prune relies on."""
 
-    kind "power" is phi(t) = (p t)^s; kind "table" interpolates a strictly
-    increasing table.  Both inverses are nondecreasing, which the tau
-    prune relies on.
-    """
-
-    kind: str
-    params: tuple
+    p: float
+    s: float
 
     @classmethod
     def power(cls, p: float, s: float) -> "MajorantFn":
         if not (0.0 < p < math.inf and 0.0 < s < math.inf):
             raise ValueError("power majorant needs finite p > 0, s > 0")
-        return cls("power", (float(p), float(s)))
-
-    @classmethod
-    def table(cls, ts, vals) -> "MajorantFn":
-        ts = tuple(float(t) for t in ts)
-        vals = tuple(float(v) for v in vals)
-        if len(ts) != len(vals) or len(ts) < 2:
-            raise ValueError("table needs matching ts/vals of length >= 2")
-        if ts[0] != 0.0 or vals[0] != 0.0:
-            raise ValueError("table must start at (0, 0)")
-        for name, xs in (("knots", ts), ("values", vals)):
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ValueError(f"table {name} must be strictly increasing")
-        return cls("table", (ts, vals))
+        return cls(float(p), float(s))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            p, s = self.params
-            return (p * t) ** s
-        ts, vals = self.params
-        return np.interp(t, ts, vals)
+        return (self.p * np.asarray(t, dtype=float)) ** self.s
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.kind == "power":
-            p, s = self.params
-            return y ** (1.0 / s) / p
-        ts, vals = self.params
-        return np.interp(y, vals, ts)
+        return np.asarray(y, dtype=float) ** (1.0 / self.s) / self.p
 
     def validate(self, total_mass: float, diam: float) -> None:
         if float(self(0.0)) != 0.0:
@@ -308,11 +281,6 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     return out
 
 
-def tau(space: DiscreteMeasureSpace, phi: MajorantFn, x) -> float:
-    """tau(x) = sup { t : xi(B_t(x)) >= phi(t) }, exact for atomic measures."""
-    return float(tau_many(space, phi, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
-
-
 # -- the greedy exclusion-ball construction -----------------------------
 
 
@@ -343,17 +311,17 @@ class CoverOutput:
 
 
 def _candidates(space: DiscreteMeasureSpace,
-                probes: np.ndarray | None) -> np.ndarray:
+                probes: np.ndarray) -> np.ndarray:
     """The atoms followed by the probe points, which must be finite."""
-    if probes is None or len(probes) == 0:
+    if len(probes) == 0:
         return space.points
     return np.concatenate([space.points,
                            _finite_points(space, probes, "probe")])
 
 
 def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
-                      gamma: float = DEFAULT_GAMMA,
-                      probes: np.ndarray | None = None) -> CoverOutput:
+                      gamma: float = DEFAULT_GAMMA, *,
+                      probes: np.ndarray) -> CoverOutput:
     """Cover all irregular candidate points by exclusion balls.
 
     Candidates are the atoms plus any caller-supplied probe points; for
@@ -431,8 +399,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
 
 
 def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
-                 cover: CoverOutput,
-                 probes: np.ndarray | None = None) -> dict:
+                 cover: CoverOutput, probes: np.ndarray) -> dict:
     """Audit the construction's postconditions on a finished cover."""
     checks = {
         "budget_below_total_mass": (cover.budget_used < space.A
@@ -462,16 +429,11 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
 # -- log-potentials ------------------------------------------------------
 
 
-def potential(space: DiscreteMeasureSpace, x) -> float:
-    """u(x) = sum m_i ln d(x, x_i); -inf when positive mass sits at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(potential_many(space, x[None, :])[0])
-
-
 def potential_many(space: DiscreteMeasureSpace,
                    queries: np.ndarray) -> np.ndarray:
-    """The potential u at each query point under the space's metric;
-    queries must be finite and have the space's dimension."""
+    """u(x) = sum m_i ln d(x, x_i) at each query point under the space's
+    metric, -inf where positive mass sits at x; queries must be finite and
+    have the space's dimension."""
     queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
     if not np.any(keep):

@@ -2,9 +2,9 @@
 
 The pipeline realizes a linear extension operator in four steps:
 
-  1. project:  P_Q(f) is the mass-weighted L2 projection of f onto
+  1. projection:  P_Q(f) is the mass-weighted L2 projection of f onto
      polynomials of degree k-1 over Q cap X (linear, idempotent, exact on
-     its range).
+     its range), the q = 2 fit of a campanato.FitPlan.
   2. trace_tilde:  the pointwise trace value at a cloud point x is the
      limit of P_Q(f)(x) along shrinking dyadic cubes centered at x; the
      deepest resolvable rung is used and the Cauchy increments are
@@ -52,14 +52,9 @@ from .polynomials import Polynomial, compose_affine_many, monomials
 from .remez import sup_norm
 
 __all__ = [
-    "Chain", "GridSpec", "ExtensionField", "project", "trace_tilde",
+    "Chain", "GridSpec", "ExtensionField", "trace_tilde",
     "build_chain", "chain_seminorm", "whitney_extend", "verify_extension",
 ]
-
-
-def project(f_values: np.ndarray, X: FractalSet, Q: Cube, k: int) -> Polynomial:
-    """Weighted L2 projection of f onto degree-(k-1) polynomials over Q cap X."""
-    return local_best_approx(f_values, X, Q, k, 2).poly
 
 
 @dataclass

@@ -38,39 +38,22 @@ class CellCountError(ValueError):
 
 @dataclass(frozen=True)
 class Similarity:
-    """Contracting similarity x -> ratio * O x + translation."""
+    """Contracting similarity x -> ratio * x + translation."""
 
     ratio: float
     translation: tuple
-    orthogonal: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("similarity ratio must lie in (0, 1)")
         object.__setattr__(self, "translation",
                            tuple(float(t) for t in self.translation))
-        if self.orthogonal is not None:
-            o = np.asarray(self.orthogonal, dtype=float)
-            if not np.allclose(o @ o.T, np.eye(len(o)), atol=1e-10):
-                raise ValueError("orthogonal part is not orthogonal")
-            object.__setattr__(self, "orthogonal",
-                               tuple(tuple(row) for row in o))
-
-    def matrix(self) -> np.ndarray:
-        n = len(self.translation)
-        o = np.eye(n) if self.orthogonal is None else np.asarray(self.orthogonal)
-        return self.ratio * o
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        t = np.asarray(self.translation)
-        if self.orthogonal is None:
-            return self.ratio * points + t
-        return self.ratio * (points @ np.asarray(self.orthogonal).T) + t
+        return self.ratio * points + np.asarray(self.translation)
 
     def fixed_point(self) -> np.ndarray:
-        n = len(self.translation)
-        return np.linalg.solve(np.eye(n) - self.matrix(),
-                               np.asarray(self.translation))
+        return np.asarray(self.translation) / (1.0 - self.ratio)
 
 
 def solve_similarity_dim(ratios) -> float:
@@ -103,18 +86,16 @@ def solve_similarity_dim(ratios) -> float:
 
 @dataclass(frozen=True)
 class IFS:
-    ambient_dim: int
     maps: tuple
     similarity_dim: float
 
     @classmethod
     def from_maps(cls, maps) -> "IFS":
         maps = tuple(maps)
-        dims = {len(m.translation) for m in maps}
-        if len(dims) != 1:
+        if len({len(m.translation) for m in maps}) != 1:
             raise ValueError("maps have inconsistent ambient dimensions")
         s = solve_similarity_dim([m.ratio for m in maps])
-        return cls(ambient_dim=dims.pop(), maps=maps, similarity_dim=s)
+        return cls(maps=maps, similarity_dim=s)
 
 
 @dataclass
@@ -127,8 +108,6 @@ class FractalSet:
     diam: float
     cell_diam: float
     total_mass: float
-    ifs: IFS | None = None
-    depth: int | None = None
     _tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -174,8 +153,7 @@ def build_set(ifs: IFS, depth: int, diam: float) -> FractalSet:
         masses = np.concatenate([p * masses for p in probs])
     cell_diam = diam * float(ratios.max()) ** depth
     return FractalSet(points=points, masses=masses, s=ifs.similarity_dim,
-                      diam=diam, cell_diam=cell_diam, total_mass=1.0,
-                      ifs=ifs, depth=depth)
+                      diam=diam, cell_diam=cell_diam, total_mass=1.0)
 
 
 # -- ball queries ------------------------------------------------------
@@ -223,8 +201,11 @@ class RegularityEstimate:
 
 def regularity_samples(X: FractalSet, num_samples: int, radius_range,
                        rng) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (center, radius) pairs: centers at cloud points, radii log-uniform."""
+    """Sample (center, radius) pairs: centers at cloud points, radii
+    log-uniform over radius_range = (r_min, r_max), 0 < r_min < r_max."""
     r_min, r_max = radius_range
+    if not 0.0 < r_min < r_max:
+        raise ValueError(f"degenerate radius range {radius_range}")
     idx = rng.integers(0, X.size, size=num_samples)
     centers = X.points[idx]
     radii = np.exp(rng.uniform(math.log(r_min), math.log(r_max),
@@ -232,28 +213,19 @@ def regularity_samples(X: FractalSet, num_samples: int, radius_range,
     return centers, radii
 
 
-def estimate_regularity(X: FractalSet, radius_range=None, rng=None,
-                        samples=None) -> RegularityEstimate:
-    """Empirical Ahlfors constants: extremes of ball_measure / r^s, over
-    the given samples or REGULARITY_SAMPLES drawn ones.
+def estimate_regularity(X: FractalSet, samples) -> RegularityEstimate:
+    """Empirical Ahlfors constants: extremes of ball_measure / r^s over the
+    (centers, radii) samples, one center per radius.
 
-    Radii, drawn or given, must lie between 4 cell diameters and diam X;
-    beneath cell resolution the cloud no longer represents the measure.
+    Radii must lie between 4 cell diameters and diam X; beneath cell
+    resolution the cloud no longer represents the measure.
     """
     if X.size < 2:
         raise ValueError("degenerate set: need at least two cloud points")
-    if samples is None:
-        if radius_range is None:
-            radius_range = (4.0 * X.cell_diam, X.diam)
-        r_min, r_max = radius_range
-        if not 0.0 < r_min < r_max:
-            raise ValueError(f"degenerate radius range {radius_range}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        samples = regularity_samples(X, REGULARITY_SAMPLES, radius_range,
-                                     rng)
     centers, radii = samples
     rad = np.asarray(radii, dtype=float)
+    if len(centers) != len(rad):
+        raise ValueError(f"{len(centers)} centers for {len(rad)} radii")
     if not np.all((rad > 0.0) & (rad <= X.diam * (1 + 1e-9))):
         raise ValueError("radii must be positive and at most diam X")
     if not np.all(rad >= 4.0 * X.cell_diam * (1 - 1e-9)):
@@ -290,12 +262,13 @@ def transform(X: FractalSet, scale: float, offset) -> FractalSet:
         raise ValueError("scale must be positive and finite")
     offset = np.broadcast_to(np.asarray(offset, dtype=float),
                              (X.ambient_dim,))
+    if not np.all(np.isfinite(offset)):
+        raise ValueError("offset must be finite")
     factor = scale ** X.s
     return FractalSet(points=scale * X.points + offset,
                       masses=X.masses * factor,
                       s=X.s, diam=X.diam * scale, cell_diam=X.cell_diam * scale,
-                      total_mass=X.total_mass * factor,
-                      ifs=None, depth=X.depth)
+                      total_mass=X.total_mass * factor)
 
 
 # -- preset registry ----------------------------------------------------

@@ -223,3 +223,37 @@ def test_suite_all_pass_exit_zero(monkeypatch):
 
     monkeypatch.setattr(acceptance, "CRITERIA", [quick])
     assert cli.main(["suite", "acceptance"]) == 0
+
+
+def quick_criterion():
+    return acceptance.CriterionResult(96, "quick", {"v": 0.0}, "always", True)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "4x"])
+def test_suite_bad_thread_count_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setattr(acceptance, "CRITERIA", [quick_criterion])
+    monkeypatch.setenv("FRACTAL_REMEZ_THREADS", value)
+    assert cli.main(["suite", "acceptance"]) == 2
+    assert "FRACTAL_REMEZ_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, cpus, want", [(None, None, 1), (None, 3, 3),
+                                             ("0", None, 1), ("4", 2, 4)])
+def test_suite_worker_count(monkeypatch, env, cpus, want):
+    # an unknown CPU count (os.cpu_count() is None) runs serially
+    seen = []
+    run_all = acceptance.run_all
+
+    def recorded(max_workers):
+        seen.append(max_workers)
+        return run_all(max_workers)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [quick_criterion])
+    monkeypatch.setattr(acceptance, "run_all", recorded)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if env is None:
+        monkeypatch.delenv("FRACTAL_REMEZ_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRACTAL_REMEZ_THREADS", env)
+    assert cli.main(["suite", "acceptance"]) == 0
+    assert seen == [want]

@@ -14,9 +14,8 @@ from fractal_remez.covering import (BETA, BLOCK_ENTRIES, DEFAULT_GAMMA,
                                     _circle_max_abs, _distances,
                                     _step_scan, cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
-                                    potential, potential_bound_verify,
-                                    potential_many, tau, tau_many,
-                                    verify_cover)
+                                    potential_bound_verify, potential_many,
+                                    tau_many, verify_cover)
 from fractal_remez.polynomials import Polynomial
 
 
@@ -31,13 +30,13 @@ def unit_atoms(points):
 def test_tau_zero_mass():
     sp = DiscreteMeasureSpace(np.array([[0.0], [1.0]]), np.zeros(2))
     phi = MajorantFn.power(1.0, 1.0)
-    assert tau(sp, phi, [0.3]) == 0.0
+    assert tau_many(sp, phi, [[0.3]])[0] == 0.0
 
 
 def test_tau_single_unit_atom():
     sp = unit_atoms([[0.0]])
     phi = MajorantFn.power(1.0, 1.0)  # phi(t) = t
-    assert tau(sp, phi, [0.0]) == pytest.approx(1.0, abs=1e-12)
+    assert tau_many(sp, phi, [[0.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(0.01, 100.0))
@@ -46,14 +45,14 @@ def test_tau_single_atom_mass_scaling(m):
     sp = DiscreteMeasureSpace(np.array([[0.0]]), np.array([m]))
     phi = MajorantFn.power(1.0, 1.0)
     # xi(closed B_t) = m for all t, so tau = phi^{-1}(m) = m
-    assert tau(sp, phi, [0.0]) == pytest.approx(m, rel=1e-12)
+    assert tau_many(sp, phi, [[0.0]])[0] == pytest.approx(m, rel=1e-12)
 
 
 def test_tau_far_point_regular():
     sp = unit_atoms([[0.0], [0.2]])
     phi = MajorantFn.power(1.0, 1.0)
     # phi^{-1}(A) = 2; any point farther than 2 from all mass is regular
-    assert tau(sp, phi, [5.0]) == 0.0
+    assert tau_many(sp, phi, [[5.0]])[0] == 0.0
 
 
 def brute_force_tau(space, phi, x, t_hi=100.0):
@@ -86,13 +85,12 @@ def test_tau_rejects_underflowing_inverse():
     with pytest.raises(ValueError, match="underflows"):
         tau_many(space, phi, space.points)
     with pytest.raises(ValueError, match="underflows"):
-        greedy_ball_cover(space, phi)
+        greedy_ball_cover(space, phi, probes=[])
     # a subnormal phi^{-1} has too few bits: phi(gamma * radius) rounded
     # up to the mass 5e-324 and failed the cover's budget audit
     space = DiscreteMeasureSpace(np.zeros((1, 1)), np.array([5e-324]))
-    ts = np.linspace(0.0, 30.0, 61)
     with pytest.raises(ValueError, match="underflows"):
-        greedy_ball_cover(space, MajorantFn.table(ts, 0.2 * ts))
+        greedy_ball_cover(space, MajorantFn.power(0.2, 1.0), probes=[])
 
 
 def test_tau_against_brute_force():
@@ -103,7 +101,7 @@ def test_tau_against_brute_force():
                                   rng.uniform(0.1, 2.0, m))
         phi = MajorantFn.power(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         x = rng.uniform(-1.5, 1.5, 2)
-        fast = tau(sp, phi, x)
+        fast = tau_many(sp, phi, x[None])[0]
         slow = brute_force_tau(sp, phi, x)
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
         # the defining condition holds at tau and fails just beyond it
@@ -133,13 +131,13 @@ def test_non_finite_query_rejected():
         with pytest.raises(ValueError):
             tau_many(sp, phi, np.array(bad))
         with pytest.raises(ValueError):
-            verify_cover(sp, phi, greedy_ball_cover(sp, phi),
+            verify_cover(sp, phi, greedy_ball_cover(sp, phi, probes=[]),
                          probes=np.array(bad))
         # the potential read -inf ("mass sits at x") at a NaN query
         with pytest.raises(ValueError, match="query points must be finite"):
             potential_many(sp, np.array(bad))
         with pytest.raises(ValueError, match="query points must be finite"):
-            potential(sp, bad[-1])
+            potential_many(sp, [bad[-1]])
 
 
 def test_power_majorant_rejects_non_finite_parameters():
@@ -152,7 +150,7 @@ def test_power_majorant_rejects_non_finite_parameters():
 def test_query_dimension_mismatch_rejected():
     sp = unit_atoms([[0.0, 0.0], [1.0, 0.0]])
     phi = MajorantFn.power(1.0, 1.0)
-    cover = greedy_ball_cover(sp, phi)
+    cover = greedy_ball_cover(sp, phi, probes=[])
     for bad, n in ((np.array([[0.0, 0.0, 5.0]]), 3),
                    (np.array([[0.0]]), 1)):
         msg = f"{n}-dimensional, the space's 2-dimensional"
@@ -241,10 +239,9 @@ def pruning_cases(draw):
     if draw(st.booleans()):
         phi = MajorantFn.power(draw(st.floats(0.2, 5.0)),
                                draw(st.floats(0.3, 3.0)))
-    else:
-        ts = np.linspace(0.0, 30.0, 61)
-        phi = MajorantFn.table(ts, draw(st.floats(0.2, 3.0))
-                               * ts ** draw(st.floats(0.5, 2.0)))
+    else:  # phi(t) = c t^s
+        c, s = draw(st.floats(0.2, 3.0)), draw(st.floats(0.5, 2.0))
+        phi = MajorantFn.power(c ** (1.0 / s), s)
     metric = draw(st.sampled_from(METRICS))
     return DiscreteMeasureSpace(atoms, masses, metric=metric), phi, probes
 
@@ -306,7 +303,7 @@ def test_metric_cover_audit_and_potential(case):
     try:
         phi.validate(space.A, space.extent())
     except ValueError:
-        assume(False)  # a table majorant that never exceeds the mass
+        assume(False)  # a majorant that never exceeds the mass
     keep = space.masses > 0
     # tau_many rejects a mass whose phi^{-1} underflows below the normal
     # range (test_tau_rejects_underflowing_inverse)
@@ -329,7 +326,7 @@ def test_metric_cover_audit_and_potential(case):
 def test_two_atom_example():
     sp = unit_atoms([[0.0], [10.0]])
     phi = MajorantFn.power(1.0, 1.0)
-    cover = greedy_ball_cover(sp, phi, gamma=1 / 3)
+    cover = greedy_ball_cover(sp, phi, gamma=1 / 3, probes=[])
     assert cover.taus[0] == pytest.approx(1.0, abs=1e-12)
     assert cover.radii[0] == pytest.approx(2.5, abs=1e-12)
     assert cover.count == 2
@@ -337,14 +334,14 @@ def test_two_atom_example():
     for pt in sp.points:
         assert any(np.linalg.norm(pt - c) <= t + 1e-12
                    for c, t in zip(cover.centers, cover.taus))
-    checks = verify_cover(sp, phi, cover)
+    checks = verify_cover(sp, phi, cover, probes=[])
     assert all(checks.values())
 
 
 def test_all_regular_gives_empty_cover():
     sp = DiscreteMeasureSpace(np.array([[0.0], [1.0]]), np.zeros(2))
     phi = MajorantFn.power(1.0, 1.0)
-    cover = greedy_ball_cover(sp, phi)
+    cover = greedy_ball_cover(sp, phi, probes=[])
     assert cover.count == 0
 
 
@@ -443,7 +440,7 @@ def test_streamed_cover_matches_argmax_reference_bitwise(case, entries):
     try:
         phi.validate(space.A, space.extent())
     except ValueError:
-        assume(False)  # a table majorant that never exceeds the mass
+        assume(False)  # a majorant that never exceeds the mass
     with mock.patch.object(covering, "BLOCK_ENTRIES", entries):
         want = cover_or_error(
             lambda: argmax_reference_cover(space, phi, probes))
@@ -484,17 +481,18 @@ def test_streamed_cover_skips_covered_blocks():
 
 
 def test_streamed_cover_emits_every_uncovered_top_witness():
-    # phi rises by 1e6 just past t = 1, so phi^{-1} rounds every step
-    # level to 1: top = 1, and every candidate within 1 of an atom is
-    # top-valued.  With blocks of three, atoms 0, 10 and 20 share the
-    # first block and all three are emitted: the disk of radius 2.5 around
-    # 0 leaves 10 uncovered, the one around 10 leaves 20.
+    # phi(t) = t^(1e17) grows by a factor e^22 across one ulp past t = 1,
+    # so phi^{-1} rounds every step level to 1: top = 1, and every
+    # candidate within 1 of an atom is top-valued.  With blocks of three,
+    # atoms 0, 10 and 20 share the first block and all three are emitted:
+    # the disk of radius 2.5 around 0 leaves 10 uncovered, the one around
+    # 10 leaves 20.  phi overflows at the validation horizon, as it may.
     space = unit_atoms([[0.0], [10.0], [20.0], [10.5]])
-    phi = MajorantFn.table([0.0, 1.0, np.nextafter(1.0, 2.0), 100.0],
-                           [0.0, 0.5, 1e6, 2e6])
+    phi = MajorantFn.power(1.0, 1e17)
     probes = np.array([[0.7], [30.0], [40.0], [20.5], [19.0], [50.0]])
-    assert np.max(phi.inverse(np.cumsum(space.masses))) == 1.0
-    with mock.patch.object(covering, "BLOCK_ENTRIES", 12):
+    assert np.all(phi.inverse(np.cumsum(space.masses)) == 1.0)
+    with mock.patch.object(covering, "BLOCK_ENTRIES", 12), \
+            np.errstate(over="ignore"):
         got = cover_or_error(
             lambda: greedy_ball_cover(space, phi, probes=probes))
         want = cover_or_error(
@@ -508,9 +506,9 @@ def test_parameter_validation():
     sp = unit_atoms([[0.0]])
     phi = MajorantFn.power(1.0, 1.0)
     with pytest.raises(ValueError):
-        greedy_ball_cover(sp, phi, gamma=0.6)
+        greedy_ball_cover(sp, phi, gamma=0.6, probes=[])
     with pytest.raises(ValueError):
-        greedy_ball_cover(sp, phi, gamma=0.4)
+        greedy_ball_cover(sp, phi, gamma=0.4, probes=[])
 
 
 def test_scale_equivariance():
@@ -526,33 +524,6 @@ def test_scale_equivariance():
     assert np.allclose(rep2.cover.radii, c * rep1.cover.radii, rtol=1e-12)
 
 
-def test_table_majorant_roundtrip():
-    ts = np.linspace(0.0, 10.0, 201)
-    phi = MajorantFn.table(ts, ts ** 2 / 4.0)
-    assert float(phi(2.0)) == pytest.approx(1.0, abs=1e-12)
-    assert float(phi.inverse(1.0)) == pytest.approx(2.0, abs=1e-9)
-    phi.validate(total_mass=3.0, diam=0.5)
-    with pytest.raises(ValueError):
-        MajorantFn.table([0.0, 1.0], [0.5, 1.0])  # must start at (0, 0)
-    # unordered knots would make phi^{-1}(1) = 2 but phi^{-1}(2) = 1
-    with pytest.raises(ValueError, match="knots must be strictly increasing"):
-        MajorantFn.table([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 5.0])
-    with pytest.raises(ValueError, match="knots must be strictly increasing"):
-        MajorantFn.table([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        # never exceeds the mass within its range
-        MajorantFn.table([0.0, 1.0], [0.0, 1.0]).validate(5.0, 0.05)
-
-
-def test_greedy_cover_with_table_majorant():
-    sp = unit_atoms([[0.0], [4.0]])
-    ts = np.linspace(0.0, 100.0, 4001)
-    phi = MajorantFn.table(ts, ts)  # identity, tabulated
-    cover = greedy_ball_cover(sp, phi)
-    assert cover.count == 2
-    assert cover.radii[0] == pytest.approx(2.5, rel=1e-6)
-
-
 def test_pseudometric_hook_spot_check():
     pts = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError):
@@ -561,7 +532,7 @@ def test_pseudometric_hook_spot_check():
     ok = DiscreteMeasureSpace(pts, np.ones(3),
                               metric=lambda x, y: abs(float(x[0] - y[0])))
     phi = MajorantFn.power(1.0, 1.0)
-    assert tau(ok, phi, [0.0]) > 0.0
+    assert tau_many(ok, phi, [[0.0]])[0] > 0.0
 
 
 # -- potentials ---------------------------------------------------------------
@@ -569,17 +540,18 @@ def test_pseudometric_hook_spot_check():
 
 def test_potential_single_atom():
     sp = unit_atoms([[2.0]])
-    assert potential(sp, [0.0]) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert potential_many(sp, [[0.0]])[0] == pytest.approx(math.log(2.0),
+                                                         abs=1e-12)
 
 
 def test_potential_at_atom_is_minus_inf():
     sp = unit_atoms([[1.0]])
-    assert potential(sp, [1.0]) == -math.inf
+    assert potential_many(sp, [[1.0]])[0] == -math.inf
 
 
 def test_potential_two_atoms():
     sp = unit_atoms([[1.0], [math.e]])
-    assert potential(sp, [0.0]) == pytest.approx(1.0, abs=1e-12)
+    assert potential_many(sp, [[0.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_potential_many_matches_scalar():
@@ -588,7 +560,7 @@ def test_potential_many_matches_scalar():
     qs = rng.uniform(-1, 2, (20, 2))
     many = potential_many(sp, qs)
     for q, v in zip(qs, many):
-        assert v == pytest.approx(potential(sp, q), rel=1e-12)
+        assert v == pytest.approx(potential_many(sp, q[None])[0], rel=1e-12)
 
 
 # -- the radius-budget + potential-bound corollary ----------------------------
@@ -775,7 +747,7 @@ def test_empty_grids_check_nothing():
                               np.ones(5))
     pot = potential_bound_verify(sp, H=0.25, s=1.0, grid=np.zeros((0, 2)))
     assert pot.num_checked == 0 and pot.worst_margin is None
-    cover = greedy_ball_cover(sp, MajorantFn.power(20.0, 1.0))
+    cover = greedy_ball_cover(sp, MajorantFn.power(20.0, 1.0), probes=[])
     assert np.array_equal(pot.cover.radii, cover.radii)
 
 

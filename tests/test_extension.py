@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fractal_remez.campanato import CubeFamily, Majorant, build_cube_family
+from fractal_remez.campanato import (CubeFamily, Majorant, build_cube_family,
+                                     local_best_approx)
 from fractal_remez.extension import (Chain, GridSpec, build_chain,
-                                     chain_seminorm, project, trace_tilde,
+                                     chain_seminorm, trace_tilde,
                                      verify_extension, whitney_extend, _bump,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
 from fractal_remez.polynomials import (Polynomial, compose_affine_many,
-                                       exponent_array, multi_indices)
+                                       exponent_array, monomials,
+                                       multi_indices)
 
 
 def interval_set(depth=8):
@@ -28,12 +30,20 @@ def three_point_set():
 # -- projection ----------------------------------------------------------------
 
 
+def l2_coefs(f_values, X, Q, k):
+    """The q = 2 fit's coefficients in the monomials of (x - c_Q)/r_Q."""
+    return local_best_approx(f_values, X, Q, k, 2).coefs
+
+
 def test_project_reproduces_polynomials():
     X = interval_set()
     P = Polynomial.from_dict(1, {(0,): -0.4, (1,): 2.0})
     fv = np.real(P.eval_many(X.points))
-    got = project(fv, X, Cube((0.5,), 0.5), 2)
-    assert np.max(np.abs((got - P).coeffs)) <= 1e-9
+    Q = Cube((0.5,), 0.5)
+    # P(c_Q + r_Q z) in z
+    want = compose_affine_many(P.coeffs[None, :], 1, 1, Q.radius,
+                               np.array(Q.center))[0]
+    assert np.max(np.abs(l2_coefs(fv, X, Q, 2) - want)) <= 1e-9
 
 
 def test_project_idempotent():
@@ -41,16 +51,17 @@ def test_project_idempotent():
     rng = np.random.default_rng(0)
     fv = rng.uniform(-1, 1, X.size)
     Q = Cube((0.5,), 0.5)
-    p1 = project(fv, X, Q, 3)
-    p2 = project(np.real(p1.eval_many(X.points)), X, Q, 3)
-    assert np.max(np.abs((p1 - p2).coeffs)) <= 1e-10
+    p1 = l2_coefs(fv, X, Q, 3)
+    on_cloud = monomials((X.points - np.array(Q.center)) / Q.radius, 2) @ p1
+    p2 = l2_coefs(on_cloud, X, Q, 3)
+    assert np.max(np.abs(p1 - p2)) <= 1e-10
 
 
 def test_project_weighted_mean_example():
     X = three_point_set()
     fv = X.points[:, 0] ** 2
-    got = project(fv, X, Cube((0.0,), 1.5), 1)
-    assert got.eval(np.array([0.0])) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    got = l2_coefs(fv, X, Cube((0.0,), 1.5), 1)
+    assert got.tolist() == pytest.approx([2.0 / 3.0], abs=1e-12)
 
 
 # -- trace ---------------------------------------------------------------------

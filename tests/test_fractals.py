@@ -42,10 +42,9 @@ def test_similarity_dim_residual():
 
 
 def test_refinement_mass_conservation_exact():
-    for sid, depth in (("cantor:1/3", 5), ("dust2d:1/4", 3)):
+    for sid, depth, m in (("cantor:1/3", 5, 2), ("dust2d:1/4", 3, 4)):
         X = build_preset(sid, depth)
         Y = build_preset(sid, depth + 1)
-        m = len(X.ifs.maps)
         assert abs(Y.masses.sum() - X.masses.sum()) <= 1e-12
         # children of parent j live at positions i * m^depth + j
         child = Y.masses.reshape(m, X.size)
@@ -117,11 +116,10 @@ def test_index_agrees_exactly_at_boundary_radii(monkeypatch):
                 assert ball_measure(X, x, r) == _scan_measure(X, x, r)
 
 
-def test_regularity_unit_interval(monkeypatch):
-    monkeypatch.setattr(fractals, "REGULARITY_SAMPLES", 500)
+def test_regularity_unit_interval():
     X = build_preset("cube:1", 10)
-    est = estimate_regularity(X, (4 * 2.0 ** -10, 0.5),
-                              rng=np.random.default_rng(4))
+    est = estimate_regularity(X, regularity_samples(
+        X, 500, (4 * 2.0 ** -10, 0.5), np.random.default_rng(4)))
     assert est.num_samples == 500
     # a ball of radius r in [0,1] has length between r and 2r
     assert est.b_hat >= 1.0 - 0.25
@@ -143,15 +141,25 @@ def test_regularity_rejects_degenerate():
     X = build_preset("cantor:1/3", 6)
     single = FractalSet(points=X.points[:1], masses=X.masses[:1], s=X.s,
                         diam=X.diam, cell_diam=X.cell_diam, total_mass=1.0)
-    with pytest.raises(ValueError):
-        estimate_regularity(single)
-    with pytest.raises(ValueError):
-        estimate_regularity(X, (0.5, 0.1))
+    with pytest.raises(ValueError, match="degenerate set"):
+        estimate_regularity(single, (single.points, [X.diam]))
+    with pytest.raises(ValueError, match="degenerate radius range"):
+        regularity_samples(X, 10, (0.5, 0.1), np.random.default_rng(0))
     # given samples obey the radius rules of a drawn range
     centers = X.points[:8]
     for r in (0.1 * X.cell_diam, 10.0 * X.diam, 0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="radii"):
             estimate_regularity(X, samples=(centers, np.full(8, r)))
+
+
+def test_regularity_rejects_mismatched_samples():
+    # zip would pair the shorter list and num_samples count the radii
+    X = build_preset("cantor:1/3", 6)
+    centers, radii = regularity_samples(X, 8, (4 * X.cell_diam, X.diam),
+                                        np.random.default_rng(0))
+    for c, r in ((centers, radii[:7]), (centers[:7], radii)):
+        with pytest.raises(ValueError, match="centers for"):
+            estimate_regularity(X, samples=(c, r))
 
 
 def test_product_dimensions_add():
@@ -201,6 +209,13 @@ def test_transform_rejects_non_finite_scale():
             transform(C, scale, [0.0])
 
 
+def test_transform_rejects_non_finite_offset():
+    C = build_preset("cantor:1/3", 3)
+    for offset in ([np.nan], [np.inf], -np.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            transform(C, 2.0, offset)
+
+
 def test_product_id_parsing():
     P = build_preset("cantor:1/3*cantor:1/3", 3)
     assert P.ambient_dim == 2
@@ -235,15 +250,6 @@ def test_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x1,mass"
     assert len(lines) == X.size + 1
-
-
-def test_similarity_orthogonal_part_validated():
-    with pytest.raises(ValueError):
-        Similarity(0.5, (0.0, 0.0), orthogonal=((1.0, 1.0), (0.0, 1.0)))
-    rot = ((0.0, -1.0), (1.0, 0.0))
-    m = Similarity(0.5, (0.0, 0.0), orthogonal=rot)
-    out = m.apply(np.array([[1.0, 0.0]]))
-    assert np.allclose(out, [[0.0, 0.5]])
 
 
 def test_ifs_from_maps_checks_dims():
