@@ -58,9 +58,10 @@ FAMILY_SEED = 0  # draws the centers of a family over a large cloud
 
 @dataclass(frozen=True)
 class CubeFamily:
-    """Cubes over one set.  The q = 2 fit plan of each order k is built on
-    first use and lives as long as the family, which is frozen so that
-    the plan cannot go stale."""
+    """Cubes over one set.  Plans that depend on the cubes but not on the
+    data (the q = 2 fit plan of each order k, and the extension's) are
+    built on first use and live as long as the family, which is frozen so
+    that no plan can go stale."""
 
     base_set: FractalSet
     cubes: tuple
@@ -74,10 +75,14 @@ class CubeFamily:
     def radii(self) -> np.ndarray:
         return np.array(sorted({q.radius for q in self.cubes}))
 
+    def plan(self, key, build):
+        """The plan kept under key, made by build() on first use."""
+        if key not in self._plans:
+            self._plans[key] = build()
+        return self._plans[key]
+
     def fit_plan(self, k: int) -> "FitPlan":
-        if k not in self._plans:
-            self._plans[k] = FitPlan(self.base_set, self.cubes, k)
-        return self._plans[k]
+        return self.plan(k, lambda: FitPlan(self.base_set, self.cubes, k))
 
 
 def dyadic_radii(r_min: float, r_max: float) -> list[float]:

@@ -23,7 +23,9 @@ The pipeline realizes a linear extension operator in four steps:
   4. whitney_extend:  an ambient grid node y at distance d from X blends
      the chain polynomials of cubes with radius in [d, 4d] whose doubled
      cubes contain y, with smooth bump weights normalized to sum one;
-     nodes on X fall back to the smallest covering cubes.
+     nodes on X fall back to the smallest covering cubes.  None of this
+     depends on f, so the family keeps it as a WhitneyPlan per order, grid
+     and set of kept cubes, and each field applies it to a chain's rows.
 
 The chain seminorm is the max over nested cube pairs Q inside Q', with
 radii within two rungs of the same dyadic window, of
@@ -37,6 +39,7 @@ sampling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +103,8 @@ class Chain:
     marks a cube whose local system was rank-deficient (too few cloud
     points, or degenerate geometry, for the polynomial space); its
     minimum-norm entry interpolates the data but does not determine the
-    polynomial, so the Whitney assembly skips it.
+    polynomial, so the Whitney assembly skips it.  `family` is the cube
+    family whose cubes these are; its cache holds the Whitney plans.
     """
 
     cubes: list
@@ -108,6 +112,7 @@ class Chain:
     deficient: np.ndarray
     k: int
     omega: Majorant
+    family: CubeFamily
 
 
 def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
@@ -129,7 +134,7 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                          f"{qp.reason}")
     if X is not family.base_set:
         raise ValueError("build_chain needs the family's own base set")
-    deepest = _ladder(X)[0]
+    rung = family.plan("rungs", lambda: _rung_rows(family))
     cubes = family.cubes
     plan = family.fit_plan(k)
     fits, _ = plan.apply(f_values)
@@ -147,14 +152,21 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                                         plan.radii[big, None] / anchor.radius,
                                         offsets / anchor.radius)
         deficient[big] = False
+    rows[:, 0] = fits[rung, 0]
+    return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
+                 omega=omega, family=family)
+
+
+def _rung_rows(family: CubeFamily) -> np.ndarray:
+    """Row of the deepest-rung cube at the center of each family cube."""
+    deepest = _ladder(family.base_set)[0]
+    cubes = family.cubes
     rung = {Q.center: i for i, Q in enumerate(cubes) if Q.radius == deepest}
     missing = [Q.center for Q in cubes if Q.center not in rung]
     if missing:
         raise ValueError(f"no deepest-rung cube (radius {deepest}) at "
                          f"the center {missing[0]}")
-    rows[:, 0] = fits[[rung[Q.center] for Q in cubes], 0]
-    return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
-                 omega=omega)
+    return np.array([rung[Q.center] for Q in cubes], dtype=np.intp)
 
 
 # -- exact sup of low-degree polynomials over [-1, 1]^n -----------------------
@@ -178,7 +190,7 @@ def _max_abs_deg2_square(C: np.ndarray) -> np.ndarray:
     for x in (-1.0, 1.0):
         for y in (-1.0, 1.0):
             best = np.maximum(best, val(x, y))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for x in (-1.0, 1.0):  # edges x fixed, vertex in y
             ystar = -(by + exy * x) / (2.0 * dyy)
             ok = np.isfinite(ystar) & (np.abs(ystar) <= 1.0)
@@ -194,6 +206,22 @@ def _max_abs_deg2_square(C: np.ndarray) -> np.ndarray:
               & (np.abs(xstar) <= 1.0) & (np.abs(ystar) <= 1.0))
         best = np.maximum(best, np.where(ok, val(xstar, ystar), -np.inf))
     return best
+
+
+def _max_abs_deg2_interval(C: np.ndarray) -> np.ndarray:
+    """Exact max of |a + c t + f t^2| over [-1, 1], rowwise; C holds the
+    columns a, c, f, or a prefix of them."""
+    a, c, f = (C[:, j] if j < C.shape[1] else np.zeros(len(C))
+               for j in range(3))
+
+    def val(t):
+        return np.abs((a + c * t) + f * t ** 2)
+
+    best = np.maximum(val(-1.0), val(1.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tstar = -c / (2.0 * f)
+        ok = np.isfinite(tstar) & (np.abs(tstar) <= 1.0)
+        return np.maximum(best, np.where(ok, val(tstar), -np.inf))
 
 
 @dataclass
@@ -244,11 +272,8 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
                 (centers[r_small][si] - centers[r_big][bj]) / r_big)
             D = coefs[r_small][si] - outer
             if exact and n == 1:
-                # 1, t, t^2 are the square's 1, x, x^2 (columns 0, 2, 5)
-                sq = np.zeros((len(D), 6))
-                sq[:, [0, 2, 5][:D.shape[1]]] = D
-                D = sq
-            if exact:
+                sups = _max_abs_deg2_interval(D)
+            elif exact:
                 sups = _max_abs_deg2_square(D)
             else:
                 sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
@@ -269,18 +294,26 @@ def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Regular grid with `shape` nodes from `lo` to `hi`; hashable, so that
+    it keys the Whitney plans."""
+
     lo: tuple
     hi: tuple
     shape: tuple
 
     def __post_init__(self):
+        for name, kind in (("lo", float), ("hi", float),
+                           ("shape", operator.index)):
+            object.__setattr__(self, name,
+                               tuple(kind(v) for v in getattr(self, name)))
         if not len(self.lo) == len(self.hi) == len(self.shape) > 0:
             raise ValueError(f"grid lo, hi and shape differ in length: "
                              f"{self.lo}, {self.hi}, {self.shape}")
         if min(self.shape) < 2:
             raise ValueError(f"every grid axis needs two nodes: {self.shape}")
-        if not all(a < b for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"grid needs lo < hi on every axis: "
+        if not all(-math.inf < a < b < math.inf
+                   for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"grid needs finite lo < hi on every axis: "
                              f"{self.lo}, {self.hi}")
 
     @property
@@ -345,55 +378,87 @@ def _bump(t: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2 ** 15
 
 
+class WhitneyPlan:
+    """The Whitney assembly less the data, for one family, order, grid and
+    set of kept (full-rank) cubes: every selected node-cube pair in node
+    order, with the chain row of its cube (`rows`), its normalized bump
+    weight (`w`) and the monomials of (y - c_Q)/r_Q (`mono`); the first
+    pair of each covered node (`starts`) and that node (`nodes`); and the
+    nodes no cube covers (`holes`).  Nodes are handled in blocks of about
+    _BLOCK_ENTRIES node-cube pairs, every step one array operation."""
+
+    def __init__(self, family: CubeFamily, keep: np.ndarray, deg: int,
+                 grid: GridSpec):
+        nodes = grid.nodes()
+        centers = np.array([family.cubes[i].center for i in keep])
+        radii = np.array([family.cubes[i].radius for i in keep])
+        dist, _ = cKDTree(family.base_set.points).query(nodes)
+        self.size = len(nodes)
+        self.holes: list = []
+        parts = []  # rows, w, mono, starts and nodes of each block of nodes
+        pairs = 0
+        step = max(1, _BLOCK_ENTRIES // len(keep))
+        for lo in range(0, len(nodes), step):
+            y = nodes[lo:lo + step]
+            d = dist[lo:lo + step, None]
+            supd = np.abs(y[:, :1] - centers[:, 0])
+            for i in range(1, grid.dim):
+                np.maximum(supd, np.abs(y[:, i:i + 1] - centers[:, i]),
+                           out=supd)
+            in_double = supd <= 2.0 * radii
+            band = in_double & (radii >= d) & (radii <= 4.0 * d)
+            # on-set nodes and band gaps: the covering cubes of smallest radius
+            r_min = np.where(in_double, radii, np.inf).min(axis=1,
+                                                           keepdims=True)
+            sel = np.where(band.any(axis=1, keepdims=True), band,
+                           in_double & (radii == r_min))
+            self.holes.extend((lo + np.flatnonzero(~sel.any(axis=1))).tolist())
+            rows, cols = np.nonzero(sel)
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            counts = np.diff(starts, append=len(rows))
+            w = _bump(supd[rows, cols] / (2.0 * radii[cols]))
+            total = np.add.reduceat(w, starts)
+            flat = total == 0.0  # every bump vanishes: equal weights
+            w[np.repeat(flat, counts)] = 1.0
+            total[flat] = counts[flat]
+            w /= np.repeat(total, counts)
+            local = (y[rows] - centers[cols]) / radii[cols, None]
+            parts.append((keep[cols], w, monomials(local, deg),
+                          pairs + starts, lo + rows[starts]))
+            pairs += len(rows)
+        self.rows, self.w, mono, self.starts, self.nodes = (
+            np.concatenate(chunks) for chunks in zip(*parts))
+        # column-major, as monomials returns it: einsum sums the terms of a
+        # row in another order, and so to other bits, on a row-major table
+        self.mono = np.asfortranarray(mono)
+
+    def apply(self, coefs: np.ndarray) -> np.ndarray:
+        """Field values from the chain's coefficient rows; NaN at holes."""
+        values = np.full(self.size, np.nan)
+        vals = np.einsum("ij,ij->i", self.mono, coefs[self.rows])
+        values[self.nodes] = np.add.reduceat(self.w * vals, self.starts)
+        return values
+
+
 def whitney_extend(chain: Chain, X: FractalSet, grid: GridSpec) -> ExtensionField:
     """Blend chain polynomials over an ambient grid with Whitney scaling.
 
-    Nodes are handled in blocks of about _BLOCK_ENTRIES node-cube pairs,
-    every step as one array operation over the block.
+    The blend is the family's Whitney plan for the chain's order, the grid
+    and the chain's full-rank cubes, built on first use and kept with the
+    family; X must be the family's own set.
     """
-    nodes = grid.nodes()
-    n = grid.dim
-    keep = np.flatnonzero(~chain.deficient)
-    if not len(keep):
+    family = chain.family
+    if X is not family.base_set:
+        raise ValueError("whitney_extend needs the chain family's base set")
+    keep = ~chain.deficient
+    if not keep.any():
         raise ValueError("chain has no full-rank entries to blend")
-    deg = max(chain.k - 1, 0)
-    C = chain.coefs[keep]
-    centers = np.array([chain.cubes[i].center for i in keep])
-    radii = np.array([chain.cubes[i].radius for i in keep])
-    dist, _ = cKDTree(X.points).query(nodes)
-
-    values = np.full(len(nodes), np.nan)
-    holes: list = []
-    step = max(1, _BLOCK_ENTRIES // len(keep))
-    for lo in range(0, len(nodes), step):
-        y = nodes[lo:lo + step]
-        d = dist[lo:lo + step, None]
-        supd = np.abs(y[:, :1] - centers[:, 0])
-        for i in range(1, n):
-            np.maximum(supd, np.abs(y[:, i:i + 1] - centers[:, i]), out=supd)
-        in_double = supd <= 2.0 * radii
-        band = in_double & (radii >= d) & (radii <= 4.0 * d)
-        # on-set nodes and band gaps: the covering cubes of smallest radius
-        r_min = np.where(in_double, radii, np.inf).min(axis=1, keepdims=True)
-        sel = np.where(band.any(axis=1, keepdims=True), band,
-                       in_double & (radii == r_min))
-        holes.extend((lo + np.flatnonzero(~sel.any(axis=1))).tolist())
-        rows, cols = np.nonzero(sel)
-        if not len(rows):
-            continue
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        counts = np.diff(starts, append=len(rows))
-        w = _bump(supd[rows, cols] / (2.0 * radii[cols]))
-        total = np.add.reduceat(w, starts)
-        flat = total == 0.0  # every bump vanishes: equal weights
-        w[np.repeat(flat, counts)] = 1.0
-        total[flat] = counts[flat]
-        w /= np.repeat(total, counts)
-        local = (y[rows] - centers[cols]) / radii[cols, None]
-        vals = np.einsum("ij,ij->i", monomials(local, deg), C[cols])
-        values[lo + rows[starts]] = np.add.reduceat(w * vals, starts)
-    return ExtensionField(grid=grid, values=values, holes=holes,
-                          chain_k=chain.k)
+    plan = family.plan(
+        ("whitney", chain.k, grid, keep.tobytes()),
+        lambda: WhitneyPlan(family, np.flatnonzero(keep),
+                            max(chain.k - 1, 0), grid))
+    return ExtensionField(grid=grid, values=plan.apply(chain.coefs),
+                          holes=list(plan.holes), chain_k=chain.k)
 
 
 # -- end-to-end verification --------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -23,6 +23,8 @@ def unit_ball_volume(n: int) -> float:
 
 def sobol_unit(dim: int, count: int, skip_zero: bool = False) -> np.ndarray:
     """First `count` points of the unscrambled Sobol sequence in [0,1]^dim."""
+    from scipy.stats import qmc  # scipy.stats is slow to import
+
     eng = qmc.Sobol(d=dim, scramble=False)
     if skip_zero:
         eng.fast_forward(1)
@@ -38,7 +40,7 @@ def gaussian_directions(u: np.ndarray) -> np.ndarray:
     (every entry 1/2, as in the second Sobol point) gets e_1 instead of
     0/0.
     """
-    z = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     length = np.linalg.norm(z, axis=1, keepdims=True)
     zero = length[:, 0] == 0.0
     z[zero, 0] = 1.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,15 @@ def test_suite_worker_count(monkeypatch, env, cpus, want):
         monkeypatch.setenv("FRACTAL_REMEZ_THREADS", env)
     assert cli.main(["suite", "acceptance"]) == 0
     assert seen == [want]
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # scipy.stats takes about a third of a second to import; only the Sobol
+    # draws need it, and they import it on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, fractal_remez.cli, fractal_remez.extension; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from fractal_remez.campanato import (CubeFamily, Majorant, build_cube_family,
 from fractal_remez.extension import (Chain, GridSpec, build_chain,
                                      chain_seminorm, trace_tilde,
                                      verify_extension, whitney_extend, _bump,
+                                     _max_abs_deg2_interval,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
@@ -227,10 +228,11 @@ def test_chain_seminorm_two_cube_formula():
     small = Cube((0.5,), 0.5)
     big = Cube((0.5,), 1.0)
     eps = 0.125
+    fam = CubeFamily(X, (small, big))
     chain = Chain(cubes=[small, big], coefs=np.array([[0.0, 0.0],
                                                       [eps, 0.0]]),
-                  deficient=np.zeros(2, dtype=bool), k=2, omega=om)
-    fam = CubeFamily(X, (small, big))
+                  deficient=np.zeros(2, dtype=bool), k=2, omega=om,
+                  family=fam)
     res = chain_seminorm(chain, fam)
     assert res.value == pytest.approx(eps / 1.0, abs=1e-12)
     assert res.num_pairs == 1
@@ -252,10 +254,11 @@ def test_chain_seminorm_nan_not_replaced_by_a_later_pair():
     X = interval_set()
     om = Majorant.power(1.0, 2)
     cubes = [Cube((0.5,), r) for r in (0.25, 0.5, 1.0)]
+    fam = CubeFamily(X, cubes)
     chain = Chain(cubes=cubes,
                   coefs=np.array([[np.nan, 0.0], [0.0, 0.0], [0.5, 0.0]]),
-                  deficient=np.zeros(3, dtype=bool), k=2, omega=om)
-    fam = CubeFamily(X, cubes)
+                  deficient=np.zeros(3, dtype=bool), k=2, omega=om,
+                  family=fam)
     res = chain_seminorm(chain, fam)
     assert math.isnan(res.value)
     assert res.witness == (cubes[0], cubes[1])
@@ -271,7 +274,7 @@ def test_chain_seminorm_shift_invariance():
     P = Polynomial.from_dict(1, {(0,): 3.0, (1,): -1.0})
     shifted = Chain(cubes=chain.cubes,
                     coefs=chain.coefs + _in_frames(P, chain.cubes),
-                    deficient=chain.deficient, k=2, omega=om)
+                    deficient=chain.deficient, k=2, omega=om, family=fam)
     a = chain_seminorm(chain, fam)
     b = chain_seminorm(shifted, fam)
     assert b.value == pytest.approx(a.value, rel=1e-12, abs=1e-12)
@@ -303,14 +306,30 @@ def test_chain_certificate_normalized_and_density_stable():
 def test_exact_quadratic_sup_oracle_1d():
     rng = np.random.default_rng(2)
     C = rng.uniform(-2, 2, (40, 3))
-    sq = np.zeros((40, 6))
-    sq[:, [0, 2, 5]] = C  # 1, t, t^2 as the square's 1, x, x^2
-    exact = _max_abs_deg2_square(sq)
+    exact = _max_abs_deg2_interval(C)
     ts = np.linspace(-1.0, 1.0, 20001)
     for c, e in zip(C, exact):
         dense = np.max(np.abs(c[0] + c[1] * ts + c[2] * ts ** 2))
         assert e >= dense - 1e-12
         assert e - dense <= 1e-6 * (1.0 + dense)
+
+
+def test_interval_sup_equals_the_padded_square_sup_bitwise():
+    rng = np.random.default_rng(5)
+    C = rng.uniform(-2, 2, (4000, 3))
+    C[rng.uniform(size=C.shape) < 0.2] = 0.0  # zero entries and rows
+    C[:50] *= 1e-150  # tiny rows: the vertex term underflows
+    C[50:60, 2] = np.nan
+    C[60:70, 2] = 1e-320  # the vertex -c/2f overflows
+    for width in (1, 2, 3):
+        sq = np.zeros((len(C), 6))
+        sq[:, [0, 2, 5][:width]] = C[:, :width]  # 1, t, t^2 as 1, x, x^2
+        got = _max_abs_deg2_interval(C[:, :width])
+        want = _max_abs_deg2_square(sq)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert np.isnan(got).sum() == 10
 
 
 def test_exact_quadratic_sup_oracle_2d():
@@ -460,6 +479,99 @@ def test_far_nodes_reported_as_holes():
     assert len(fld.holes) > 0
 
 
+def _field_bits(fld):
+    return fld.values.tobytes(), list(fld.holes)
+
+
+@pytest.mark.parametrize("preset,depth,grid", [
+    pytest.param("cube:1", 9, GridSpec((-0.25,), (1.25,), (65,)), id="cube:1"),
+    pytest.param("dust2d:1/4", 4,
+                 GridSpec((-0.25, -0.25), (1.25, 1.25), (21, 21)),
+                 id="dust2d:1/4"),
+    # rank-deficient cubes, on-set nodes, band fallbacks and holes
+    pytest.param("cantor:1/4", 4, GridSpec((-10.0,), (10.0,), (321,)),
+                 id="cantor:1/4-wide"),
+    pytest.param("dust2d:1/4", 3,
+                 GridSpec((-10.0, -10.0), (10.0, 10.0), (81, 81)),
+                 id="dust2d:1/4-wide"),
+])
+def test_warm_plan_field_equals_a_fresh_family_field_bitwise(preset, depth,
+                                                             grid):
+    X = build_preset(preset, depth)
+    warm = build_cube_family(X, center_budget=48)
+    rng = np.random.default_rng(1)
+    for k in (1, 2, 3):
+        om = Majorant.power(1.0, k)
+        # a field of other data builds the plan
+        whitney_extend(build_chain(rng.uniform(-1, 1, X.size), X, warm, k,
+                                   om), X, grid)
+        fv = np.sin(3.0 * X.points[:, 0]) + np.abs(X.points[:, -1] - 0.3)
+        fresh = build_cube_family(X, center_budget=48)
+        a = whitney_extend(build_chain(fv, X, warm, k, om), X, grid)
+        b = whitney_extend(build_chain(fv, X, fresh, k, om), X, grid)
+        assert _field_bits(a) == _field_bits(b)
+        if grid.hi[0] == 10.0 and k == 3:
+            assert build_chain(fv, X, warm, k, om).deficient.any()
+            assert a.holes
+
+
+def test_one_whitney_plan_per_grid(monkeypatch):
+    from fractal_remez import extension
+
+    plans = []
+
+    class Counted(extension.WhitneyPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(extension, "WhitneyPlan", Counted)
+    X = interval_set(9)
+    fam = build_cube_family(X, center_budget=48)
+    om = Majorant.power(1.0, 2)
+    x = X.points[:, 0]
+    grid = GridSpec((-0.25,), (1.25,), (65,))
+    for v in (np.abs(x - 0.5), x ** 2, 0.7 * np.abs(x - 0.5) - 1.3 * x ** 2):
+        whitney_extend(build_chain(v, X, fam, 2, om), X, grid)
+    assert len(plans) == 1
+    chain = build_chain(x, X, fam, 2, om)
+    whitney_extend(chain, X, GridSpec((-0.25,), (1.25,), (129,)))
+    whitney_extend(chain, X, GridSpec([-0.25], [1.25], [129]))
+    assert len(plans) == 2
+    # column-major monomials: einsum sums the rows of a row-major table in
+    # another order, which changes the last bits of the field
+    assert all(p.mono.flags.f_contiguous for p in plans)
+
+
+def test_each_field_owns_its_holes():
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=32)
+    chain = build_chain(np.zeros(X.size), X, fam, 2, Majorant.power(1.0, 2))
+    grid = GridSpec((-60.0,), (60.0,), (31,))
+    first = whitney_extend(chain, X, grid)
+    holes = list(first.holes)
+    first.holes.clear()
+    assert whitney_extend(chain, X, grid).holes == holes != []
+
+
+def test_a_grid_far_from_the_set_is_all_holes():
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=32)
+    chain = build_chain(np.ones(X.size), X, fam, 2, Majorant.power(1.0, 2))
+    fld = whitney_extend(chain, X, GridSpec((1e3,), (1e3 + 1.0,), (5,)))
+    assert fld.holes == list(range(5))
+    assert np.isnan(fld.values).all()
+
+
+def test_whitney_extend_rejects_another_set():
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=16)
+    chain = build_chain(np.ones(X.size), X, fam, 2, Majorant.power(1.0, 2))
+    other = transform(X, 1.0, [0.0])
+    with pytest.raises(ValueError, match="base set"):
+        whitney_extend(chain, other, GridSpec((-0.3,), (1.3,), (65,)))
+
+
 # -- end-to-end verification -----------------------------------------------------
 
 
@@ -512,6 +624,8 @@ def test_trace_recovery_improves_with_grid():
     pytest.param((0.0, 0.0), (1.0, 1.0), (5, 1), id="one-node-axis"),
     pytest.param((1.0,), (1.0,), (5,), id="lo-equals-hi"),
     pytest.param((0.0, 1.0), (1.0, 0.0), (5, 5), id="lo-above-hi"),
+    pytest.param((0.0,), (math.inf,), (5,), id="infinite-hi"),
+    pytest.param((math.nan,), (1.0,), (5,), id="nan-lo"),
     pytest.param((0.0,), (1.0, 1.0), (5, 5), id="short-lo"),
     pytest.param((0.0, 0.0), (1.0, 1.0), (5,), id="short-shape"),
     pytest.param((), (), (), id="no-axis"),
@@ -519,6 +633,15 @@ def test_trace_recovery_improves_with_grid():
 def test_grid_spec_rejects_unusable_grids(lo, hi, shape):
     with pytest.raises(ValueError, match="grid"):
         GridSpec(lo, hi, shape)
+
+
+def test_grid_spec_normalizes_its_fields():
+    a = GridSpec([0], [1.0], [np.int64(5)])
+    b = GridSpec((0.0,), (1.0,), (5,))
+    assert a == b and hash(a) == hash(b)
+    assert type(a.lo[0]) is float and type(a.shape[0]) is int
+    with pytest.raises(TypeError):
+        GridSpec((0.0,), (1.0,), (5.5,))
 
 
 @pytest.mark.parametrize("nodes", [2, 3])
