@@ -28,12 +28,12 @@ The pipeline realizes a linear extension operator in four steps:
      and set of kept cubes, and each field applies it to a chain's rows.
 
 The chain seminorm is the max over nested cube pairs Q inside Q', with
-radii within two rungs of the same dyadic window, of
-max_Q |P_Q - P_Q'| / omega(r_Q').  P_Q' is re-expanded into Q's frame, so
-the inner max runs over [-1, 1]^n.  For entries of degree <= 2 in
-dimension n <= 2 it is computed exactly from corner, edge-vertex, and
-interior critical values; higher degrees or dimensions fall back to
-sampling.
+radii within two rungs of the same dyadic window, of max_Q |P_Q - P_Q'| /
+omega(r_Q'), P_Q' re-expanded into Q's frame so that the inner max runs
+over [-1, 1]^n; the family keeps the pairs and re-expansions as a plan.
+For entries of degree <= 2 in dimension n <= 2 it is computed exactly
+from corner, edge-vertex, and interior critical values; higher degrees or
+dimensions fall back to sampling.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .campanato import (CubeFamily, Majorant, campanato_seminorm,
                         quasipower_check)
 from .fractals import FractalSet
 from .geometry import Cube
-from .polynomials import Polynomial, compose_affine_many, monomials
+from .polynomials import Polynomial, affine_matrices, monomials
 from .remez import sup_norm
 
 __all__ = [
@@ -104,15 +104,19 @@ class Chain:
     points, or degenerate geometry, for the polynomial space); its
     minimum-norm entry interpolates the data but does not determine the
     polynomial, so the Whitney assembly skips it.  `family` is the cube
-    family whose cubes these are; its cache holds the Whitney plans.
+    family whose cubes these are; its cache holds the Whitney and pair
+    plans.
     """
 
-    cubes: list
     coefs: np.ndarray
     deficient: np.ndarray
     k: int
     omega: Majorant
     family: CubeFamily
+
+    @property
+    def cubes(self) -> tuple:
+        return self.family.cubes
 
 
 def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
@@ -147,14 +151,13 @@ def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
         # anchor frame -> Q's frame: z_anchor = (r_Q z + c_Q - c_a) / r_a
         offsets = np.array([cubes[i].center for i in big]) - anchor.center
         coefs = local_best_approx(f_values, X, anchor, k, 2).coefs
-        rows[big] = compose_affine_many(np.tile(coefs, (len(big), 1)),
-                                        X.ambient_dim, deg,
-                                        plan.radii[big, None] / anchor.radius,
-                                        offsets / anchor.radius)
+        rows[big] = affine_matrices(X.ambient_dim, deg,
+                                    plan.radii[big, None] / anchor.radius,
+                                    offsets / anchor.radius) @ coefs
         deficient[big] = False
     rows[:, 0] = fits[rung, 0]
-    return Chain(cubes=list(cubes), coefs=rows, deficient=deficient, k=k,
-                 omega=omega, family=family)
+    return Chain(coefs=rows, deficient=deficient, k=k, omega=omega,
+                 family=family)
 
 
 def _rung_rows(family: CubeFamily) -> np.ndarray:
@@ -231,62 +234,60 @@ class ChainSeminormResult:
     num_pairs: int
 
 
+def _pair_plan(family: CubeFamily, deg: int) -> tuple:
+    """The chain seminorm less the data: the admissible pairs Q in Q' as
+    rows of family.cubes (inner, outer) radius pair by radius pair, the
+    matrices M that take P_Q' into Q's frame, the family's distinct radii
+    and the index there of each outer radius."""
+    radii = family.radii
+    n = family.base_set.ambient_dim
+    centers = np.array([Q.center for Q in family.cubes]).reshape(-1, n)
+    cube_r = np.array([Q.radius for Q in family.cubes])
+    rows = [np.flatnonzero(cube_r == r) for r in radii]
+    parts = [(np.empty(0, dtype=np.intp),) * 3]  # inner, outer, big
+    for bi, r_big in enumerate(radii):
+        for si in range(max(0, bi - 2), bi):
+            if r_big > 4.0 * radii[si] * (1 + 1e-12):
+                continue
+            # Q inside Q' when max |c_Q' - c_Q| <= r_Q' - r_Q
+            gap = np.abs(centers[rows[bi], None] - centers[rows[si]]).max(2)
+            bj, sj = np.nonzero(gap <= r_big - radii[si] + 1e-12)
+            parts.append((rows[si][sj], rows[bi][bj], np.full(len(sj), bi)))
+    inner, outer, big = (np.concatenate(p) for p in zip(*parts))
+    # (x - c_Q')/r_Q' = (r_Q z + c_Q - c_Q')/r_Q' with z in Q's frame
+    r = cube_r[outer, None]
+    M = affine_matrices(n, deg, cube_r[inner, None] / r,
+                        (centers[inner] - centers[outer]) / r)
+    return inner, outer, M, radii, big
+
+
 def chain_seminorm(chain: Chain, family: CubeFamily) -> ChainSeminormResult:
     """Max over admissible nested pairs of max_Q |P_Q - P_Q'| / omega(r_Q').
 
     Admissible means Q inside Q' with dyadic radii at most two rungs apart
     (the two-rung window t_i <= r_Q < r_Q' <= t_{i+2} for family radii that
-    are exact powers of two).  A NaN pair ratio makes the result NaN.
+    are exact powers of two), kept with their re-expansion matrices as the
+    family's pair plan, built on first use.  A NaN ratio makes the result NaN.
     """
-    row = {Q: i for i, Q in enumerate(chain.cubes)}
-    by_radius: dict = {}
-    for Q in family.cubes:
-        if Q in row:
-            by_radius.setdefault(Q.radius, []).append(Q)
-    if not by_radius:
-        return ChainSeminormResult(0.0, None, 0)
-    n = len(chain.cubes[0].center)
+    if family is not chain.family:
+        raise ValueError("chain_seminorm needs the chain's own cube family")
     deg = max(chain.k - 1, 0)
-    radii = sorted(by_radius)
-    exact = deg <= 2 and n <= 2
-    unit = Cube((0.0,) * n, 1.0)
-
-    best = []  # (largest ratio, witness pair) per radius pair
-    num_pairs = 0
-    coefs = {r: chain.coefs[[row[Q] for Q in by_radius[r]]] for r in radii}
-    centers = {r: np.array([Q.center for Q in by_radius[r]]) for r in radii}
-
-    for bi, r_big in enumerate(radii):
-        for r_small in radii[max(0, bi - 2): bi]:
-            if r_big > 4.0 * r_small * (1 + 1e-12):
-                continue
-            # Q inside Q' when max |c_Q' - c_Q| <= r_Q' - r_Q
-            gap = np.abs(centers[r_big][:, None] - centers[r_small]).max(2)
-            bj, si = np.nonzero(gap <= r_big - r_small + 1e-12)
-            if not len(si):
-                continue
-            num_pairs += len(si)
-            # P_Q' in Q's frame: (x - c_Q')/r_Q' = (r_Q z + c_Q - c_Q')/r_Q'
-            outer = compose_affine_many(
-                coefs[r_big][bj], n, deg, r_small / r_big,
-                (centers[r_small][si] - centers[r_big][bj]) / r_big)
-            D = coefs[r_small][si] - outer
-            if exact and n == 1:
-                sups = _max_abs_deg2_interval(D)
-            elif exact:
-                sups = _max_abs_deg2_square(D)
-            else:
-                sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
-                                          budget=256) for d in D])
-            ratios = sups / float(chain.omega(r_big))
-            # argmax picks the first maximum, or the first NaN
-            j = int(np.argmax(ratios))
-            best.append((float(ratios[j]),
-                         (by_radius[r_small][si[j]], by_radius[r_big][bj[j]])))
-    if not best:
+    inner, outer, M, radii, big = family.plan(
+        ("pairs", deg), lambda: _pair_plan(family, deg))
+    if not len(inner):
         return ChainSeminormResult(0.0, None, 0)
-    value, witness = best[int(np.argmax([v for v, _ in best]))]
-    return ChainSeminormResult(value, witness, num_pairs)
+    n = family.base_set.ambient_dim
+    D = chain.coefs[inner] - np.einsum("pij,pj->pi", M, chain.coefs[outer])
+    if deg > 2 or n > 2:
+        sups = np.array([sup_norm(Polynomial(n, deg, d), Cube((0.0,) * n, 1.0),
+                                  budget=256) for d in D])
+    else:
+        sups = (_max_abs_deg2_interval if n == 1 else _max_abs_deg2_square)(D)
+    ratios = sups / np.array([float(chain.omega(r)) for r in radii])[big]
+    # argmax picks the first maximum, or the first NaN
+    j = int(np.argmax(ratios))
+    witness = (family.cubes[inner[j]], family.cubes[outer[j]])
+    return ChainSeminormResult(float(ratios[j]), witness, len(inner))
 
 
 # -- Whitney assembly --------------------------------------------------------

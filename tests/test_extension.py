@@ -13,9 +13,10 @@ from fractal_remez.extension import (Chain, GridSpec, build_chain,
                                      _max_abs_deg2_square)
 from fractal_remez.fractals import FractalSet, build_preset, transform
 from fractal_remez.geometry import Cube
-from fractal_remez.polynomials import (Polynomial, compose_affine_many,
-                                       exponent_array, monomials,
-                                       multi_indices)
+from fractal_remez.polynomials import (Polynomial, affine_matrices,
+                                       compose_affine_many, exponent_array,
+                                       monomials, multi_indices)
+from fractal_remez.remez import sup_norm
 
 
 def interval_set(depth=8):
@@ -222,19 +223,28 @@ def test_chain_linearity():
     assert np.max(np.abs(cfg.coefs - (a * cf.coefs + b * cg.coefs))) <= 1e-9
 
 
+def _two_cube_chain():
+    fam = CubeFamily(interval_set(), (Cube((0.5,), 0.5), Cube((0.5,), 1.0)))
+    return Chain(coefs=np.array([[0.0, 0.0], [0.125, 0.0]]),
+                 deficient=np.zeros(2, dtype=bool), k=2,
+                 omega=Majorant.power(1.0, 2), family=fam)
+
+
+def _three_cube_chain(small=np.nan):
+    # radius pairs run (0.25, 0.5), (0.25, 1), (0.5, 1); with a NaN small
+    # entry only the pairs with the small cube are NaN, and the last pair
+    # has a finite ratio; with a zero one the last two pairs tie
+    fam = CubeFamily(interval_set(),
+                     [Cube((0.5,), r) for r in (0.25, 0.5, 1.0)])
+    return Chain(coefs=np.array([[small, 0.0], [0.0, 0.0], [0.5, 0.0]]),
+                 deficient=np.zeros(3, dtype=bool), k=2,
+                 omega=Majorant.power(1.0, 2), family=fam)
+
+
 def test_chain_seminorm_two_cube_formula():
-    X = interval_set()
-    om = Majorant.power(1.0, 2)
-    small = Cube((0.5,), 0.5)
-    big = Cube((0.5,), 1.0)
-    eps = 0.125
-    fam = CubeFamily(X, (small, big))
-    chain = Chain(cubes=[small, big], coefs=np.array([[0.0, 0.0],
-                                                      [eps, 0.0]]),
-                  deficient=np.zeros(2, dtype=bool), k=2, omega=om,
-                  family=fam)
-    res = chain_seminorm(chain, fam)
-    assert res.value == pytest.approx(eps / 1.0, abs=1e-12)
+    chain = _two_cube_chain()
+    res = chain_seminorm(chain, chain.family)
+    assert res.value == pytest.approx(0.125 / 1.0, abs=1e-12)
     assert res.num_pairs == 1
 
 
@@ -249,19 +259,10 @@ def test_chain_seminorm_keeps_a_nan_from_the_data():
 
 
 def test_chain_seminorm_nan_not_replaced_by_a_later_pair():
-    # radius pairs run (0.25, 0.5), (0.25, 1), (0.5, 1); only the pairs
-    # with the small cube are NaN, and the last pair has a finite ratio
-    X = interval_set()
-    om = Majorant.power(1.0, 2)
-    cubes = [Cube((0.5,), r) for r in (0.25, 0.5, 1.0)]
-    fam = CubeFamily(X, cubes)
-    chain = Chain(cubes=cubes,
-                  coefs=np.array([[np.nan, 0.0], [0.0, 0.0], [0.5, 0.0]]),
-                  deficient=np.zeros(3, dtype=bool), k=2, omega=om,
-                  family=fam)
-    res = chain_seminorm(chain, fam)
+    chain = _three_cube_chain()
+    res = chain_seminorm(chain, chain.family)
     assert math.isnan(res.value)
-    assert res.witness == (cubes[0], cubes[1])
+    assert res.witness == chain.cubes[:2]
     assert res.num_pairs == 3
 
 
@@ -272,12 +273,131 @@ def test_chain_seminorm_shift_invariance():
     fv = np.abs(X.points[:, 0] - 0.5)
     chain = build_chain(fv, X, fam, 2, om)
     P = Polynomial.from_dict(1, {(0,): 3.0, (1,): -1.0})
-    shifted = Chain(cubes=chain.cubes,
-                    coefs=chain.coefs + _in_frames(P, chain.cubes),
+    shifted = Chain(coefs=chain.coefs + _in_frames(P, chain.cubes),
                     deficient=chain.deficient, k=2, omega=om, family=fam)
     a = chain_seminorm(chain, fam)
     b = chain_seminorm(shifted, fam)
     assert b.value == pytest.approx(a.value, rel=1e-12, abs=1e-12)
+
+
+def _reference_chain_seminorm(chain, family):
+    """The chain seminorm radius pair by radius pair, every pair and its
+    re-expansion found afresh: the reference for the pair plan."""
+    row = {Q: i for i, Q in enumerate(chain.cubes)}
+    by_radius: dict = {}
+    for Q in family.cubes:
+        if Q in row:
+            by_radius.setdefault(Q.radius, []).append(Q)
+    if not by_radius:
+        return 0.0, None, 0
+    n = len(chain.cubes[0].center)
+    deg = max(chain.k - 1, 0)
+    radii = sorted(by_radius)
+    exact = deg <= 2 and n <= 2
+    unit = Cube((0.0,) * n, 1.0)
+    best = []  # (largest ratio, witness pair) per radius pair
+    num_pairs = 0
+    coefs = {r: chain.coefs[[row[Q] for Q in by_radius[r]]] for r in radii}
+    centers = {r: np.array([Q.center for Q in by_radius[r]]) for r in radii}
+    for bi, r_big in enumerate(radii):
+        for r_small in radii[max(0, bi - 2): bi]:
+            if r_big > 4.0 * r_small * (1 + 1e-12):
+                continue
+            gap = np.abs(centers[r_big][:, None] - centers[r_small]).max(2)
+            bj, si = np.nonzero(gap <= r_big - r_small + 1e-12)
+            if not len(si):
+                continue
+            num_pairs += len(si)
+            outer = compose_affine_many(
+                coefs[r_big][bj], n, deg, r_small / r_big,
+                (centers[r_small][si] - centers[r_big][bj]) / r_big)
+            D = coefs[r_small][si] - outer
+            if exact and n == 1:
+                sups = _max_abs_deg2_interval(D)
+            elif exact:
+                sups = _max_abs_deg2_square(D)
+            else:
+                sups = np.array([sup_norm(Polynomial(n, deg, d), unit,
+                                          budget=256) for d in D])
+            ratios = sups / float(chain.omega(r_big))
+            j = int(np.argmax(ratios))
+            best.append((float(ratios[j]),
+                         (by_radius[r_small][si[j]], by_radius[r_big][bj[j]])))
+    if not best:
+        return 0.0, None, 0
+    value, witness = best[int(np.argmax([v for v, _ in best]))]
+    return value, witness, num_pairs
+
+
+def _built_chain(preset, depth, budget, k, data):
+    X = build_preset(preset, depth)
+    fam = build_cube_family(X, center_budget=budget)
+    if data == "noise":
+        fv = np.random.default_rng(0).uniform(-1, 1, X.size)
+    else:
+        fv = np.linalg.norm(X.points - 0.3, axis=1)
+        if data == "nan":
+            fv[5] = np.nan
+    return build_chain(fv, X, fam, k, Majorant.power(1.0, k))
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda k=k, d=d: _built_chain("cube:1", 9, 48, k, d),
+                   id=f"cube:1-k{k}-{d}")
+      for k in (1, 2, 3) for d in ("abs", "noise")),
+    *(pytest.param(lambda k=k: _built_chain("dust2d:1/4", 4, 48, k, "abs"),
+                   id=f"dust2d:1/4-k{k}") for k in (2, 3)),
+    pytest.param(lambda: _built_chain("cube:1", 9, 48, 2, "nan"), id="nan"),
+    pytest.param(_two_cube_chain, id="two-cube"),
+    pytest.param(_three_cube_chain, id="three-cube"),
+    pytest.param(lambda: _three_cube_chain(0.0), id="three-cube-tie"),
+    # degree 3: every pair's sup is sampled
+    pytest.param(lambda: _built_chain("cube:1", 5, 2, 4, "abs"),
+                 id="sampled"),
+])
+def test_chain_seminorm_equals_the_per_radius_pair_reference(make):
+    chain = make()
+    res = chain_seminorm(chain, chain.family)
+    value, witness, num_pairs = _reference_chain_seminorm(chain,
+                                                          chain.family)
+    assert res.num_pairs == num_pairs > 0
+    assert res.witness == witness
+    assert (math.isnan(res.value) and math.isnan(value)
+            or np.float64(res.value).tobytes() == np.float64(value).tobytes())
+
+
+def test_chain_seminorm_rejects_another_family():
+    X = interval_set(6)
+    fam = build_cube_family(X, center_budget=16)
+    chain = build_chain(np.abs(X.points[:, 0] - 0.5), X, fam, 2,
+                        Majorant.power(1.0, 2))
+    same_cubes = CubeFamily(X, fam.cubes)
+    with pytest.raises(ValueError, match="own cube family"):
+        chain_seminorm(chain, same_cubes)
+
+
+def test_one_pair_plan_per_degree(monkeypatch):
+    from fractal_remez import extension
+
+    X = interval_set(9)
+    fam = build_cube_family(X, center_budget=48)
+    x = X.points[:, 0]
+    first, second, cubic = (build_chain(v, X, fam, k, Majorant.power(1.0, k))
+                            for v, k in ((np.abs(x - 0.5), 2), (x ** 2, 2),
+                                         (x, 3)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return affine_matrices(*args)
+
+    monkeypatch.setattr(extension, "affine_matrices", counted)
+    chain_seminorm(first, fam)
+    assert len(calls) == 1  # one call for every pair of the family
+    chain_seminorm(second, fam)
+    assert len(calls) == 1
+    res = chain_seminorm(cubic, fam)
+    assert len(calls) == 2 and res.num_pairs == len(calls[1][2])
 
 
 def test_chain_certificate_normalized_and_density_stable():
