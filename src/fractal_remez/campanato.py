@@ -478,7 +478,6 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
 @dataclass
 class LipschitzEstimate:
     value: float
-    num_probes: int
 
 
 def lipschitz_seminorm(g, k: int, omega: Majorant, box, h_decades: float,
@@ -510,4 +509,4 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box, h_decades: float,
         raise ValueError(f"no probe of length up to h_max = {h_max} fits "
                          f"{k} steps inside the box")
     ratios = np.abs(finite_difference_many(g, k, x, Hs)) / omega(mags)
-    return LipschitzEstimate(float(np.max(ratios)), len(ratios))
+    return LipschitzEstimate(float(np.max(ratios)))

@@ -563,8 +563,6 @@ class CartanDiskReport:
     zeros: np.ndarray
     eta: float
     R: float
-    H_eta: float
-    log_max: float             # ln M(2eR)
     lower_bound: float         # -H(eta) * ln M(2eR)
     radius_sum: float
     num_checked: int
@@ -608,11 +606,9 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
 
-    H_eta = 2.0 + math.log(1.5 * math.e / eta)
     M = _circle_max_abs(f, 2.0 * math.e * R)
     M = max(M, 1.0)  # f(0) = 1 forces M >= 1; guard sampling slack
-    log_max = math.log(M)
-    lower = -H_eta * log_max
+    lower = -(2.0 + math.log(1.5 * math.e / eta)) * math.log(M)
 
     roots = polynomial_zeros(f)
     zeros_in = roots[np.abs(roots) <= 2.0 * R]
@@ -657,7 +653,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     disks = [(complex(c[0], c[1]), float(r)) for c, r in zip(centers, radii)]
 
     return CartanDiskReport(disks=disks, zeros=zeros_in, eta=eta, R=R,
-                            H_eta=H_eta, log_max=log_max, lower_bound=lower,
+                            lower_bound=lower,
                             radius_sum=radius_sum, num_checked=checked,
                             violations=violations, worst_margin=worst,
                             half_radius_covers_zeros=half_ok)

@@ -222,7 +222,6 @@ def markov_check(p: Polynomial, F: FractalSet, x, r: float) -> float:
 @dataclass
 class OscillationReport:
     max_oscillation: float
-    max_excluded_mass: float
     num_samples: int
 
 
@@ -239,9 +238,9 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
     """Max mean oscillation of ln|p| over the balls of the given centers
     and radii under the cloud measure.
 
-    Points with |p| below 1e-300 are excluded from the averages and their
-    mass is reported; the zero set carries no measure in the regime where
-    the statement applies, so the exclusion only guards the logarithm.
+    Points with |p| below 1e-300 are excluded from the averages; the zero
+    set carries no measure in the regime where the statement applies, so
+    the exclusion only guards the logarithm.
     The same centers make runs comparable across refinement depths.
     """
     if p.num_vars != 1:
@@ -250,7 +249,6 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
     vals = np.abs(p.eval_many(zs))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     best = -math.inf
-    max_excluded = 0.0
     count = 0
     for x in centers:
         d = np.linalg.norm(X.points - x, axis=1)
@@ -259,8 +257,6 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
             if not np.any(mask):
                 continue
             good = mask & (vals >= LOG_FLOOR)
-            excluded = float(np.sum(X.masses[mask & ~good]))
-            max_excluded = max(max_excluded, excluded)
             if not np.any(good):
                 continue
             w = X.masses[good]
@@ -272,9 +268,7 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
             best = max(best, osc)
     if count == 0:
         raise ValueError("all mass excluded at every sampled ball")
-    return OscillationReport(max_oscillation=best,
-                             max_excluded_mass=max_excluded,
-                             num_samples=count)
+    return OscillationReport(max_oscillation=best, num_samples=count)
 
 
 def reverse_holder(p: Polynomial, X: FractalSet, x, r: float, l) -> float:

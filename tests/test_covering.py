@@ -668,14 +668,17 @@ def test_cartan_constant_one():
     rep = cartan_exclusion_disks(f, R=2.0, eta=1.0, grid=cartan_grid())
     assert rep.disks == []
     assert not rep.violations
-    assert rep.log_max == pytest.approx(0.0, abs=1e-9)
+    assert rep.lower_bound == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cartan_h_at_max_eta():
-    f = Polynomial.constant(1.0)
+    # H(3e/2) = 2, so the floor is -2 ln M(2eR)
+    f = Polynomial.from_dict(1, {(0,): 1.0, (1,): 0.1})
     rep = cartan_exclusion_disks(f, R=1.0, eta=1.5 * math.e,
                                  grid=cartan_grid(R=1.0))
-    assert rep.H_eta == pytest.approx(2.0, abs=1e-12)
+    log_max = math.log(_circle_max_abs(f, 2.0 * math.e))
+    assert log_max > 0.4
+    assert rep.lower_bound == pytest.approx(-2.0 * log_max, rel=1e-12)
 
 
 def test_cartan_single_distant_root():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fractal_remez import fractals
 from fractal_remez.fractals import (CellCountError, FractalSet, IFS,
                                     Similarity, ball_measure, build_preset,
                                     build_set, estimate_regularity,
@@ -69,15 +68,26 @@ def test_ball_misses_set():
     assert ball_measure(X, [10.0], 0.5) == 0.0
 
 
-@pytest.mark.parametrize("threshold", [fractals.BUCKET_THRESHOLD, 1])
-def test_ball_measure_rejects_non_finite_balls(monkeypatch, threshold):
-    # a NaN or infinite center misses every point, so it used to read 0.0
-    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", threshold)
+@pytest.mark.parametrize("num_balls", [10 ** 5, 1])
+def test_ball_measure_rejects_non_finite_balls(num_balls):
+    # a NaN or infinite center misses every point, so it used to read 0.0;
+    # the bad ball sits anywhere in the batch, up to its last entry
     X = build_preset("cantor:1/3", 5)
-    for x, r in (([np.nan], 0.5), ([-np.inf], 0.5), ([0.0], np.nan),
-                 ([0.0], np.inf), ([0.0], 0.0)):
+    idx = np.arange(num_balls) % X.size
+    centers, radii = X.points[idx], np.full(num_balls, 0.5)
+    last = num_balls - 1
+    for i, x, r in ((last, np.nan, 0.5), (last, -np.inf, 0.5),
+                    (last // 2, 0.0, np.nan), (0, 0.0, np.inf),
+                    (last, 0.0, 0.0), (last // 3, 0.0, -0.5)):
+        c, rad = centers.copy(), radii.copy()
+        c[i], rad[i] = x, r
         with pytest.raises(ValueError, match="finite"):
-            ball_measure(X, x, r)
+            ball_measure(X, c, rad)
+    longer = np.full(num_balls + 1, 0.5)
+    for c, rad in ((centers, radii[:-1]), (centers, longer),
+                   (X.points[0], np.full(2, 0.5))):
+        with pytest.raises(ValueError, match="centers for"):
+            ball_measure(X, c, rad)
 
 
 def test_ball_left_third():
@@ -91,29 +101,47 @@ def _scan_measure(X, x, r):
     return float(np.sum(X.masses[np.linalg.norm(X.points - x, axis=1) < r]))
 
 
-def test_bucket_index_agrees_exactly(monkeypatch):
-    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", 0)  # always the tree
+def _assert_batch_is_scan(X, centers, radii):
+    got = ball_measure(X, centers, radii)
+    want = [_scan_measure(X, x, r) for x, r in zip(centers, radii)]
+    assert got.shape == (len(radii),)
+    assert got.tolist() == want
+
+
+def _unequal_cloud():
+    rng = np.random.default_rng(8)
+    return FractalSet(points=rng.uniform(0.0, 1.0, (300, 2)),
+                      masses=rng.uniform(0.5, 2.0, 300) / 375.0, s=2.0,
+                      diam=math.sqrt(2.0), cell_diam=0.05, total_mass=1.0)
+
+
+def test_bucket_index_agrees_exactly():
     X = build_preset("cantor:1/3", 10)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        x = rng.uniform(-0.2, 1.2, 1)
-        r = rng.uniform(1e-3, 1.5)
-        assert ball_measure(X, x, r) == _scan_measure(X, x, r)
+    _assert_batch_is_scan(X, rng.uniform(-0.2, 1.2, (200, 1)),
+                          rng.uniform(1e-3, 1.5, 200))
     assert X._tree is not None
+    Y = _unequal_cloud()
+    _assert_batch_is_scan(Y, rng.uniform(-0.2, 1.2, (200, 2)),
+                          rng.uniform(1e-3, 1.5, 200))
 
 
-def test_index_agrees_exactly_at_boundary_radii(monkeypatch):
-    # radii one ulp above a cloud point's distance put it on the edge
-    monkeypatch.setattr(fractals, "BUCKET_THRESHOLD", 0)
-    for preset, depth in (("cantor:1/3", 10), ("dust2d:1/4", 5)):
-        X = build_preset(preset, depth)
+def test_index_agrees_exactly_at_boundary_radii():
+    # a radius equal to a cloud point's distance, and one ulp either side,
+    # puts that point in the shell where the two tree counts disagree
+    for X in (build_preset("cantor:1/3", 10), build_preset("dust2d:1/4", 5),
+              build_preset("cantor:1/3*cantor:1/3", 5), _unequal_cloud()):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = X.points[rng.integers(X.size)] + rng.normal(
-                scale=1e-3, size=X.ambient_dim)
-            d = np.linalg.norm(X.points[rng.integers(X.size)] - x)
-            for r in (d, np.nextafter(d, np.inf)):
-                assert ball_measure(X, x, r) == _scan_measure(X, x, r)
+        x = X.points[rng.integers(X.size, size=200)] + rng.normal(
+            scale=1e-3, size=(200, X.ambient_dim))
+        d = np.linalg.norm(X.points[rng.integers(X.size, size=200)] - x,
+                           axis=1)
+        for r in (d, np.nextafter(d, np.inf), np.nextafter(d, 0.0)):
+            _assert_batch_is_scan(X, x, r)
+        # a batch of one: a single center with one radius
+        r = np.linalg.norm(X.points[1] - X.points[0])
+        assert ball_measure(X, X.points[0], r).tolist() == [
+            _scan_measure(X, X.points[0], r)]
 
 
 def test_regularity_unit_interval():

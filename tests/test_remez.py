@@ -340,12 +340,16 @@ def test_bmo_scaling_invariance():
     assert r2.max_oscillation == pytest.approx(r1.max_oscillation, abs=1e-12)
 
 
-def test_bmo_excluded_mass_reported():
+def test_bmo_excludes_zero_of_p():
     X = build_preset("cantor:1/3", 6)
     z = Polynomial(1, 1, np.array([0.0 + 0j, 1.0 + 0j]))
     rep = bmo_oscillation(z, X, [1.5], centers=X.points[:4])
-    # the origin is a cloud point where ln|z| = -inf
-    assert rep.max_excluded_mass == pytest.approx(X.masses[0], abs=1e-15)
+    # the origin is a cloud point where ln|z| = -inf; every ball holds the
+    # whole cloud, so the oscillation is that of ln x over the rest
+    logs = np.log(X.points[X.points[:, 0] != 0.0, 0])
+    assert len(logs) == X.size - 1
+    want = np.mean(np.abs(logs - np.mean(logs)))
+    assert rep.max_oscillation == pytest.approx(want, rel=1e-12)
 
 
 def test_bmo_all_mass_excluded_raises():
