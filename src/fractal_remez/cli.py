@@ -184,12 +184,10 @@ def _run_remez(config: dict, seed: int, out: str):
            "empirical_ratio": rep.empirical_ratio}
     write_csv_summary(os.path.join(out, "summary.csv"), [row])
     lams = np.linspace(0.01, 1.0, 100)
-    write_plot_data(os.path.join(out, "bound_bg_vs_lambda.dat"),
-                    "lambda", "bound_bg",
-                    lams, [remez.bg_bound(rep.n, rep.k, la) for la in lams])
-    write_plot_data(os.path.join(out, "bound_simple_vs_lambda.dat"),
-                    "lambda", "bound_simple",
-                    lams, [remez.simple_bound(rep.n, rep.k, la) for la in lams])
+    for name, fn in (("bg", remez.bg_bound), ("simple", remez.simple_bound)):
+        write_plot_data(os.path.join(out, f"bound_{name}_vs_lambda.dat"),
+                        "lambda", f"bound_{name}",
+                        lams, [fn(rep.n, rep.k, la) for la in lams])
     return failures
 
 

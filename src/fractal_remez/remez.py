@@ -61,17 +61,18 @@ def simple_bound(n: int, k: int, lam: float) -> float:
 
 
 def _refine_coordinates(p: Polynomial, domain, X: np.ndarray) -> np.ndarray:
-    """Per-coordinate golden-section ascent of |p| from each row of X,
-    REFINE_SWEEPS sweeps over the axes.
+    """Per-coordinate golden-section ascent of |p| from each row of X, for
+    at most REFINE_SWEEPS sweeps: one that moves no start ends it, as the
+    next would repeat it exactly.
 
-    All starts move together, each with its own bracket and running best;
-    a start moves only to a strictly larger value, and stays put on an
-    axis where its chord through the domain is empty.  Returns the best
-    value reached from each start.
+    All starts move together, each with its own bracket and running best,
+    only to a strictly larger value and never along an empty chord.
+    Returns each start's best value, which on a sphere can miss the max.
     """
     X = np.array(X, dtype=float)
     best = np.abs(p.eval_many(X))
     for _ in range(REFINE_SWEEPS):
+        start = best.copy()
         for i in range(domain.dim):
             a, b = domain.coordinate_segments(X, i)
             rows = np.flatnonzero(b > a)
@@ -89,6 +90,8 @@ def _refine_coordinates(p: Polynomial, domain, X: np.ndarray) -> np.ndarray:
             up = v > best[rows]
             best[rows[up]] = v[up]
             X[rows[up]] = mid[up]
+        if np.array_equal(best, start, equal_nan=True):  # no start moved
+            break
     return best
 
 
@@ -96,12 +99,12 @@ def sup_norm(p: Polynomial, domain, budget: int = SUP_BUDGET) -> float:
     """Max of |p| over a FractalSet cloud (exact) or a ball/cube.
 
     Continuous domains use a Sobol sample of the given budget plus the
-    center and axis extremes, then a golden-section ascent, one
-    coordinate at a time, from the REFINE_STARTS best sample points; the
-    starts are refined together, so each step costs one evaluation of
-    2 * REFINE_STARTS points.  The result is a sampled lower bound for the
-    true sup.  Larger budgets extend the same Sobol prefix, so the result
-    is monotone nondecreasing in the budget.
+    center and axis extremes, then a golden-section ascent, one coordinate
+    at a time, from the REFINE_STARTS best sample points, moved together
+    (one evaluation of 2 * REFINE_STARTS points a step) for at most
+    REFINE_SWEEPS sweeps, to a coordinate-wise fixed point that can miss
+    the max on a ball's sphere: a sampled lower bound for the true sup,
+    nondecreasing in the budget, as larger ones extend the Sobol prefix.
     """
     if isinstance(domain, FractalSet):
         if domain.size == 0:
@@ -182,8 +185,7 @@ def empirical_remez(p: Polynomial, V, omega: FractalSet, q, r,
     lhs = _normalized_lr_volume(p, V, r, budget)
     rhs = _normalized_lq_cloud(p, omega, q)
     violated = rhs == 0.0 and lhs > 0.0
-    ratio = math.inf if rhs == 0.0 and lhs > 0.0 else \
-        (0.0 if rhs == 0.0 else lhs / rhs)
+    ratio = math.inf if violated else (0.0 if rhs == 0.0 else lhs / rhs)
 
     lam = measure_ratio(omega, V)
     k = p.degree()

@@ -31,6 +31,10 @@ def test_run_remez_report_schema(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("experiment_id,n,k,s,lambda,q,r,bound_bg")
     assert len(summary) == 2
+    for name in ("bg", "simple"):
+        rows = (out / f"bound_{name}_vs_lambda.dat").read_text().splitlines()
+        assert rows[0] == f"# x: lambda    y: bound_{name}"
+        assert len(rows) == 101
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -41,7 +45,8 @@ def test_run_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["run", cfg, "--out", str(out1)]) == 0
     assert cli.main(["run", cfg, "--out", str(out2)]) == 0
-    for name in ("report.json", "summary.csv", "bound_bg_vs_lambda.dat"):
+    for name in ("report.json", "summary.csv", "bound_bg_vs_lambda.dat",
+                 "bound_simple_vs_lambda.dat"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

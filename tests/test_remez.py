@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fractal_remez import fractals, remez
 from fractal_remez.fractals import FractalSet, build_preset, transform
-from fractal_remez.geometry import Ball, Cube
+from fractal_remez.geometry import Ball, Cube, golden_section_max
 from fractal_remez.polynomials import Polynomial, chebyshev
 from fractal_remez.remez import (REFINE_SWEEPS, _refine_coordinates,
                                  bg_bound, bmo_oscillation, empirical_remez,
@@ -191,6 +191,134 @@ def test_batched_ascent_matches_scalar_reference(n, deg, ball, seed):
         want = np.array([_refine_reference(p, domain, x, sweeps=6)
                          for x in starts])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def _refine_all_sweeps(p, domain, X):
+    """The ascent that always runs all REFINE_SWEEPS sweeps, reading
+    golden_section_max off `remez` so that _golden_calls counts it."""
+    X = np.array(X, dtype=float)
+    best = np.abs(p.eval_many(X))
+    for _ in range(REFINE_SWEEPS):
+        for i in range(domain.dim):
+            a, b = domain.coordinate_segments(X, i)
+            rows = np.flatnonzero(b > a)
+            if len(rows) == 0:
+                continue
+            trial = np.tile(X[rows], (2, 1))
+
+            def abs_p(t):
+                trial[:, i] = t.ravel()
+                return np.abs(p.eval_many(trial)).reshape(t.shape)
+
+            mid = X[rows]
+            mid[:, i] = remez.golden_section_max(
+                abs_p, a[rows], b[rows], 24)
+            v = np.abs(p.eval_many(mid))
+            up = v > best[rows]
+            best[rows[up]] = v[up]
+            X[rows[up]] = mid[up]
+    return best
+
+
+def _golden_calls(fn, *args):
+    """fn(*args) and the number of golden_section_max calls it made."""
+    calls = []
+
+    def counted(*a):
+        calls.append(None)
+        return golden_section_max(*a)
+
+    with mock.patch.object(remez, "golden_section_max", counted):
+        return fn(*args), len(calls)
+
+
+def _assert_sup_norm_matches_all_sweeps(p, domain):
+    got = sup_norm(p, domain)
+    with mock.patch.object(remez, "_refine_coordinates", _refine_all_sweeps):
+        want = sup_norm(p, domain)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _survey_remez_inputs(seed):
+    """The polynomial and ball of each remez run in the benchmark's survey
+    workload, drawn as perfbench/workloads.py and `fractal-remez run` do."""
+    rng = np.random.default_rng(seed)
+    for set_id, depth, k in (("cantor:1/3", 10, 4), ("dust2d:1/4", 5, 3),
+                             ("cantor:1/3*cantor:1/3", 5, 3)):
+        X = build_preset(set_id, depth)
+        p = Polynomial.random(np.random.default_rng(
+            int(rng.integers(0, 2 ** 31))), X.ambient_dim, k)
+        lo, hi = X.points.min(axis=0), X.points.max(axis=0)
+        radius = 0.5 * float(np.linalg.norm(hi - lo)) + 0.25 * X.diam
+        yield p, Ball(tuple(0.5 * (lo + hi)), radius)
+
+
+@pytest.mark.parametrize("seed", [101, 7])
+def test_sup_norm_matches_all_sweeps_on_survey(seed):
+    for p, V in _survey_remez_inputs(seed):
+        _assert_sup_norm_matches_all_sweeps(p, V)
+
+
+def test_sup_norm_matches_all_sweeps_on_criterion_6():
+    rng = np.random.default_rng(21)
+    polys = [Polynomial.random(rng, 1, 3) for _ in range(50)]
+    polys += [chebyshev(3).compose_affine(2.0 * 3.0 ** j, -1.0)
+              for j in range(5)]
+    for p in polys:
+        _assert_sup_norm_matches_all_sweeps(p, Ball((0.5,), 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("body", [Ball, Cube])
+def test_sup_norm_matches_all_sweeps_on_random_polynomials(n, body):
+    rng = np.random.default_rng(40 + n)
+    for deg in range(7):
+        p = Polynomial.random(rng, n, deg)
+        domain = body(tuple(rng.uniform(-1.0, 1.0, n)), rng.uniform(0.2, 2.0))
+        _assert_sup_norm_matches_all_sweeps(p, domain)
+
+
+def test_sup_norm_matches_all_sweeps_on_a_long_ascent():
+    # a degree-4 polynomial whose starts on the 3-D ball keep moving for
+    # several sweeps (six here), along the sphere where the ascent stalls
+    p = Polynomial.random(np.random.default_rng(38), 3, 4)
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    _, calls = _golden_calls(sup_norm, p, ball)
+    assert calls > 2 * ball.dim
+    _assert_sup_norm_matches_all_sweeps(p, ball)
+
+
+def test_nan_polynomial_ends_the_ascent_after_one_sweep():
+    p = Polynomial.from_dict(2, {(0, 0): math.nan, (1, 0): 1.0})
+    val, calls = _golden_calls(sup_norm, p, Ball((0.0, 0.0), 1.0))
+    assert math.isnan(val) and calls == 2
+    _assert_sup_norm_matches_all_sweeps(p, Ball((0.0, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("p, domain, start, sweeps, searches", [
+    # on the sphere, where |x|^2 is already largest: one confirming sweep
+    (Polynomial.from_dict(2, {(2, 0): 1.0, (0, 2): 1.0}),
+     Ball((0.0, 0.0), 1.0), (0.6, 0.8), 1, 2),
+    # a ball's axis extreme: the other axes' chords are empty, and x_0 is
+    # already largest along its own axis
+    (Polynomial.from_dict(3, {(1, 0, 0): 1.0}),
+     Ball((0.0, 0.0, 0.0), 1.0), (1.0, 0.0, 0.0), 1, 1),
+    # from the center to the corner in one sweep, then one to confirm
+    (Polynomial.from_dict(2, {(1, 0): 1.0, (0, 1): 1.0}),
+     Cube((0.0, 0.0), 1.0), (0.0, 0.0), 2, 2),
+    (chebyshev(3), Ball((0.0,), 1.0), (0.0,), 2, 1),
+    (Polynomial.from_dict(3, {(1, 0, 0): 1.0, (0, 1, 1): 0.5}),
+     Ball((0.0, 0.0, 0.0), 1.0), (0.0, 0.0, 0.0), 2, 3),
+], ids=["sphere", "axis-extreme", "cube-corner", "chebyshev", "ball-center"])
+def test_ascent_stops_one_sweep_after_its_fixed_point(p, domain, start,
+                                                      sweeps, searches):
+    # searches: golden searches per sweep, one per axis with a chord
+    X = np.array([start])
+    got, calls = _golden_calls(_refine_coordinates, p, domain, X)
+    want, all_calls = _golden_calls(_refine_all_sweeps, p, domain, X)
+    assert calls == sweeps * searches
+    assert all_calls == REFINE_SWEEPS * searches
+    assert got.tobytes() == want.tobytes()
 
 
 # -- empirical comparison -----------------------------------------------------
