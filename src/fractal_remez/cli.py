@@ -17,6 +17,7 @@ FRACTAL_REMEZ_THREADS caps suite parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -404,7 +405,8 @@ def cmd_list_majorants(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fractal-remez",
         description="Remez inequalities, covering lemmas, and extension "
@@ -426,8 +428,11 @@ def main(argv=None) -> int:
 
     p_lm = sub.add_parser("list-majorants", help="list majorant ids")
     p_lm.set_defaults(fn=cmd_list_majorants)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

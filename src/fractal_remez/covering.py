@@ -52,6 +52,7 @@ BETA = 2.5
 MAX_CARTAN_DEGREE = 50
 FLOOR_RTOL = 1e-9  # relative grace of the off-ball floors
 BLOCK_ENTRIES = 1 << 18  # distances per tau block: 2 MB of float64
+BOX = 1024  # consecutive points per bounding box of the ball queries
 
 
 # -- measure spaces ----------------------------------------------------
@@ -92,10 +93,6 @@ class DiscreteMeasureSpace:
     def A(self) -> float:
         return float(np.sum(self.masses))
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def extent(self) -> float:
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         return float(np.linalg.norm(hi - lo))
@@ -103,7 +100,7 @@ class DiscreteMeasureSpace:
 
 def _spot_check_pseudometric(space: DiscreteMeasureSpace):
     rng = np.random.default_rng(0)
-    n = space.size
+    n = len(space.points)
     d = space.metric
     for _ in range(100):
         i, j, k = rng.integers(0, n, size=3)
@@ -178,16 +175,42 @@ def _atom_distances(space: DiscreteMeasureSpace, atoms: np.ndarray,
     return np.ascontiguousarray(D.reshape(len(queries), len(atoms)).T)
 
 
+def _near_blocks(space: DiscreteMeasureSpace, centers: np.ndarray,
+                 radii: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(centers x blocks) mask of the BOX-point blocks of points whose
+    bounding box meets each closed ball; every block under a custom metric.
+    Box gaps add up in _distances' order and rounding is monotone, so a
+    missed block holds no point whose computed distance is within r."""
+    n, blocks = points.shape[1], -(-len(points) // BOX)
+    pad = np.repeat(points[-1:].T, -len(points) % BOX, axis=1)
+    P = np.hstack([points.T, pad]).reshape(n, blocks, BOX)  # contiguous rows
+    lo, hi, G = P.min(axis=2), P.max(axis=2), np.zeros((len(centers), blocks))
+    for c, lo_j, hi_j in zip(centers.T[:, :, None], lo, hi):
+        G += np.maximum(np.maximum(lo_j - c, c - hi_j), 0.0) ** 2
+    return (np.sqrt(G, out=G) <= radii[:, None]) | (space.metric is not None)
+
+
+def _spans(near: np.ndarray) -> list:
+    """Per row, the (start, stop) slices of its kept runs, stops unclipped."""
+    edges = np.diff(near, axis=1, prepend=False, append=False)
+    runs = (np.flatnonzero(edges) % edges.shape[1] * BOX).reshape(-1, 2)
+    cuts = np.cumsum(edges.sum(axis=1) // 2).tolist()
+    return [runs[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
+
+
 def _in_balls(space: DiscreteMeasureSpace, centers: np.ndarray,
               radii: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Mask of points lying in the union of the closed balls.
 
-    One distance row per ball: a single (balls x points) array is slower
-    on large grids.
+    One distance row per ball over the blocks that _near_blocks keeps: a
+    single (balls x points) array is slower on large grids.
     """
     mask = np.zeros(len(points), dtype=bool)
-    for c, r in zip(centers, radii):
-        mask |= _atom_distances(space, c[None, :], points)[0] <= r
+    near = _near_blocks(space, centers, radii, points)
+    for c, r, spans in zip(centers, radii, _spans(near)):
+        for lo, hi in spans:
+            mask[lo:hi] |= _atom_distances(space, c[None, :],
+                                           points[lo:hi])[0] <= r
     return mask
 
 
@@ -249,8 +272,9 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     partial sum of the masses, so it is at most the total mass A and
     phi^{-1}(level) <= phi^{-1}(A).  A query whose nearest atom lies
     farther than phi^{-1}(A) fails phi^{-1}(level_j) >= d_j at every jump
-    and has tau = 0, so it skips the scan.  The reach is widened by the
-    rounding of the running sums (m eps relative) and a few ulps of
+    and has tau = 0, so it skips the scan, and a BOX-point block of such
+    queries (_near_blocks) skips its distances.  The reach is widened by
+    the rounding of the running sums (m eps relative) and a few ulps of
     phi^{-1}: the prune may keep extra queries but never drops one whose
     tau is positive.  Queries must be finite and have the space's
     dimension, and phi^{-1} of the smallest positive mass must not
@@ -272,12 +296,15 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
     step = max(1, BLOCK_ENTRIES // len(atoms))
-    for lo in range(0, len(queries), step):
-        D = _atom_distances(space, atoms, queries[lo:lo + step])
-        # "not beyond", so that a NaN distance is scanned, not dropped
-        live = ~(D.min(axis=0) > reach)
-        out[lo:lo + step][live] = _step_scan(np.compress(live, D, axis=1),
-                                             masses, phi)
+    near = _near_blocks(space, atoms, np.full(len(atoms), reach), queries)
+    for start, stop in _spans(np.any(near, axis=0, keepdims=True))[0]:
+        Q, tau_q = queries[start:stop], out[start:stop]
+        for lo in range(0, len(Q), step):
+            D = _atom_distances(space, atoms, Q[lo:lo + step])
+            # "not beyond", so that a NaN distance is scanned, not dropped
+            live = ~(D.min(axis=0) > reach)
+            tau_q[lo:lo + step][live] = _step_scan(
+                np.compress(live, D, axis=1), masses, phi)
     return out
 
 
@@ -330,8 +357,8 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     witness at each step is the candidate of maximal tau, ties broken by
     lowest index, so runs are reproducible.
 
-    Candidates stream in index order in tau_many's blocks, and tau is
-    computed only for those no ball covers yet.  With equal positive
+    Candidates stream in index order, the atoms as one first block, and
+    tau is computed only for those no ball covers yet.  With equal positive
     masses no tau exceeds top, the largest entry of the level vector
     phi^{-1}(cumsum(masses)) that the step scan reads, so an uncovered
     candidate whose tau equals top is the next witness and is emitted as
@@ -362,11 +389,12 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     # that the lowest-index tie-break still holds.
     irregular, irregular_taus = [np.zeros(0, dtype=int)], [np.zeros(0)]
     step = max(1, BLOCK_ENTRIES // max(1, len(masses)))
-    for lo in range(0, len(cands), step):
-        live = uncovered[lo:lo + step]
+    bounds = [0, *range(len(space.points), len(cands), step), len(cands)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        live = uncovered[lo:hi]
         if not np.any(live):
             continue
-        queries = cands[lo:lo + step]
+        queries = cands[lo:hi]
         if not np.all(live):
             queries = np.compress(live, queries, axis=0)
         block_taus = tau_many(space, phi, queries)
@@ -478,10 +506,6 @@ class PotentialBoundReport:
     num_checked: int
     violations: list
     worst_margin: float | None
-
-    @property
-    def ok(self) -> bool:
-        return self.radius_sum_s < self.radius_cap and not self.violations
 
 
 def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,

@@ -114,10 +114,6 @@ class Chain:
     omega: Majorant
     family: CubeFamily
 
-    @property
-    def cubes(self) -> tuple:
-        return self.family.cubes
-
 
 def build_chain(f_values: np.ndarray, X: FractalSet, family: CubeFamily,
                 k: int, omega: Majorant) -> Chain:

@@ -119,12 +119,6 @@ class FractalSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write the cloud as CSV with columns x1,...,xn,mass."""
-        header = ",".join(f"x{i+1}" for i in range(self.ambient_dim)) + ",mass"
-        np.savetxt(path_or_buf, np.column_stack([self.points, self.masses]),
-                   delimiter=",", header=header, comments="")
-
 
 def build_set(ifs: IFS, depth: int, diam: float) -> FractalSet:
     """Refine the IFS to the given depth; diam is the set's diameter.

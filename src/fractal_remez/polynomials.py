@@ -231,17 +231,6 @@ class Polynomial:
             )
         return monomials(x, self.degree_bound) @ self.coeffs
 
-    def eval(self, x):
-        """Evaluate at a single point (scalar for n == 1)."""
-        x = np.atleast_1d(np.asarray(x))
-        if x.shape != (self.num_vars,):
-            raise ValueError(
-                f"point has shape {x.shape}, expected ({self.num_vars},)"
-            )
-        return self.eval_many(x[None, :])[0]
-
-    __call__ = eval
-
     # -- arithmetic ---------------------------------------------------
 
     def _embedded(self, degree_bound: int) -> np.ndarray:
@@ -250,18 +239,10 @@ class Polynomial:
         out[: len(self.coeffs)] = self.coeffs
         return out
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        d = max(self.degree_bound, other.degree_bound)
-        return Polynomial(self.num_vars, d, self._embedded(d) + other._embedded(d))
-
     def __sub__(self, other):
         other = self._coerce(other)
         d = max(self.degree_bound, other.degree_bound)
         return Polynomial(self.num_vars, d, self._embedded(d) - other._embedded(d))
-
-    def __neg__(self):
-        return Polynomial(self.num_vars, self.degree_bound, -self.coeffs)
 
     def __mul__(self, other):
         if np.isscalar(other):

@@ -159,7 +159,7 @@ def test_coefs_are_in_the_cube_frame():
     res = local_best_approx(fv, X, Q, 3, 2)
     # P(c + r z) = 0.3 - 1.2 (c + r z) + 0.5 (c + r z)^2
     c, r = 0.25, 0.125
-    want = [P.eval(np.array([c])), (-1.2 + c) * r, 0.5 * r ** 2]
+    want = [P.eval_many(np.array([c]))[0], (-1.2 + c) * r, 0.5 * r ** 2]
     assert np.max(np.abs(res.coefs - want)) <= 1e-12
     assert np.max(np.abs(res.coefs - in_cube_frame(P, Q))) <= 1e-12
 

@@ -132,6 +132,25 @@ def test_run_schema_violation_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_main_parses_each_call_independently(tmp_path, capsys):
+    # the parser is built once; a --seed given to one call must not leak
+    # into the next, and a bad config still exits with code 2
+    config = {"experiment": "covering", "seed": 4,
+              "params": {"num_atoms": 8, "grid_n": 6}}
+    cfg = write_config(tmp_path, config)
+    bad = write_config(tmp_path, {"experiment": "frobnicate"}, "bad.json")
+    assert cli.main(["run", cfg, "--seed", "9", "--out",
+                     str(tmp_path / "a")]) == 0
+    assert cli.main(["run", bad, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
+    seeds = [json.loads((tmp_path / d / "report.json").read_text())
+             ["config"]["seed"] for d in "ab"]
+    assert seeds == [9, 4]
+    assert cli.main(["list-sets"]) == 0
+    assert cli._parser() is cli._parser()
+
+
 def test_run_covering_experiment(tmp_path):
     cfg = write_config(tmp_path, {
         "experiment": "covering", "seed": 4,

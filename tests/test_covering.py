@@ -7,12 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractal_remez import covering
-from fractal_remez.covering import (BETA, BLOCK_ENTRIES, DEFAULT_GAMMA,
+from fractal_remez.covering import (BETA, BLOCK_ENTRIES, BOX, DEFAULT_GAMMA,
                                     CartanDiskReport, CoverOutput,
                                     DiscreteMeasureSpace, MajorantFn,
                                     _atom_distances,
-                                    _circle_max_abs, _distances,
-                                    _step_scan, cartan_exclusion_disks,
+                                    _circle_max_abs, _distances, _in_balls,
+                                    _near_blocks, _step_scan,
+                                    cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
                                     potential_bound_verify, potential_many,
                                     tau_many, verify_cover)
@@ -246,9 +247,9 @@ def pruning_cases(draw):
     return DiscreteMeasureSpace(atoms, masses, metric=metric), phi, probes
 
 
-@given(pruning_cases())
+@given(pruning_cases(), st.sampled_from([BOX, 1, 2]))
 @settings(max_examples=200, deadline=None)
-def test_pruned_tau_matches_unpruned_scan_bitwise(case):
+def test_pruned_tau_matches_unpruned_scan_bitwise(case, box):
     space, phi, probes = case
     keep = space.masses > 0
     if np.any(keep) and (phi.inverse(space.masses[keep].min())
@@ -258,7 +259,8 @@ def test_pruned_tau_matches_unpruned_scan_bitwise(case):
         return
     unpruned = _step_scan(_atom_distances(space, space.points[keep], probes),
                           space.masses[keep], phi)
-    pruned = tau_many(space, phi, probes)
+    with mock.patch.object(covering, "BOX", box):
+        pruned = tau_many(space, phi, probes)
     assert np.array_equal(pruned, unpruned)
     assert np.array_equal(unpruned, dense_tau_many(space, phi, probes))
 
@@ -284,6 +286,76 @@ def test_blocked_tau_matches_references_bitwise(masses):
     for lo in range(0, len(probes), step):  # every block has both kinds
         assert np.any(pruned[lo:lo + step] > 0.0)
         assert np.any(pruned[lo:lo + step] == 0.0)
+
+
+# -- the bounding-box prefilter of the ball queries ---------------------------
+
+
+def row_in_balls(space, centers, radii, points):
+    """Reference: one full distance row per ball."""
+    mask = np.zeros(len(points), dtype=bool)
+    for c, r in zip(centers, radii):
+        mask |= _atom_distances(space, c[None, :], points)[0] <= r
+    return mask
+
+
+def grid_points(n, shuffled):
+    axis = np.linspace(-1.0, 1.0, {1: 400, 2: 23, 3: 9}[n])
+    pts = np.stack(np.meshgrid(*[axis] * n), axis=-1).reshape(-1, n)
+    if shuffled:
+        pts = np.random.default_rng(n).permutation(pts)
+    return pts
+
+
+@pytest.mark.parametrize("box", [1, 3, 16])
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boxed_ball_queries_match_rows_bitwise(n, shuffled, box):
+    rng = np.random.default_rng(40 + n)
+    centers = rng.uniform(-1.2, 1.2, (4, n))
+    # each radius puts the grid point of rank len/20 exactly on its sphere
+    grid = grid_points(n, shuffled)
+    radii = np.sort(_distances(centers, grid), axis=1)[:, len(grid) // 20]
+    # and points on each sphere's axes, moved one ulp in and out
+    on = (centers[:, None, :] + radii[:, None, None]
+          * np.concatenate([np.eye(n), -np.eye(n)])).reshape(-1, n)
+    c = np.repeat(centers, 2 * n, axis=0)
+    points = np.concatenate([grid, centers, on, np.nextafter(on, c),
+                             np.nextafter(on, 2.0 * on - c)])
+    space = unit_atoms(centers)
+    phi = MajorantFn.power(4.0 / 0.3, 1.0)  # reach phi^{-1}(4) = 0.3
+    with mock.patch.object(covering, "BOX", box):
+        near = _near_blocks(space, centers, radii, points)
+        assert np.any(near) and not np.all(near)
+        for r in (radii, np.nextafter(radii, 0.0),
+                  np.nextafter(radii, np.inf)):
+            assert np.array_equal(_in_balls(space, centers, r, points),
+                                  row_in_balls(space, centers, r, points))
+        got = tau_many(space, phi, points)
+    want = _step_scan(_distances(centers, points), space.masses, phi)
+    assert np.array_equal(got, want)
+    assert np.any(got > 0.0) and np.any(got == 0.0)
+
+
+def test_boxed_ball_queries_keep_every_block_under_a_metric():
+    # half the Euclidean distance: a Euclidean box test would drop the
+    # points at Euclidean distance between r and 2r
+    space = DiscreteMeasureSpace(np.array([[0.0, 0.0], [0.5, 0.5]]),
+                                 np.ones(2), metric=half_euclidean_metric)
+    points = grid_points(2, False)
+    radii = np.array([0.2, 0.3])
+    phi = MajorantFn.power(2.0 / 0.3, 1.0)
+    with mock.patch.object(covering, "BOX", 4):
+        near = _near_blocks(space, space.points, radii, points)
+        got = _in_balls(space, space.points, radii, points)
+        taus = tau_many(space, phi, points)
+    assert near.shape == (2, -(-len(points) // 4)) and np.all(near)
+    assert np.array_equal(got, row_in_balls(space, space.points, radii,
+                                            points))
+    assert np.any(got & (np.linalg.norm(points, axis=1) > 0.3))
+    want = _step_scan(_atom_distances(space, space.points, points),
+                      space.masses, phi)
+    assert np.array_equal(taus, want)
 
 
 # A heavy atom (tau 1) whose emitted ball of radius 2.5 holds a light
@@ -449,12 +521,29 @@ def test_streamed_cover_matches_argmax_reference_bitwise(case, entries):
     assert_same_cover(got, want)
 
 
+def count_tau_blocks(space, phi, probes, entries):
+    """The streamed cover with the query count of each tau_many call."""
+    seen = []
+
+    def counted(space, phi, queries):
+        seen.append(len(queries))
+        return tau_many(space, phi, queries)
+
+    with mock.patch.object(covering, "BLOCK_ENTRIES", entries), \
+            mock.patch.object(covering, "tau_many", counted):
+        got = cover_or_error(
+            lambda: greedy_ball_cover(space, phi, probes=probes))
+        want = cover_or_error(
+            lambda: argmax_reference_cover(space, phi, probes))
+    return got, want, seen
+
+
 def test_streamed_cover_skips_covered_blocks():
     # unit atoms at 0 and 3, phi(t) = t: top = phi^{-1}(2) = 2.  The atoms
-    # have tau 1; the first top-valued candidates, 1.5 and 1.6, share the
-    # second block of four; the disk of radius 5 around 1.5 covers 1.6 and
-    # every probe of the third and fourth blocks but 7, the only one whose
-    # tau is computed there.
+    # have tau 1 and form the first block; the first top-valued candidates,
+    # 1.5 and 1.6, share the second block of four (10, 11, 1.5, 1.6); the
+    # disk of radius 5 around 1.5 covers 1.6 and every probe of the third
+    # and fourth blocks but 7, the only one whose tau is computed there.
     space = unit_atoms([[0.0], [3.0]])
     phi = MajorantFn.power(1.0, 1.0)
     probes = np.array([[10.0], [11.0], [1.5], [1.6], [0.5], [-1.0],
@@ -463,21 +552,25 @@ def test_streamed_cover_skips_covered_blocks():
     taus_all = tau_many(space, phi, cands)
     top_valued = np.flatnonzero(taus_all == 2.0)
     assert np.array_equal(top_valued[:2], [4, 5]) and np.all(taus_all <= 2.0)
-    seen = []
-
-    def counted(space, phi, queries):
-        seen.append(len(queries))
-        return tau_many(space, phi, queries)
-
-    with mock.patch.object(covering, "BLOCK_ENTRIES", 8), \
-            mock.patch.object(covering, "tau_many", counted):
-        got = cover_or_error(
-            lambda: greedy_ball_cover(space, phi, probes=probes))
-        want = cover_or_error(
-            lambda: argmax_reference_cover(space, phi, probes))
-    assert seen == [4, 4, 1]
+    got, want, seen = count_tau_blocks(space, phi, probes, 8)
+    assert seen == [2, 4, 1]
     assert_same_cover(got, want)
     assert got[0][0, 0] == 1.5 and got[2][0] == 2.0
+
+
+def test_streamed_cover_top_atom_covers_every_probe():
+    # unit atoms at 0 and 0.5, phi(t) = t: top = phi^{-1}(2) = 2 and the
+    # atom at 0 has tau 2, so it is emitted from the atom block, and its
+    # disk of radius 5 covers the other atom and every probe: only the
+    # atom block's tau is computed.
+    space = unit_atoms([[0.0], [0.5]])
+    phi = MajorantFn.power(1.0, 1.0)
+    probes = np.array([[1.0], [-2.0], [4.0], [3.0], [-4.5], [0.25],
+                       [2.0], [-1.0], [4.9]])
+    got, want, seen = count_tau_blocks(space, phi, probes, 8)
+    assert seen == [2]
+    assert_same_cover(got, want)
+    assert np.array_equal(got[0], [[0.0]]) and np.array_equal(got[2], [2.0])
 
 
 def test_streamed_cover_emits_every_uncovered_top_witness():
@@ -570,7 +663,7 @@ def test_potential_bound_empty_measure_vacuous():
     sp = DiscreteMeasureSpace(np.zeros((1, 2)), np.zeros(1))
     rep = potential_bound_verify(sp, H=0.25, s=1.0,
                                  grid=np.random.default_rng(0).random((50, 2)))
-    assert rep.ok
+    assert rep.radius_sum_s < rep.radius_cap and not rep.violations
     assert rep.cover.count == 0
 
 

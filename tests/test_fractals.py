@@ -271,15 +271,6 @@ def test_cell_count_overflow():
         build_preset("dust2d:1/4", 13)
 
 
-def test_csv_export(tmp_path):
-    X = build_preset("cantor:1/3", 4)
-    path = tmp_path / "cloud.csv"
-    X.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,mass"
-    assert len(lines) == X.size + 1
-
-
 def test_ifs_from_maps_checks_dims():
     with pytest.raises(ValueError):
         IFS.from_maps([Similarity(0.4, (0.0,)), Similarity(0.4, (0.0, 0.0))])

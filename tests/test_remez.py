@@ -92,7 +92,7 @@ def test_sup_norm_on_3d_ball_is_finite():
     center = (0.5, 0.0, -0.25)
     val = sup_norm(p, Ball(center, 1.0))
     assert math.isfinite(val)
-    assert val >= abs(p.eval(np.array(center)))
+    assert val >= abs(p.eval_many(np.array([center]))[0])
 
 
 def test_sup_norm_chebyshev_equioscillation():
@@ -134,7 +134,7 @@ def _refine_reference(p, domain, x, sweeps=REFINE_SWEEPS):
     """The ascent one start and one trial point at a time."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x = x.copy()
-    best = abs(p.eval(x))
+    best = abs(p.eval_many(x[None])[0])
     for _ in range(sweeps):
         for i in range(domain.dim):
             a, b = _segment_reference(domain, x, i)
@@ -145,13 +145,14 @@ def _refine_reference(p, domain, x, sweeps=REFINE_SWEEPS):
                 d = a + invphi * (b - a)
                 xc, xd = x.copy(), x.copy()
                 xc[i], xd[i] = c, d
-                if abs(p.eval(xc)) > abs(p.eval(xd)):
+                fc, fd = p.eval_many(xc[None])[0], p.eval_many(xd[None])[0]
+                if abs(fc) > abs(fd):
                     b = d
                 else:
                     a = c
             xm = x.copy()
             xm[i] = 0.5 * (a + b)
-            v = abs(p.eval(xm))
+            v = abs(p.eval_many(xm[None])[0])
             if v > best:
                 best, x = v, xm
     return best
