@@ -94,9 +94,12 @@ def _resolve_polynomial(config: dict, num_vars: int, default_degree: int,
                         seed: int) -> Polynomial:
     spec = config.get("polynomial") or {}
     if "coeffs" in spec:
-        coeffs = {tuple(int(e) for e in key.strip("() ").split(",") if e != ""):
-                  float(val) for key, val in spec["coeffs"].items()}
-        return Polynomial.from_dict(spec.get("num_vars", num_vars), coeffs)
+        try:
+            coeffs = {tuple(int(e) for e in key.strip("() ").split(",") if e):
+                      float(val) for key, val in spec["coeffs"].items()}
+            return Polynomial.from_dict(spec.get("num_vars", num_vars), coeffs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad polynomial coeffs: {exc}")
     rng = np.random.default_rng(spec.get("seed", seed))
     return Polynomial.random(rng, spec.get("num_vars", num_vars),
                              spec.get("degree", default_degree))

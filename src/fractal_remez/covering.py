@@ -31,9 +31,9 @@ pointwise lower bound on u off the balls, and, for a univariate f with
 f(0) = 1, exclusion disks outside which ln|f| >= -H(eta) ln M(2eR) with
 H(eta) = 2 + ln(3e / (2 eta)), which holds for gamma = 1/3.
 
-Every distance d here is the space's metric, Euclidean by default: tau,
-the greedy cover and its audit, the potentials, and the ball and disk
-membership tests all go through _atom_distances.
+Every distance d here is Euclidean: tau, the greedy cover and its audit,
+the potentials, and the ball and disk membership tests all go through
+_distances.
 """
 
 from __future__ import annotations
@@ -60,16 +60,11 @@ BOX = 1024  # consecutive points per bounding box of the ball queries
 
 @dataclass
 class DiscreteMeasureSpace:
-    """Finite weighted point set with a (pseudo)metric; A is the total mass.
-
-    The metric defaults to Euclidean distance.  A custom pseudometric is
-    spot-checked for symmetry and the triangle inequality on 100 random
-    triples at construction.
-    """
+    """Finite weighted point set in Euclidean space; A is the total mass."""
 
     points: np.ndarray
     masses: np.ndarray
-    metric: object = None
+    metric = None  # not a field; read only by perfbench/tracer.py's tau hook
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -81,8 +76,6 @@ class DiscreteMeasureSpace:
             raise ValueError("points and masses must be finite")
         if np.any(self.masses < 0):
             raise ValueError("masses must be non-negative")
-        if self.metric is not None and len(self.points) >= 2:
-            _spot_check_pseudometric(self)
 
     @classmethod
     def from_complex(cls, zs) -> "DiscreteMeasureSpace":
@@ -96,19 +89,6 @@ class DiscreteMeasureSpace:
     def extent(self) -> float:
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-
-def _spot_check_pseudometric(space: DiscreteMeasureSpace):
-    rng = np.random.default_rng(0)
-    n = len(space.points)
-    d = space.metric
-    for _ in range(100):
-        i, j, k = rng.integers(0, n, size=3)
-        x, y, z = space.points[i], space.points[j], space.points[k]
-        if abs(d(x, y) - d(y, x)) > 1e-9 * (1.0 + abs(d(x, y))):
-            raise ValueError("pseudometric is not symmetric")
-        if d(x, z) > d(x, y) + d(y, z) + 1e-9:
-            raise ValueError("pseudometric violates the triangle inequality")
 
 
 # -- majorants ----------------------------------------------------------
@@ -165,29 +145,19 @@ def _distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(D, out=D)
 
 
-def _atom_distances(space: DiscreteMeasureSpace, atoms: np.ndarray,
-                    queries: np.ndarray) -> np.ndarray:
-    """(atoms x queries) distances under the space's metric, which is
-    called as metric(query, atom)."""
-    if space.metric is None:
-        return _distances(atoms, queries)
-    D = np.array([[space.metric(q, a) for a in atoms] for q in queries])
-    return np.ascontiguousarray(D.reshape(len(queries), len(atoms)).T)
-
-
-def _near_blocks(space: DiscreteMeasureSpace, centers: np.ndarray,
-                 radii: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _near_blocks(centers: np.ndarray, radii: np.ndarray,
+                 points: np.ndarray) -> np.ndarray:
     """(centers x blocks) mask of the BOX-point blocks of points whose
-    bounding box meets each closed ball; every block under a custom metric.
-    Box gaps add up in _distances' order and rounding is monotone, so a
-    missed block holds no point whose computed distance is within r."""
+    bounding box meets each closed ball.  Box gaps add up in _distances'
+    order and rounding is monotone, so a missed block holds no point whose
+    computed distance is within r."""
     n, blocks = points.shape[1], -(-len(points) // BOX)
     pad = np.repeat(points[-1:].T, -len(points) % BOX, axis=1)
     P = np.hstack([points.T, pad]).reshape(n, blocks, BOX)  # contiguous rows
     lo, hi, G = P.min(axis=2), P.max(axis=2), np.zeros((len(centers), blocks))
     for c, lo_j, hi_j in zip(centers.T[:, :, None], lo, hi):
         G += np.maximum(np.maximum(lo_j - c, c - hi_j), 0.0) ** 2
-    return (np.sqrt(G, out=G) <= radii[:, None]) | (space.metric is not None)
+    return np.sqrt(G, out=G) <= radii[:, None]
 
 
 def _spans(near: np.ndarray) -> list:
@@ -198,19 +168,18 @@ def _spans(near: np.ndarray) -> list:
     return [runs[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
 
 
-def _in_balls(space: DiscreteMeasureSpace, centers: np.ndarray,
-              radii: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _in_balls(centers: np.ndarray, radii: np.ndarray,
+              points: np.ndarray) -> np.ndarray:
     """Mask of points lying in the union of the closed balls.
 
     One distance row per ball over the blocks that _near_blocks keeps: a
     single (balls x points) array is slower on large grids.
     """
     mask = np.zeros(len(points), dtype=bool)
-    near = _near_blocks(space, centers, radii, points)
+    near = _near_blocks(centers, radii, points)
     for c, r, spans in zip(centers, radii, _spans(near)):
         for lo, hi in spans:
-            mask[lo:hi] |= _atom_distances(space, c[None, :],
-                                           points[lo:hi])[0] <= r
+            mask[lo:hi] |= _distances(c[None, :], points[lo:hi])[0] <= r
     return mask
 
 
@@ -296,11 +265,11 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
     step = max(1, BLOCK_ENTRIES // len(atoms))
-    near = _near_blocks(space, atoms, np.full(len(atoms), reach), queries)
+    near = _near_blocks(atoms, np.full(len(atoms), reach), queries)
     for start, stop in _spans(np.any(near, axis=0, keepdims=True))[0]:
         Q, tau_q = queries[start:stop], out[start:stop]
         for lo in range(0, len(Q), step):
-            D = _atom_distances(space, atoms, Q[lo:lo + step])
+            D = _distances(atoms, Q[lo:lo + step])
             # "not beyond", so that a NaN distance is scanned, not dropped
             live = ~(D.min(axis=0) > reach)
             tau_q[lo:lo + step][live] = _step_scan(
@@ -382,7 +351,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         centers.append(x_k)
         radii.append(t_k)
         taus.append(tau_k)
-        return _atom_distances(space, x_k[None], points)[0] > t_k
+        return _distances(x_k[None], points)[0] > t_k
 
     # A regular candidate is never a witness and nothing reads whether it
     # is covered, so only the irregular ones are kept, in index order so
@@ -437,20 +406,20 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         "ball_count_le_atoms": cover.count <= int(np.sum(space.masses > 0)),
     }
     cands = _candidates(space, probes)
-    outside = ~_in_balls(space, cover.centers, cover.radii, cands)
+    outside = ~_in_balls(cover.centers, cover.radii, cands)
     # recompute tau with the unpruned scan in one block, independently of
     # tau_many's blocks and prune
     keep = space.masses > 0
     support = space.points[keep]
-    taus_out = _step_scan(_atom_distances(space, support, cands[outside]),
+    taus_out = _step_scan(_distances(support, cands[outside]),
                           space.masses[keep], phi)
     checks["uncovered_points_regular"] = bool(np.all(taus_out == 0.0))
     # each tau-ball around its witness carries positive mass
-    D = _atom_distances(space, cover.centers, support)
+    D = _distances(cover.centers, support)
     checks["tau_balls_meet_support"] = bool(np.all(np.any(
         D <= cover.taus[:, None] + 1e-12, axis=1)))
     checks["emitted_balls_cover_support"] = bool(np.all(
-        _in_balls(space, cover.centers, cover.radii, support)))
+        _in_balls(cover.centers, cover.radii, support)))
     return checks
 
 
@@ -459,14 +428,14 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
 
 def potential_many(space: DiscreteMeasureSpace,
                    queries: np.ndarray) -> np.ndarray:
-    """u(x) = sum m_i ln d(x, x_i) at each query point under the space's
-    metric, -inf where positive mass sits at x; queries must be finite and
-    have the space's dimension."""
+    """u(x) = sum m_i ln |x - x_i| at each query point, -inf where
+    positive mass sits at x; queries must be finite and have the space's
+    dimension."""
     queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
     if not np.any(keep):
         return np.zeros(len(queries))
-    D = _atom_distances(space, space.points[keep], queries).T
+    D = _distances(space.points[keep], queries).T
     out = np.full(len(queries), -np.inf)
     ok = np.all(D > 0.0, axis=1)
     with np.errstate(divide="ignore"):
@@ -474,9 +443,8 @@ def potential_many(space: DiscreteMeasureSpace,
     return out
 
 
-def _off_ball_floor(space: DiscreteMeasureSpace, centers: np.ndarray,
-                    radii: np.ndarray, points: np.ndarray, values,
-                    bound: float) -> tuple:
+def _off_ball_floor(centers: np.ndarray, radii: np.ndarray,
+                    points: np.ndarray, values, bound: float) -> tuple:
     """Check values(x) >= bound at the points outside the closed balls.
 
     values is called with the mask of those points among `points`.
@@ -484,7 +452,7 @@ def _off_ball_floor(space: DiscreteMeasureSpace, centers: np.ndarray,
     the floor when its margin falls below -FLOOR_RTOL (1 + |bound|); the
     worst margin is None when no point is checked.
     """
-    off = ~_in_balls(space, centers, radii, points)
+    off = ~_in_balls(centers, radii, points)
     margins = values(off) - bound
     worst = float(margins.min()) if len(margins) else None
     bad = margins < -FLOOR_RTOL * (1.0 + abs(bound))
@@ -534,7 +502,7 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     radius_sum_s = float(np.sum(cover.radii ** s))
     bound = k * math.log(H / math.e)
     checked, violations, worst = _off_ball_floor(
-        space, cover.centers, cover.radii, grid,
+        cover.centers, cover.radii, grid,
         lambda off: potential_many(space, np.compress(off, grid, axis=0)),
         bound)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
@@ -651,8 +619,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         # disk misses it.  Such zeros get their own disks, paid for out
         # of the strict slack left in the radius-sum budget; excluding
         # more points never weakens the off-disk lower bound.
-        stranded = space.points[~_in_balls(space, centers, radii / 2.0,
-                                           space.points)]
+        stranded = space.points[~_in_balls(centers, radii / 2.0, space.points)]
         slack = 4.0 * eta * R - radius_sum
         if len(stranded) and slack > 0.0:
             share = 0.5 * slack / len(stranded)
@@ -669,10 +636,9 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
             return np.log(np.abs(f.eval_many(np.compress(off, zs))))
 
     checked, violations, worst = _off_ball_floor(
-        space, centers, radii, np.column_stack([zs.real, zs.imag]),
-        log_abs_f, lower)
+        centers, radii, np.column_stack([zs.real, zs.imag]), log_abs_f, lower)
 
-    half_ok = bool(np.all(_in_balls(space, centers, radii / 2.0 + 1e-12,
+    half_ok = bool(np.all(_in_balls(centers, radii / 2.0 + 1e-12,
                                     space.points)))
     disks = [(complex(c[0], c[1]), float(r)) for c, r in zip(centers, radii)]
 

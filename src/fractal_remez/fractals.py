@@ -109,7 +109,8 @@ class FractalSet:
     diam: float
     cell_diam: float
     total_mass: float
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    _tree: cKDTree | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def ambient_dim(self) -> int:

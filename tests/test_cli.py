@@ -125,6 +125,32 @@ def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     assert "config error" in err and needle in err
 
 
+@pytest.mark.parametrize("polynomial", [
+    pytest.param({"coeffs": {"()": 1}}, id="empty-multi-index"),
+    pytest.param({"coeffs": {"(a)": 1}}, id="non-integer-exponent"),
+    pytest.param({"coeffs": {"(-1)": 1}}, id="negative-exponent"),
+    pytest.param({"num_vars": 2, "coeffs": {"(1)": 1}}, id="wrong-arity"),
+    pytest.param({"coeffs": {"(1)": "x"}}, id="non-numeric-coefficient"),
+    pytest.param({"coeffs": {"(1)": None}}, id="null-coefficient"),
+])
+def test_run_bad_polynomial_exits_2(tmp_path, capsys, polynomial):
+    cfg = write_config(tmp_path, {"experiment": "remez", "set": "cantor:1/3",
+                                  "depth": 5, "polynomial": polynomial})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad polynomial coeffs" in err
+
+
+@pytest.mark.parametrize("set_id, coeffs", [
+    ("cantor:1/3", {"(0)": 1, "( 2 )": -1.5}),
+    ("cantor:1/3*cantor:1/3", {"(0, 0)": 1, "(1,1)": 2, "(0, 3)": -1}),
+])
+def test_run_remez_with_given_coeffs(tmp_path, set_id, coeffs):
+    cfg = write_config(tmp_path, {"experiment": "remez", "set": set_id,
+                                  "depth": 4, "polynomial": {"coeffs": coeffs}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_run_schema_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "frobnicate"})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2

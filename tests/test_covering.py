@@ -3,14 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractal_remez import covering
 from fractal_remez.covering import (BETA, BLOCK_ENTRIES, BOX, DEFAULT_GAMMA,
                                     CartanDiskReport, CoverOutput,
                                     DiscreteMeasureSpace, MajorantFn,
-                                    _atom_distances,
                                     _circle_max_abs, _distances, _in_balls,
                                     _near_blocks, _step_scan,
                                     cartan_exclusion_disks,
@@ -182,10 +181,7 @@ def dense_tau_many(space, phi, queries):
     atoms, masses = space.points[keep], space.masses[keep]
     if len(atoms) == 0:
         return np.zeros(len(queries))
-    if space.metric is None:
-        D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
-    else:
-        D = np.array([[space.metric(q, a) for a in atoms] for q in queries])
+    D = np.linalg.norm(queries[:, None, :] - atoms[None, :, :], axis=2)
     order = np.argsort(D, axis=1)
     Ds = np.take_along_axis(D, order, axis=1)
     levels = np.cumsum(masses[order], axis=1)
@@ -194,21 +190,6 @@ def dense_tau_many(space, phi, queries):
     inv = phi.inverse(levels)
     cand = np.where(inv >= Ds, np.minimum(inv, d_next), 0.0)
     return np.max(cand, axis=1, initial=0.0)
-
-
-def l1_metric(x, y):
-    return float(np.sum(np.abs(x - y)))
-
-
-def sup_metric(x, y):
-    return float(np.max(np.abs(x - y)))
-
-
-def half_euclidean_metric(x, y):
-    return 0.5 * float(np.linalg.norm(x - y))
-
-
-METRICS = [None, l1_metric, sup_metric, half_euclidean_metric]
 
 
 @st.composite
@@ -243,8 +224,7 @@ def pruning_cases(draw):
     else:  # phi(t) = c t^s
         c, s = draw(st.floats(0.2, 3.0)), draw(st.floats(0.5, 2.0))
         phi = MajorantFn.power(c ** (1.0 / s), s)
-    metric = draw(st.sampled_from(METRICS))
-    return DiscreteMeasureSpace(atoms, masses, metric=metric), phi, probes
+    return DiscreteMeasureSpace(atoms, masses), phi, probes
 
 
 @given(pruning_cases(), st.sampled_from([BOX, 1, 2]))
@@ -257,7 +237,7 @@ def test_pruned_tau_matches_unpruned_scan_bitwise(case, box):
         with pytest.raises(ValueError, match="underflows"):
             tau_many(space, phi, probes)
         return
-    unpruned = _step_scan(_atom_distances(space, space.points[keep], probes),
+    unpruned = _step_scan(_distances(space.points[keep], probes),
                           space.masses[keep], phi)
     with mock.patch.object(covering, "BOX", box):
         pruned = tau_many(space, phi, probes)
@@ -280,7 +260,7 @@ def test_blocked_tau_matches_references_bitwise(masses):
     probes[:len(atoms)] = atoms
     probes[step:step + 50] = atoms[0]  # in reach across a block edge
     pruned = tau_many(space, phi, probes)
-    unpruned = _step_scan(_atom_distances(space, atoms, probes), masses, phi)
+    unpruned = _step_scan(_distances(atoms, probes), masses, phi)
     assert np.array_equal(pruned, unpruned)
     assert np.array_equal(pruned, dense_tau_many(space, phi, probes))
     for lo in range(0, len(probes), step):  # every block has both kinds
@@ -291,11 +271,11 @@ def test_blocked_tau_matches_references_bitwise(masses):
 # -- the bounding-box prefilter of the ball queries ---------------------------
 
 
-def row_in_balls(space, centers, radii, points):
+def row_in_balls(centers, radii, points):
     """Reference: one full distance row per ball."""
     mask = np.zeros(len(points), dtype=bool)
     for c, r in zip(centers, radii):
-        mask |= _atom_distances(space, c[None, :], points)[0] <= r
+        mask |= _distances(c[None, :], points)[0] <= r
     return mask
 
 
@@ -325,52 +305,22 @@ def test_boxed_ball_queries_match_rows_bitwise(n, shuffled, box):
     space = unit_atoms(centers)
     phi = MajorantFn.power(4.0 / 0.3, 1.0)  # reach phi^{-1}(4) = 0.3
     with mock.patch.object(covering, "BOX", box):
-        near = _near_blocks(space, centers, radii, points)
+        near = _near_blocks(centers, radii, points)
         assert np.any(near) and not np.all(near)
         for r in (radii, np.nextafter(radii, 0.0),
                   np.nextafter(radii, np.inf)):
-            assert np.array_equal(_in_balls(space, centers, r, points),
-                                  row_in_balls(space, centers, r, points))
+            assert np.array_equal(_in_balls(centers, r, points),
+                                  row_in_balls(centers, r, points))
         got = tau_many(space, phi, points)
     want = _step_scan(_distances(centers, points), space.masses, phi)
     assert np.array_equal(got, want)
     assert np.any(got > 0.0) and np.any(got == 0.0)
 
 
-def test_boxed_ball_queries_keep_every_block_under_a_metric():
-    # half the Euclidean distance: a Euclidean box test would drop the
-    # points at Euclidean distance between r and 2r
-    space = DiscreteMeasureSpace(np.array([[0.0, 0.0], [0.5, 0.5]]),
-                                 np.ones(2), metric=half_euclidean_metric)
-    points = grid_points(2, False)
-    radii = np.array([0.2, 0.3])
-    phi = MajorantFn.power(2.0 / 0.3, 1.0)
-    with mock.patch.object(covering, "BOX", 4):
-        near = _near_blocks(space, space.points, radii, points)
-        got = _in_balls(space, space.points, radii, points)
-        taus = tau_many(space, phi, points)
-    assert near.shape == (2, -(-len(points) // 4)) and np.all(near)
-    assert np.array_equal(got, row_in_balls(space, space.points, radii,
-                                            points))
-    assert np.any(got & (np.linalg.norm(points, axis=1) > 0.3))
-    want = _step_scan(_atom_distances(space, space.points, points),
-                      space.masses, phi)
-    assert np.array_equal(taus, want)
-
-
-# A heavy atom (tau 1) whose emitted ball of radius 2.5 holds a light
-# irregular atom at metric distance 2, which lies at Euclidean distance 4
-# (0.5 Euclidean) or 2 sqrt 2 (sup), outside the Euclidean ball.
-@example((DiscreteMeasureSpace(np.array([[0.0], [4.0]]), np.array([1.0, 0.1]),
-                               metric=half_euclidean_metric),
-          MajorantFn.power(1.0, 1.0), np.array([[40.0]])))
-@example((DiscreteMeasureSpace(np.array([[0.0, 0.0], [2.0, 2.0]]),
-                               np.array([1.0, 0.1]), metric=sup_metric),
-          MajorantFn.power(1.0, 1.0), np.array([[-20.0, 30.0]])))
 @given(pruning_cases())
 @settings(max_examples=200, deadline=None)
 def test_metric_cover_audit_and_potential(case):
-    # the cover, its audit and the potential all measure with the metric
+    # the cover, its audit and the potential all measure Euclidean distance
     space, phi, probes = case
     try:
         phi.validate(space.A, space.extent())
@@ -382,9 +332,8 @@ def test_metric_cover_audit_and_potential(case):
     assume(np.all(phi.inverse(space.masses[keep]) >= np.finfo(float).tiny))
     cover = greedy_ball_cover(space, phi, probes=probes)
     assert all(verify_cover(space, phi, cover, probes=probes).values())
-    metric = space.metric or (lambda x, y: float(np.linalg.norm(x - y)))
     for q, u in zip(probes, potential_many(space, probes)):
-        d = [metric(q, a) for a in space.points[keep]]
+        d = [float(np.linalg.norm(q - a)) for a in space.points[keep]]
         if min(d, default=1.0) == 0.0:
             assert u == -math.inf
             continue
@@ -478,8 +427,7 @@ def argmax_reference_cover(space, phi, probes):
         centers.append(cands[k])
         radii.append(BETA * taus_all[k])
         taus.append(taus_all[k])
-        uncovered &= _atom_distances(space, cands[k][None], cands)[0] \
-            > radii[-1]
+        uncovered &= _distances(cands[k][None], cands)[0] > radii[-1]
     radii = np.array(radii)
     budget = float(np.sum(phi(DEFAULT_GAMMA * radii))) if len(radii) else 0.0
     return CoverOutput(np.array(centers).reshape(-1, cands.shape[1]), radii,
@@ -615,17 +563,6 @@ def test_scale_equivariance():
     rep2 = potential_bound_verify(DiscreteMeasureSpace(c * pts, masses),
                                   H=c * 0.25, s=1.0, grid=none)
     assert np.allclose(rep2.cover.radii, c * rep1.cover.radii, rtol=1e-12)
-
-
-def test_pseudometric_hook_spot_check():
-    pts = np.array([[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError):
-        DiscreteMeasureSpace(pts, np.ones(3),
-                             metric=lambda x, y: float(x[0] - y[0]))
-    ok = DiscreteMeasureSpace(pts, np.ones(3),
-                              metric=lambda x, y: abs(float(x[0] - y[0])))
-    phi = MajorantFn.power(1.0, 1.0)
-    assert tau_many(ok, phi, [[0.0]])[0] > 0.0
 
 
 # -- potentials ---------------------------------------------------------------

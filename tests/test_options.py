@@ -4,13 +4,15 @@ library is set by a program caller, and every definition has one.
 A parameter that no program ever sets is a constant in disguise, and
 each one doubles the configurations that tests would have to cover.  A
 test that needs another value patches the module constant instead.  The
-audit parses every function definition in src/fractal_remez and every
-call in the programs, src/, scripts/ and perfbench/ (tests do not count),
-matching calls to definitions by name, by keyword and by position.  A
-call that passes the default's own literal (same type, same value) does
-not set the parameter.  Passing a parameter of the enclosing function
-straight through sets the callee's parameter only if that one is set in
-turn.  A call with *args or **kwargs sets every parameter it can reach.
+audit parses every function definition in src/fractal_remez, every
+dataclass field that __init__ takes with a default, and every call in the
+programs, src/, scripts/ and perfbench/ (tests do not count), matching
+calls to definitions (a dataclass by its class name) by name, by keyword
+and by position.  A call that passes the default's own literal (same
+type, same value) does not set the parameter.  Passing a parameter of the
+enclosing function straight through sets the callee's parameter only if
+that one is set in turn.  A call with *args or **kwargs sets every
+parameter it can reach.
 
 The definitions audit covers the package's module-level functions and
 classes and every classmethod.  A definition is reached when a program
@@ -41,15 +43,42 @@ def _program_files() -> list[Path]:
             if "tests" not in path.relative_to(ROOT).parts]
 
 
+def _init_fields(node: ast.ClassDef) -> list:
+    """(name, default expression or None) of each field that a dataclass's
+    __init__ takes, in order; [] for a class that is not a dataclass."""
+    if "dataclass" not in {getattr(getattr(d, "func", d), "id", None)
+                           for d in node.decorator_list}:
+        return []
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        default = item.value
+        if (isinstance(default, ast.Call) and isinstance(default.func, ast.Name)
+                and default.func.id == "field"):
+            kw = {k.arg: k.value for k in default.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            default = kw.get("default", kw.get("default_factory"))
+        fields.append((item.target.id, default))
+    return fields
+
+
 def _options() -> dict:
-    """Function name -> {parameter: (call position or None, qualified
-    function name, default expression)} for every definition in the
+    """Function or dataclass name -> {parameter: (call position or None,
+    qualified name, default expression)} for every definition in the
     package."""
     opts: dict = {}
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                for i, (name, default) in enumerate(_init_fields(child)):
+                    if default is not None:
+                        opts.setdefault(child.name, {})[name] = (
+                            i, owner + child.name, default)
                 visit(child, child.name + ".")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
@@ -173,6 +202,21 @@ def test_default_literal_does_not_count_as_set():
     assert not _is_default(parsed("1"), default)
     assert not _is_default(parsed("2.0"), default)
     assert not _is_default(parsed("k / 2"), default)
+
+
+def test_dataclass_fields_with_defaults_are_options():
+    cls = ast.parse("@dataclass(frozen=True)\n"
+                    "class S:\n"
+                    "    points: int\n"
+                    "    metric: object = None\n"
+                    "    _tree: int = field(default=None, init=False)\n"
+                    "    extra: list = field(default_factory=list)\n"
+                    "    k = 1\n").body[0]
+    assert [(name, default is not None)
+            for name, default in _init_fields(cls)] == [
+        ("points", False), ("metric", True), ("extra", True)]
+    assert _init_fields(ast.parse("class S:\n    metric: object = None\n")
+                        .body[0]) == []
 
 
 def _definitions() -> set:
