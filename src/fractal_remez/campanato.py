@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array, hstack
 
 from .fractals import FractalSet
 from .geometry import Cube, gaussian_directions, sobol_unit
@@ -397,6 +395,8 @@ def _fit(plan: FitPlan, f_values: np.ndarray, q):
     A = plan.design() if d else np.zeros((len(fv), 0))
 
     def solve(ids):  # the sets ids as one block
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_array, hstack
         at = np.isin(seg, ids)
         m, j, b = int(at.sum()), np.searchsorted(ids, seg[at]), len(ids)
         At = csr_array((A[at].ravel(), ((j[:, None] * d + np.arange(d))

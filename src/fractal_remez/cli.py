@@ -24,8 +24,6 @@ import os
 import sys
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import acceptance, campanato, covering, extension, fractals, remez
 from .geometry import Ball, Cube
@@ -83,7 +81,6 @@ CONFIG_SCHEMA = {
                    "properties": props, "additionalProperties": False}}}}
               for name, props in PARAMS_PROPERTIES.items()],
 }
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
 class ConfigError(Exception):
@@ -95,8 +92,12 @@ def _resolve_polynomial(config: dict, num_vars: int, default_degree: int,
     spec = config.get("polynomial") or {}
     if "coeffs" in spec:
         try:
-            coeffs = {tuple(int(e) for e in key.strip("() ").split(",") if e):
-                      float(val) for key, val in spec["coeffs"].items()}
+            coeffs = {}
+            for key, val in spec["coeffs"].items():
+                a = tuple(int(e) for e in key.strip("() ").split(",") if e)
+                if a in coeffs:
+                    raise ValueError(f"{key!r} repeats the multi-index {a}")
+                coeffs[a] = float(val)
             return Polynomial.from_dict(spec.get("num_vars", num_vars), coeffs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad polynomial coeffs: {exc}")
@@ -332,14 +333,15 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    error = best_match(_VALIDATOR.iter_errors(config))
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+    error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))
     if error is not None:
         print(f"config error: {error.json_path}: {error.message}",
               file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    config = dict(config)
-    config["seed"] = seed
+    config = {**config, "seed": seed}
     out = ensure_dir(args.out)
     try:
         failures = RUNNERS[config["experiment"]](config, seed, out)
@@ -383,10 +385,8 @@ def cmd_suite(args) -> int:
     total = 0.0
     for r in results:
         total += r.seconds
-        key_figs = ", ".join(
-            f"{k}={v:.4g}" if isinstance(v, (int, float)) else ""
-            for k, v in r.measured.items()
-            if isinstance(v, (int, float))).strip(", ")
+        key_figs = ", ".join(f"{k}={v:.4g}" for k, v in r.measured.items()
+                             if isinstance(v, (int, float)))
         print(f"[{r.number:2d}] {r.name:<{width}} "
               f"{'PASS' if r.passed else 'FAIL':<6} {r.seconds:7.2f}s  "
               f"{key_figs} | {r.threshold}")
@@ -397,8 +397,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_list_sets(_args) -> int:
-    for sid in fractals.list_preset_ids():
-        print(sid)
+    print(*fractals.list_preset_ids(), sep="\n")
     return 0
 
 

@@ -594,6 +594,8 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         raise ValueError("grid must be a 1-D array of complex points")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid points must be finite")
+    grid = np.ascontiguousarray(grid, dtype=complex)
+    pts = grid.view(float).reshape(-1, 2)  # rows (Re z, Im z), no copy
     f0 = f.eval_many(np.array([0.0 + 0.0j]))[0]
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
@@ -611,8 +613,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     if len(zeros_in):
         H_c = 4.0 * DEFAULT_GAMMA * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)
-        cover = greedy_ball_cover(
-            space, phi, probes=np.column_stack([grid.real, grid.imag]))
+        cover = greedy_ball_cover(space, phi, probes=pts)
         centers, radii = cover.centers, cover.radii
         radius_sum = float(np.sum(radii))
         # A ball can swallow a zero in its outer half, where the halved
@@ -629,14 +630,15 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
             for r in r_extra:
                 radius_sum += float(r)
 
-    zs = np.compress(np.abs(grid) <= R, grid)
+    inner = np.compress(np.abs(grid) <= R, pts, axis=0)
+    zs = inner.view(complex).reshape(-1)
 
     def log_abs_f(off):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(f.eval_many(np.compress(off, zs))))
 
-    checked, violations, worst = _off_ball_floor(
-        centers, radii, np.column_stack([zs.real, zs.imag]), log_abs_f, lower)
+    checked, violations, worst = _off_ball_floor(centers, radii, inner,
+                                                 log_abs_f, lower)
 
     half_ok = bool(np.all(_in_balls(centers, radii / 2.0 + 1e-12,
                                     space.points)))

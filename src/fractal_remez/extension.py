@@ -43,8 +43,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.spatial import cKDTree
 
 from .campanato import (CubeFamily, Majorant, campanato_seminorm,
                         dyadic_radii, lipschitz_seminorm, local_best_approx,
@@ -339,6 +337,7 @@ class ExtensionField:
     chain_k: int
 
     def as_callable(self):
+        from scipy.interpolate import RegularGridInterpolator
         interp = RegularGridInterpolator(tuple(self.grid.axes()),
                                          self.values.reshape(self.grid.shape),
                                          method="linear")
@@ -386,6 +385,7 @@ class WhitneyPlan:
 
     def __init__(self, family: CubeFamily, keep: np.ndarray, deg: int,
                  grid: GridSpec):
+        from scipy.spatial import cKDTree
         nodes = grid.nodes()
         centers = np.array([family.cubes[i].center for i in keep])
         radii = np.array([family.cubes[i].radius for i in keep])

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 MAX_CELLS = 10 ** 7
 # no program code reads this; only the benchmark's large_cloud_frac split
@@ -109,8 +108,8 @@ class FractalSet:
     diam: float
     cell_diam: float
     total_mass: float
-    _tree: cKDTree | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    # the k-d tree of `points` (a scipy cKDTree), built on the first query
+    _tree: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -173,6 +172,7 @@ def ball_measure(X: FractalSet, centers, radii) -> np.ndarray:
     if not (np.isfinite(x).all() and np.all((r > 0.0) & (r < math.inf))):
         raise ValueError("need finite centers and finite radii > 0")
     if X._tree is None:
+        from scipy.spatial import cKDTree
         X._tree = cKDTree(X.points)
     inner = X._tree.query_ball_point(x, r * (1.0 - 1e-9), return_length=True)
     outer = X._tree.query_ball_point(x, r * (1.0 + 1e-9), return_length=True)

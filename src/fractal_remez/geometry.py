@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -24,7 +23,6 @@ def unit_ball_volume(n: int) -> float:
 def sobol_unit(dim: int, count: int, skip_zero: bool = False) -> np.ndarray:
     """First `count` points of the unscrambled Sobol sequence in [0,1]^dim."""
     from scipy.stats import qmc  # scipy.stats is slow to import
-
     eng = qmc.Sobol(d=dim, scramble=False)
     if skip_zero:
         eng.fast_forward(1)
@@ -40,6 +38,7 @@ def gaussian_directions(u: np.ndarray) -> np.ndarray:
     (every entry 1/2, as in the second Sobol point) gets e_1 instead of
     0/0.
     """
+    from scipy.special import ndtri
     z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     length = np.linalg.norm(z, axis=1, keepdims=True)
     zero = length[:, 0] == 0.0

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -378,18 +379,16 @@ def test_lp_coefficients_on_rank_deficient_cubes(q):
 
 
 def test_seminorm_solves_one_program_per_member_set(monkeypatch):
-    from fractal_remez import campanato
-
     X = build_preset("cantor:1/3", 6)
     fam = build_cube_family(X, center_budget=12)
     calls = []
-    solve = campanato.linprog
+    solve = linprog  # _fit imports scipy.optimize.linprog on each solve
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(campanato, "linprog", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     sets = {tuple(np.flatnonzero(Q.contains(X.points))) for Q in fam.cubes}
     assert len(fam.cubes) == 120 and len(sets) == 61
     for q in (1, INF):
@@ -444,14 +443,12 @@ def test_family_is_frozen():
 
 @pytest.mark.parametrize("q", [1, INF])
 def test_lp_failure_is_flagged(monkeypatch, q):
-    from fractal_remez import campanato
-
     X = build_preset("cube:1", 6)
     Q = Cube((0.5,), 0.5)
     fv = np.abs(X.points[:, 0] - 0.3)
     assert not local_best_approx(fv, X, Q, 2, q).fallback
     l2 = local_best_approx(fv, X, Q, 2, 2)
-    monkeypatch.setattr(campanato, "linprog",
+    monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **kw: SimpleNamespace(success=False))
     res = local_best_approx(fv, X, Q, 2, q)
     assert res.fallback
@@ -476,20 +473,18 @@ def test_lp_failure_is_flagged(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [1, INF])
 def test_failed_block_is_solved_set_by_set(monkeypatch, q):
-    from fractal_remez import campanato
-
     X = build_preset("cantor:1/3", 6)
     fam = build_cube_family(X, center_budget=6)
     fv = 3 * X.points[:, 0] ** 3 - X.points[:, 0]
     om = Majorant.power(1.0, 2)
-    solve = campanato.linprog
+    solve = linprog  # _fit imports scipy.optimize.linprog on each solve
 
     def one_set_only(*args, A_eq, **kwargs):  # k = 2 on a line: 2 rows a set
         if A_eq.shape[0] > 2:
             return SimpleNamespace(success=False)
         return solve(*args, A_eq=A_eq, **kwargs)
 
-    monkeypatch.setattr(campanato, "linprog", one_set_only)
+    monkeypatch.setattr(scipy.optimize, "linprog", one_set_only)
     res = campanato_seminorm(fv, fam, 2, q, om)
     assert res.fallbacks == 0
     assert res.ratios.tolist() == [local_best_approx(fv, X, Qc, 2, q).value

@@ -141,6 +141,16 @@ def test_run_bad_polynomial_exits_2(tmp_path, capsys, polynomial):
     assert "config error: bad polynomial coeffs" in err
 
 
+def test_run_multi_index_spelled_twice_exits_2(tmp_path, capsys):
+    # "(1)" and "( 1 )" are both x; neither may silently win
+    cfg = write_config(tmp_path, {
+        "experiment": "remez", "set": "cantor:1/3", "depth": 4,
+        "polynomial": {"coeffs": {"(1)": 1, "( 1 )": 2, "(0)": 1}}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad polynomial coeffs" in err and "(1,)" in err
+
+
 @pytest.mark.parametrize("set_id, coeffs", [
     ("cantor:1/3", {"(0)": 1, "( 2 )": -1.5}),
     ("cantor:1/3*cantor:1/3", {"(0, 0)": 1, "(1,1)": 2, "(0, 3)": -1}),
@@ -313,13 +323,46 @@ def test_suite_worker_count(monkeypatch, env, cpus, want):
     assert seen == [want]
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    # scipy.stats takes about a third of a second to import; only the Sobol
-    # draws need it, and they import it on first use
+def _fresh_run(code, *argv):
+    """Run code in a fresh interpreter on this checkout; its last line."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, fractal_remez.cli, fractal_remez.extension; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                         text=True, capture_output=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+LOADED = ("print(sorted({m.split('.')[0] for m in sys.modules}"
+          " & {'scipy', 'jsonschema'}))")
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # scipy and jsonschema take most of a second to import; each function
+    # that needs one imports it on first use, so neither the imports nor
+    # a command that computes nothing load them
+    code = ("import sys, fractal_remez.cli, fractal_remez.extension\n"
+            "assert fractal_remez.cli.main(['list-sets']) == 0\n" + LOADED)
+    assert _fresh_run(code) == "[]"
+
+
+def test_every_deferred_import_runs(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "frobnicate"})
+    code = """
+import sys
+import numpy as np
+from fractal_remez import campanato, cli, extension, fractals, geometry
+X = fractals.build_preset("cube:1", 5)
+assert fractals.ball_measure(X, [0.5], [0.25])[0] > 0
+fam = campanato.build_cube_family(X, center_budget=4)
+om = campanato.Majorant.power(1.0, 2)
+fv = np.abs(X.points[:, 0] - 0.3)
+assert campanato.campanato_seminorm(fv, fam, 2, 1, om).fallbacks == 0
+chain = extension.build_chain(fv, X, fam, 2, om)
+grid = extension.GridSpec((-0.1,), (1.1,), (9,))
+fld = extension.whitney_extend(chain, X, grid)
+assert np.isfinite(fld.as_callable()([[0.5]])).all()
+assert np.isfinite(geometry.gaussian_directions(np.full((2, 3), 0.3))).all()
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 2
+""" + LOADED
+    assert _fresh_run(code, cfg, str(tmp_path / "o")) == \
+        "['jsonschema', 'scipy']"

@@ -770,6 +770,24 @@ def test_cartan_floor_matches_real_pair_grid_bitwise():
     assert rep.worst_margin == float(margins.min())
 
 
+def test_cartan_grid_layout_does_not_move_the_report():
+    # a strided or single-precision grid gives the report of its contiguous
+    # complex128 copy, field for field
+    f = Polynomial(1, 3, np.array([1.0, -0.8 + 0.3j, 0.9j, -0.6]))
+    grid = cartan_grid(R=1.5, n=61)
+    for layout in (grid[::-1], grid.astype(np.complex64)):
+        rep = cartan_exclusion_disks(f, R=1.5, eta=0.25, grid=layout)
+        want = cartan_exclusion_disks(f, R=1.5, eta=0.25,
+                                      grid=layout.astype(complex, order="C"))
+        assert rep.disks and rep.num_checked > 0
+        for name in want.__dataclass_fields__:
+            a, b = getattr(rep, name), getattr(want, name)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
+                    else a == b), name
+    with pytest.raises(ValueError, match="complex"):
+        cartan_exclusion_disks(f, R=1.5, eta=0.25, grid=grid.real.copy())
+
+
 def test_empty_grids_check_nothing():
     # with no grid point the atoms are the only candidates
     f = Polynomial(1, 3, np.array([1.0, -0.8, 0.9, -0.6]))
