@@ -124,7 +124,7 @@ def criterion_4_cartan_certificate() -> CriterionResult:
     grid = (gx + 1j * gy).ravel()
     runs = bad = 0
     worst_margin = math.inf
-    max_radius_frac = 0.0
+    max_radius_frac = max_M_bracket = 0.0
     for _ in range(50):
         deg = int(rng.integers(3, 11))
         coeffs = rng.uniform(-1.0, 1.0, deg + 1)
@@ -139,12 +139,15 @@ def criterion_4_cartan_certificate() -> CriterionResult:
                 worst_margin = min(worst_margin, rep.worst_margin)
             max_radius_frac = max(max_radius_frac,
                                   rep.radius_sum / (4.0 * eta * R))
+            M_N, M_up = rep.M_bracket
+            max_M_bracket = max(max_M_bracket, (M_up - M_N) / M_N)
     return CriterionResult(4, "cartan_disk_certificate",
                            {"runs": runs, "bad_runs": bad,
                             "worst_margin": worst_margin,
-                            "max_radius_sum_fraction": max_radius_frac},
-                           "zero violations: grid bound, radius sum, half-disks",
-                           bad == 0)
+                            "max_radius_sum_fraction": max_radius_frac,
+                            "max_M_bracket_rel_width": max_M_bracket},
+                           "zero violations: grid bound, radius sum, half-disks;"
+                           " M(2eR) sampled below, certified above", bad == 0)
 
 
 # -- 5 ----------------------------------------------------------------------

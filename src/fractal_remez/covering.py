@@ -29,7 +29,12 @@ The two corollaries turn this into quantitative statements about the
 log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
 pointwise lower bound on u off the balls, and, for a univariate f with
 f(0) = 1, exclusion disks outside which ln|f| >= -H(eta) ln M(2eR) with
-H(eta) = 2 + ln(3e / (2 eta)), which holds for gamma = 1/3.
+H(eta) = 2 + ln(3e / (2 eta)), which holds for gamma = 1/3.  The N = 4096
+samples of f on |z| = 2eR are one FFT of the a_k (2eR)^k, and their max
+M_N <= M sets the floor, which only makes the check stricter.  T = |f|^2 on
+the circle is a trigonometric polynomial of degree d, so Bernstein's
+|T''| <= d^2 max T, with T' = 0 at the max, certifies
+M <= M_N / sqrt(1 - (pi d / N)^2 / 2), M_N widened by the FFT's rounding.
 
 Every distance d here is Euclidean: tau, the greedy cover and its audit,
 the potentials, and the ball and disk membership tests all go through
@@ -43,13 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import golden_section_max
 from .polynomials import Polynomial
 
 DEFAULT_GAMMA = 1.0 / 3.0
 ALPHA = 0.9
 BETA = 2.5
 MAX_CARTAN_DEGREE = 50
+CIRCLE_SAMPLES = 4096  # FFT length of the circle maximum M(2eR)
+FFT_ROUNDING = 8.0 * math.log2(CIRCLE_SAMPLES) * np.finfo(float).eps
 FLOOR_RTOL = 1e-9  # relative grace of the off-ball floors
 BLOCK_ENTRIES = 1 << 18  # distances per tau block: 2 MB of float64
 BOX = 1024  # consecutive points per bounding box of the ball queries
@@ -76,11 +82,6 @@ class DiscreteMeasureSpace:
             raise ValueError("points and masses must be finite")
         if np.any(self.masses < 0):
             raise ValueError("masses must be non-negative")
-
-    @classmethod
-    def from_complex(cls, zs) -> "DiscreteMeasureSpace":
-        zs = np.asarray(zs, dtype=complex)
-        return cls(np.column_stack([zs.real, zs.imag]), np.ones(len(zs)))
 
     @property
     def A(self) -> float:
@@ -390,9 +391,8 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
     radii = np.array(radii)
     taus = np.array(taus)
-    budget = float(np.sum(phi(gamma * radii))) if len(radii) else 0.0
     return CoverOutput(centers=centers, radii=radii, taus=taus, gamma=gamma,
-                       budget_used=budget)
+                       budget_used=float(np.sum(phi(gamma * radii))))
 
 
 def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
@@ -401,8 +401,7 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     checks = {
         "budget_below_total_mass": (cover.budget_used < space.A
                                     if cover.count else True),
-        "radii_nonincreasing": bool(np.all(np.diff(cover.radii) <= 1e-12))
-        if cover.count else True,
+        "radii_nonincreasing": bool(np.all(np.diff(cover.radii) <= 1e-12)),
         "ball_count_le_atoms": cover.count <= int(np.sum(space.masses > 0)),
     }
     cands = _candidates(space, probes)
@@ -522,8 +521,6 @@ def polynomial_zeros(f: Polynomial) -> np.ndarray:
     deg = f.degree()
     if deg == 0:
         return np.zeros(0, dtype=complex)
-    if deg > MAX_CARTAN_DEGREE:
-        raise ValueError(f"degree {deg} exceeds the cap {MAX_CARTAN_DEGREE}")
     roots = np.roots(np.asarray(f.coeffs[: deg + 1], dtype=complex)[::-1])
     df = f.partial(0)
     for _ in range(3):
@@ -534,19 +531,15 @@ def polynomial_zeros(f: Polynomial) -> np.ndarray:
     return roots
 
 
-def _circle_max_abs(f: Polynomial, radius: float) -> float:
-    samples = 4096
-    th = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = np.abs(f.eval_many(radius * np.exp(1j * th)))
-    j = int(np.argmax(vals))
-
-    def abs_f(theta):
-        return np.abs(f.eval_many(radius * np.exp(1j * theta.ravel()))
-                      ).reshape(theta.shape)
-
-    step = 2.0 * math.pi / samples
-    theta = golden_section_max(abs_f, [th[j] - step], [th[j] + step], 40)
-    return max(float(vals.max()), float(abs_f(theta)[0]))
+def _circle_max_abs(f: Polynomial, radius: float) -> tuple:
+    """(M_N, M_up), M_N <= max |f| on |z| = radius <= M_up (module docstring):
+    M_up widens M_N by FFT_ROUNDING sum |a_k| radius^k; needs pi d < 1.41 N."""
+    d = f.degree()
+    a = f.coeffs[: d + 1] * radius ** np.arange(d + 1)
+    M_N = float(np.abs(np.fft.fft(a, CIRCLE_SAMPLES)).max())
+    slack = FFT_ROUNDING * float(np.abs(a).sum())
+    return M_N, (M_N + slack) / math.sqrt(
+        1.0 - 0.5 * (math.pi * d / CIRCLE_SAMPLES) ** 2)
 
 
 @dataclass
@@ -555,7 +548,8 @@ class CartanDiskReport:
     zeros: np.ndarray
     eta: float
     R: float
-    lower_bound: float         # -H(eta) * ln M(2eR)
+    lower_bound: float         # -H(eta) * ln M_N
+    M_bracket: tuple           # (M_N, certified upper end) of M(2eR)
     radius_sum: float
     num_checked: int
     violations: list
@@ -581,10 +575,11 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
 
     which is verified on the supplied grid, a 1-D array of complex points
     (grid points participate as construction candidates, so uncovered ones
-    are certifiably regular).
+    are certifiably regular).  The floor takes M(2eR)'s sample max M_N, and
+    M_bracket = (M_N, certified upper end); deg f <= MAX_CARTAN_DEGREE.
     """
-    if f.num_vars != 1:
-        raise ValueError("univariate polynomials only")
+    if f.num_vars != 1 or f.degree() > MAX_CARTAN_DEGREE:
+        raise ValueError(f"univariate f of degree <= {MAX_CARTAN_DEGREE} only")
     if not 0.0 < eta <= 1.5 * math.e:
         raise ValueError("eta must lie in (0, 3e/2]")
     if R <= 0:
@@ -600,14 +595,15 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
 
-    M = _circle_max_abs(f, 2.0 * math.e * R)
-    M = max(M, 1.0)  # f(0) = 1 forces M >= 1; guard sampling slack
-    lower = -(2.0 + math.log(1.5 * math.e / eta)) * math.log(M)
+    # M_N <= M raises the floor (conservative); f(0) = 1 forces M >= 1
+    M_N, M_up = _circle_max_abs(f, 2.0 * math.e * R)
+    lower = -(2.0 + math.log(1.5 * math.e / eta)) * math.log(max(M_N, 1.0))
 
     roots = polynomial_zeros(f)
     zeros_in = roots[np.abs(roots) <= 2.0 * R]
 
-    space = DiscreteMeasureSpace.from_complex(zeros_in)
+    space = DiscreteMeasureSpace(zeros_in.view(float).reshape(-1, 2),
+                                 np.ones(len(zeros_in)))
     centers, radii = np.zeros((0, 2)), np.zeros(0)
     radius_sum = 0.0
     if len(zeros_in):
@@ -645,7 +641,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     disks = [(complex(c[0], c[1]), float(r)) for c, r in zip(centers, radii)]
 
     return CartanDiskReport(disks=disks, zeros=zeros_in, eta=eta, R=R,
-                            lower_bound=lower,
+                            lower_bound=lower, M_bracket=(M_N, M_up),
                             radius_sum=radius_sum, num_checked=checked,
                             violations=violations, worst_margin=worst,
                             half_radius_covers_zeros=half_ok)

@@ -680,17 +680,41 @@ def _circle_max_reference(f, radius, samples=4096):
     return max(float(vals.max()), val(0.5 * (a + b)))
 
 
-@given(st.integers(0, 10), st.floats(0.05, 20.0), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from([*range(11), 50]), st.floats(0.05, 20.0),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_circle_max_matches_scalar_search(deg, radius, complex_coeffs, seed):
+def test_circle_max_bracket_holds_the_max(deg, radius, complex_coeffs, seed):
+    # M_N is the FFT's sample max and M_up its certified upper end: the
+    # refined search starts from the same samples and lies in the bracket,
+    # and a dense grid's max D <= M <= M_up; D need not reach M_N (it can
+    # miss the maximizing sample), but its own Bernstein end D_up >= M
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, deg + 1)
     if complex_coeffs:
         c = c + 1j * rng.uniform(-1.0, 1.0, deg + 1)
     f = Polynomial(1, deg, c)
-    want = _circle_max_reference(f, radius)
-    assert abs(_circle_max_abs(f, radius) - want) <= 1e-13 * want
+    M_N, M_up = _circle_max_abs(f, radius)
+    n = covering.CIRCLE_SAMPLES
+    allow = covering.FFT_ROUNDING * float(
+        np.sum(np.abs(c) * radius ** np.arange(deg + 1)))
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    assert abs(np.abs(f.eval_many(radius * np.exp(1j * th))).max() - M_N
+               ) <= allow
+    assert M_N - allow <= _circle_max_reference(f, radius) <= M_up
+    dense = 200_001
+    th = np.linspace(0.0, 2.0 * math.pi, dense, endpoint=False)
+    D = float(np.abs(f.eval_many(radius * np.exp(1j * th))).max())
+    assert D <= M_up
+    assert M_N - allow <= (D + allow) / math.sqrt(
+        1.0 - 0.5 * (math.pi * deg / dense) ** 2)
+
+
+def test_cartan_degree_cap_before_circle_max():
+    f = Polynomial(1, 51, np.r_[1.0, np.zeros(50), 1e-3])
+    with mock.patch.object(covering, "_circle_max_abs",
+                           side_effect=AssertionError("M computed")):
+        with pytest.raises(ValueError, match="degree <= 50"):
+            cartan_exclusion_disks(f, R=1.0, eta=1.0, grid=cartan_grid(n=5))
 
 
 def test_cartan_constant_one():
@@ -706,9 +730,10 @@ def test_cartan_h_at_max_eta():
     f = Polynomial.from_dict(1, {(0,): 1.0, (1,): 0.1})
     rep = cartan_exclusion_disks(f, R=1.0, eta=1.5 * math.e,
                                  grid=cartan_grid(R=1.0))
-    log_max = math.log(_circle_max_abs(f, 2.0 * math.e))
+    log_max = math.log(_circle_max_abs(f, 2.0 * math.e)[0])
     assert log_max > 0.4
     assert rep.lower_bound == pytest.approx(-2.0 * log_max, rel=1e-12)
+    assert rep.M_bracket == _circle_max_abs(f, 2.0 * math.e)
 
 
 def test_cartan_single_distant_root():
