@@ -21,9 +21,6 @@ emitted balls B_k satisfy, for any gamma < ALPHA / BETA,
 and every candidate outside their union is regular.  For atomic measures
 the number of balls never exceeds the number of atoms (each ball of radius
 tau_k around its witness carries positive mass; these are pairwise disjoint).
-The construction computes tau only for candidates that no ball covers yet,
-and with equal masses it emits a witness of the largest possible tau as
-soon as one is scanned (see greedy_ball_cover).
 
 The two corollaries turn this into quantitative statements about the
 log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
@@ -161,26 +158,32 @@ def _near_blocks(centers: np.ndarray, radii: np.ndarray,
     return np.sqrt(G, out=G) <= radii[:, None]
 
 
-def _spans(near: np.ndarray) -> list:
-    """Per row, the (start, stop) slices of its kept runs, stops unclipped."""
-    edges = np.diff(near, axis=1, prepend=False, append=False)
-    runs = (np.flatnonzero(edges) % edges.shape[1] * BOX).reshape(-1, 2)
-    cuts = np.cumsum(edges.sum(axis=1) // 2).tolist()
-    return [runs[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
+def _runs(centers: np.ndarray, radii: np.ndarray, points: np.ndarray) -> list:
+    """Point slices (start, stop, near) of about BLOCK_ENTRIES distances
+    that cut each run of BOX-point blocks met by one nonempty set of the
+    closed balls (_near_blocks); near masks that set."""
+    near = _near_blocks(centers, radii, points)
+    edges = np.flatnonzero(np.any(near[:, 1:] != near[:, :-1], axis=0)) + 1
+    cuts, pieces = [0, *edges.tolist(), near.shape[1]], []
+    for a, b in zip(cuts, cuts[1:]):
+        if a < b and np.any(near[:, a]):  # no blocks: cuts == [0, 0]
+            stop = min(b * BOX, len(points))
+            step = max(1, BLOCK_ENTRIES // int(np.count_nonzero(near[:, a])))
+            pieces += [(lo, min(lo + step, stop), near[:, a])
+                       for lo in range(a * BOX, stop, step)]
+    return pieces
 
 
 def _in_balls(centers: np.ndarray, radii: np.ndarray,
               points: np.ndarray) -> np.ndarray:
-    """Mask of points lying in the union of the closed balls.
-
-    One distance row per ball over the blocks that _near_blocks keeps: a
-    single (balls x points) array is slower on large grids.
-    """
+    """Mask of points in the union of the closed balls.  Each run of _runs
+    takes distances only to the balls that meet its boxes, so the work
+    scales with those (ball, box) pairs; a ball left out holds none of the
+    run's points, so the bits are those of one distance row per ball."""
     mask = np.zeros(len(points), dtype=bool)
-    near = _near_blocks(centers, radii, points)
-    for c, r, spans in zip(centers, radii, _spans(near)):
-        for lo, hi in spans:
-            mask[lo:hi] |= _distances(c[None, :], points[lo:hi])[0] <= r
+    for lo, hi, near in _runs(centers, radii, points):
+        D = _distances(centers[near], points[lo:hi])
+        mask[lo:hi] = np.any(D <= radii[near, None], axis=0)
     return mask
 
 
@@ -236,17 +239,18 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
              queries: np.ndarray) -> np.ndarray:
     """Exact tau at each query point: distances, prune, step scan.
 
-    Queries stream in blocks of about BLOCK_ENTRIES distances, so each
-    (atoms x block) array stays in cache; every entry is computed as it
-    would be in one array.  The prune is exact.  Every step level is a
-    partial sum of the masses, so it is at most the total mass A and
-    phi^{-1}(level) <= phi^{-1}(A).  A query whose nearest atom lies
-    farther than phi^{-1}(A) fails phi^{-1}(level_j) >= d_j at every jump
-    and has tau = 0, so it skips the scan, and a BOX-point block of such
-    queries (_near_blocks) skips its distances.  The reach is widened by
-    the rounding of the running sums (m eps relative) and a few ulps of
-    phi^{-1}: the prune may keep extra queries but never drops one whose
-    tau is positive.  Queries must be finite and have the space's
+    The prune is exact.  Every step level is a partial sum of the masses,
+    so it is at most the total mass A and phi^{-1}(level) <= phi^{-1}(A).
+    A query whose nearest atom lies farther than phi^{-1}(A) fails
+    phi^{-1}(level_j) >= d_j at every jump, so tau = 0 and it skips the
+    scan.  The reach is widened by the rounding of the running sums (m eps
+    relative) and a few ulps of phi^{-1}: the prune may keep extra queries
+    but never drops one whose tau is positive.  Each run of _runs takes
+    distances only to the atoms in reach of its boxes, so the work scales
+    with those (atom, box) pairs.  A run in reach of every atom is scanned
+    in place; elsewhere these distances only mark the live queries, which
+    are then scanned against every atom, so each scanned column holds the
+    bits of one unpruned array.  Queries must be finite and have the space's
     dimension, and phi^{-1} of the smallest positive mass must not
     underflow below the normal range: at 0 the scan would read an
     irregular atom as regular, and a subnormal radius has too few bits for
@@ -254,8 +258,7 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     """
     queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
-    atoms = space.points[keep]
-    masses = space.masses[keep]
+    atoms, masses = space.points[keep], space.masses[keep]
     out = np.zeros(len(queries))
     if len(atoms) == 0:
         return out
@@ -265,16 +268,21 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
                          "rescale the masses")
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
+    deferred = [np.zeros(0, dtype=int)]
+    for lo, hi, near in _runs(atoms, np.full(len(atoms), reach), queries):
+        D = _distances(atoms[near], queries[lo:hi])
+        # "not beyond", so that a NaN distance is scanned, not dropped
+        live = ~(D.min(axis=0) > reach)
+        if np.all(near):
+            out[lo:hi][live] = _step_scan(np.compress(live, D, axis=1),
+                                          masses, phi)
+        else:
+            deferred.append(lo + np.flatnonzero(live))
+    deferred = np.concatenate(deferred)
     step = max(1, BLOCK_ENTRIES // len(atoms))
-    near = _near_blocks(atoms, np.full(len(atoms), reach), queries)
-    for start, stop in _spans(np.any(near, axis=0, keepdims=True))[0]:
-        Q, tau_q = queries[start:stop], out[start:stop]
-        for lo in range(0, len(Q), step):
-            D = _distances(atoms, Q[lo:lo + step])
-            # "not beyond", so that a NaN distance is scanned, not dropped
-            live = ~(D.min(axis=0) > reach)
-            tau_q[lo:lo + step][live] = _step_scan(
-                np.compress(live, D, axis=1), masses, phi)
+    for lo in range(0, len(deferred), step):
+        ids = deferred[lo:lo + step]
+        out[ids] = _step_scan(_distances(atoms, queries[ids]), masses, phi)
     return out
 
 
@@ -296,15 +304,10 @@ class CoverOutput:
         return len(self.radii)
 
     def to_json(self) -> dict:
-        return {
-            "centers": [list(map(float, c)) for c in self.centers],
-            "radii": [float(r) for r in self.radii],
-            "taus": [float(t) for t in self.taus],
-            "gamma": self.gamma,
-            "alpha": ALPHA,
-            "beta": BETA,
-            "budget_used": self.budget_used,
-        }
+        return {"centers": [list(map(float, c)) for c in self.centers],
+                "radii": [float(r) for r in self.radii],
+                "taus": [float(t) for t in self.taus], "gamma": self.gamma,
+                "alpha": ALPHA, "beta": BETA, "budget_used": self.budget_used}
 
 
 def _candidates(space: DiscreteMeasureSpace,
@@ -390,9 +393,8 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
 
     centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
     radii = np.array(radii)
-    taus = np.array(taus)
-    return CoverOutput(centers=centers, radii=radii, taus=taus, gamma=gamma,
-                       budget_used=float(np.sum(phi(gamma * radii))))
+    return CoverOutput(centers, radii, np.array(taus), gamma,
+                       float(np.sum(phi(gamma * radii))))
 
 
 def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
@@ -444,12 +446,9 @@ def potential_many(space: DiscreteMeasureSpace,
 
 def _off_ball_floor(centers: np.ndarray, radii: np.ndarray,
                     points: np.ndarray, values, bound: float) -> tuple:
-    """Check values(x) >= bound at the points outside the closed balls.
-
-    values is called with the mask of those points among `points`.
-    Returns (number checked, violations, worst margin).  A point violates
-    the floor when its margin falls below -FLOOR_RTOL (1 + |bound|); the
-    worst margin is None when no point is checked.
+    """Check values(off) >= bound, off the mask of the points outside the
+    closed balls.  Returns (number checked, violations, worst margin, None
+    if none is checked); a margin below -FLOOR_RTOL (1 + |bound|) violates.
     """
     off = ~_in_balls(centers, radii, points)
     margins = values(off) - bound
@@ -604,8 +603,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
 
     space = DiscreteMeasureSpace(zeros_in.view(float).reshape(-1, 2),
                                  np.ones(len(zeros_in)))
-    centers, radii = np.zeros((0, 2)), np.zeros(0)
-    radius_sum = 0.0
+    centers, radii, radius_sum = np.zeros((0, 2)), np.zeros(0), 0.0
     if len(zeros_in):
         H_c = 4.0 * DEFAULT_GAMMA * eta * R
         phi = MajorantFn.power(len(zeros_in) / H_c, 1.0)

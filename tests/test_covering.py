@@ -317,6 +317,99 @@ def test_boxed_ball_queries_match_rows_bitwise(n, shuffled, box):
     assert np.any(got > 0.0) and np.any(got == 0.0)
 
 
+def cartan_case(eta, deg=6, seed=101):
+    """The zeros of a seeded f with f(0) = 1 in |z| <= 2R, R = 2, with the
+    majorant of cartan_exclusion_disks, and the 400 x 400 grid on
+    [-R, R]^2 in meshgrid order as real pairs."""
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, deg + 1)
+    coeffs[0] = 1.0
+    f = Polynomial(1, deg, coeffs)
+    zeros = polynomial_zeros(f)
+    zeros = zeros[np.abs(zeros) <= 4.0]
+    space = unit_atoms(zeros.view(float).reshape(-1, 2))
+    phi = MajorantFn.power(len(zeros) / (4.0 * DEFAULT_GAMMA * eta * 2.0), 1.0)
+    axis = np.linspace(-2.0, 2.0, 400)
+    gx, gy = np.meshgrid(axis, axis)
+    return f, space, phi, np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def run_kinds(fn, *args):
+    """fn's result and, per piece that _runs hands out, whether its near
+    mask holds every center."""
+    kinds, runs = [], covering._runs
+
+    def spy(*a):
+        pieces = runs(*a)
+        kinds.extend(bool(np.all(near)) for _, _, near in pieces)
+        return pieces
+
+    with mock.patch.object(covering, "_runs", spy):
+        return fn(*args), kinds
+
+
+@pytest.mark.parametrize("eta", [0.1, 1.0])
+def test_cartan_grid_runs_match_unpruned_bitwise(eta):
+    f, space, phi, pts = cartan_case(eta)
+    got, kinds = run_kinds(tau_many, space, phi, pts)
+    want = _step_scan(_distances(space.points, pts), space.masses, phi)
+    assert np.array_equal(got, want)
+    assert np.any(got > 0.0) and np.any(got == 0.0)
+    # at eta = 1 one call scans some runs in place and defers others; at
+    # eta = 0.1 no box is in reach of every zero
+    assert (True in kinds) == (eta == 1.0) and False in kinds
+    grid = pts.view(complex).reshape(-1)
+    rep = cartan_exclusion_disks(f, 2.0, eta, grid=grid)
+    centers = np.array([[c.real, c.imag] for c, _ in rep.disks])
+    radii = np.array([r for _, r in rep.disks])
+    for r in (radii, radii / 2.0, np.nextafter(radii, np.inf)):
+        assert np.array_equal(_in_balls(centers, r, pts),
+                              row_in_balls(centers, r, pts))
+
+
+def test_survey_cover_runs_match_unpruned_bitwise():
+    # the covering run of the survey benchmark: 256 atoms, a 12 x 12 grid
+    rng = np.random.default_rng(5)
+    space = unit_atoms(rng.random((256, 2)))
+    axis = np.linspace(-0.5, 1.5, 12)
+    gx, gy = np.meshgrid(axis, axis)
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    phi = MajorantFn.power(space.A / 0.25, 1.0)  # potential_bound_verify's
+    cands = np.concatenate([space.points, grid])
+    got = tau_many(space, phi, cands)
+    assert np.array_equal(got, _step_scan(_distances(space.points, cands),
+                                          space.masses, phi))
+    assert np.any(got > 0.0)
+    cover = greedy_ball_cover(space, phi, probes=grid)
+    assert cover.count > 1
+    for r in (cover.radii, cover.taus):
+        assert np.array_equal(_in_balls(cover.centers, r, cands),
+                              row_in_balls(cover.centers, r, cands))
+
+
+def test_runs_on_empty_points_and_zero_balls():
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (3 * BOX + 5, 2))
+    none = np.zeros((0, 2))
+    assert _in_balls(pts[:2], np.ones(2), none).shape == (0,)
+    assert not np.any(_in_balls(none, np.zeros(0), pts))
+    assert _in_balls(none, np.zeros(0), none).shape == (0,)
+    space = unit_atoms(pts[:3])
+    phi = MajorantFn.power(3.0, 1.0)
+    assert tau_many(space, phi, none).shape == (0,)
+
+
+def test_cartan_grid_tau_skips_most_distances():
+    _, space, phi, pts = cartan_case(0.1)
+    entries, distances = [0], covering._distances
+
+    def counted(points, queries):
+        entries[0] += len(points) * len(queries)
+        return distances(points, queries)
+
+    with mock.patch.object(covering, "_distances", counted):
+        tau_many(space, phi, pts)
+    assert 0 < entries[0] <= len(space.points) * len(pts) // 2
+
+
 @given(pruning_cases())
 @settings(max_examples=200, deadline=None)
 def test_metric_cover_audit_and_potential(case):
