@@ -268,8 +268,7 @@ def _brute_force_best(points, masses, fvals, k, q):
     center = np.zeros(d)
     span = 4.0 * (1.0 + float(np.max(np.abs(fvals))))
     axes = np.linspace(-1.0, 1.0, 9)
-    offsets = np.array(np.meshgrid(*([axes] * d), indexing="ij"))
-    offsets = offsets.reshape(d, -1)
+    offsets = np.array(np.meshgrid(*([axes] * d), indexing="ij")).reshape(d, -1)
     best = math.inf
     for _ in range(40):
         C = center[:, None] + span * offsets

@@ -32,10 +32,11 @@ M_N <= M sets the floor, which only makes the check stricter.  T = |f|^2 on
 the circle is a trigonometric polynomial of degree d, so Bernstein's
 |T''| <= d^2 max T, with T' = 0 at the max, certifies
 M <= M_N / sqrt(1 - (pi d / N)^2 / 2), M_N widened by the FFT's rounding.
+Both floors stream the grid in pieces, and ln|f| is Horner's rule in place
+on each piece, so their memory grows with neither grid size nor degree.
 
 Every distance d here is Euclidean: tau, the greedy cover and its audit,
-the potentials, and the ball and disk membership tests all go through
-_distances.
+the potentials and the ball and disk membership tests use _distances.
 """
 
 from __future__ import annotations
@@ -251,10 +252,10 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     in place; elsewhere these distances only mark the live queries, which
     are then scanned against every atom, so each scanned column holds the
     bits of one unpruned array.  Queries must be finite and have the space's
-    dimension, and phi^{-1} of the smallest positive mass must not
+    dimension, and neither the smallest positive mass nor its phi^{-1} may
     underflow below the normal range: at 0 the scan would read an
-    irregular atom as regular, and a subnormal radius has too few bits for
-    the cover's budget audit.
+    irregular atom as regular, and a subnormal mass or radius has too few
+    bits for the cover's budget audit.
     """
     queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
@@ -263,9 +264,9 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     if len(atoms) == 0:
         return out
     # phi^{-1} is nondecreasing, so the smallest mass decides
-    if float(phi.inverse(masses.min())) < np.finfo(float).tiny:
-        raise ValueError("phi^{-1} of the smallest positive mass underflows; "
-                         "rescale the masses")
+    if min(masses.min(), phi.inverse(masses.min())) < np.finfo(float).tiny:
+        raise ValueError("the smallest positive mass or its phi^{-1} "
+                         "underflows; rescale the masses")
     slack = 1.0 + 4.0 * len(masses) * np.finfo(float).eps + 1e-12
     reach = float(phi.inverse(np.sum(masses) * slack)) * slack
     deferred = [np.zeros(0, dtype=int)]
@@ -310,15 +311,6 @@ class CoverOutput:
                 "alpha": ALPHA, "beta": BETA, "budget_used": self.budget_used}
 
 
-def _candidates(space: DiscreteMeasureSpace,
-                probes: np.ndarray) -> np.ndarray:
-    """The atoms followed by the probe points, which must be finite."""
-    if len(probes) == 0:
-        return space.points
-    return np.concatenate([space.points,
-                           _finite_points(space, probes, "probe")])
-
-
 def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
                       gamma: float = DEFAULT_GAMMA, *,
                       probes: np.ndarray) -> CoverOutput:
@@ -330,44 +322,49 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     witness at each step is the candidate of maximal tau, ties broken by
     lowest index, so runs are reproducible.
 
-    Candidates stream in index order, the atoms as one first block, and
-    tau is computed only for those no ball covers yet.  With equal positive
-    masses no tau exceeds top, the largest entry of the level vector
-    phi^{-1}(cumsum(masses)) that the step scan reads, so an uncovered
-    candidate whose tau equals top is the next witness and is emitted as
-    soon as its block is scanned.  The argmax loop then runs on the known
-    taus.  The balls are the same bits as the argmax loop's over every tau.
+    Candidates stream in index order, the atoms as one first block, then
+    the probes (two arrays, never joined), and tau is computed only for
+    those no ball covers yet.  With equal positive masses no tau exceeds
+    top, the largest entry of the level vector phi^{-1}(cumsum(masses))
+    that the step scan reads, so an uncovered candidate whose tau equals
+    top is the next witness and is emitted as soon as its block is
+    scanned.  The argmax loop then runs on the known taus.  The balls are
+    the same bits as the argmax loop's over every tau.
     """
     if not 0.0 < gamma < ALPHA / BETA:
         raise ValueError(f"gamma must lie in (0, {ALPHA / BETA:g})")
     phi.validate(space.A, space.extent())
 
-    cands = _candidates(space, probes)
+    atoms = space.points
+    probes = (_finite_points(space, probes, "probe") if len(probes)
+              else atoms[:0])
+    m, total = len(atoms), len(atoms) + len(probes)
     masses = space.masses[space.masses > 0]
     top = (float(np.max(phi.inverse(np.cumsum(masses))))
            if len(masses) and np.all(masses == masses[0]) else np.inf)
-    uncovered = np.ones(len(cands), dtype=bool)
+    uncovered = np.ones(total, dtype=bool)
     centers, radii, taus = [], [], []
 
-    def emit(x_k, tau_k, points):
-        """Record the ball around x_k; mask of the points it leaves out."""
+    def emit(x_k, tau_k, *parts):
+        """Record the ball around x_k; mask of parts' points outside it."""
         t_k = BETA * tau_k
         centers.append(x_k)
         radii.append(t_k)
         taus.append(tau_k)
-        return _distances(x_k[None], points)[0] > t_k
+        return np.concatenate([_distances(x_k[None], p)[0] > t_k
+                               for p in parts])
 
     # A regular candidate is never a witness and nothing reads whether it
     # is covered, so only the irregular ones are kept, in index order so
     # that the lowest-index tie-break still holds.
     irregular, irregular_taus = [np.zeros(0, dtype=int)], [np.zeros(0)]
     step = max(1, BLOCK_ENTRIES // max(1, len(masses)))
-    bounds = [0, *range(len(space.points), len(cands), step), len(cands)]
+    bounds = [0, *range(m, total, step), total]
     for lo, hi in zip(bounds, bounds[1:]):
         live = uncovered[lo:hi]
         if not np.any(live):
             continue
-        queries = cands[lo:hi]
+        queries = atoms[lo:hi] if lo < m else probes[lo - m:hi - m]
         if not np.all(live):
             queries = np.compress(live, queries, axis=0)
         block_taus = tau_many(space, phi, queries)
@@ -377,12 +374,14 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         witnesses = ids[block_taus == top]
         while len(witnesses):
             k = witnesses[0]
-            uncovered &= emit(cands[k], top, cands)
+            uncovered &= emit(atoms[k] if k < m else probes[k - m], top,
+                              atoms, probes)
             witnesses = witnesses[uncovered[witnesses]]
 
     irregular = np.concatenate(irregular)
     left = uncovered[irregular]
-    cands = cands[irregular[left]]
+    ids = irregular[left]
+    cands = np.concatenate([atoms[ids[ids < m]], probes[ids[ids >= m] - m]])
     taus_all = np.concatenate(irregular_taus)[left]
     uncovered = np.ones(len(cands), dtype=bool)
     for _ in range(len(cands) + 1):
@@ -391,7 +390,7 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         k = int(np.argmax(np.where(uncovered, taus_all, -np.inf)))
         uncovered &= emit(cands[k], taus_all[k], cands)
 
-    centers = np.array(centers) if centers else np.zeros((0, cands.shape[1]))
+    centers = np.array(centers) if centers else np.zeros((0, atoms.shape[1]))
     radii = np.array(radii)
     return CoverOutput(centers, radii, np.array(taus), gamma,
                        float(np.sum(phi(gamma * radii))))
@@ -406,14 +405,16 @@ def verify_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
         "radii_nonincreasing": bool(np.all(np.diff(cover.radii) <= 1e-12)),
         "ball_count_le_atoms": cover.count <= int(np.sum(space.masses > 0)),
     }
-    cands = _candidates(space, probes)
-    outside = ~_in_balls(cover.centers, cover.radii, cands)
+    probes = (_finite_points(space, probes, "probe") if len(probes)
+              else space.points[:0])
+    outside = np.concatenate([p[~_in_balls(cover.centers, cover.radii, p)]
+                              for p in (space.points, probes)])
     # recompute tau with the unpruned scan in one block, independently of
     # tau_many's blocks and prune
     keep = space.masses > 0
     support = space.points[keep]
-    taus_out = _step_scan(_distances(support, cands[outside]),
-                          space.masses[keep], phi)
+    taus_out = _step_scan(_distances(support, outside), space.masses[keep],
+                          phi)
     checks["uncovered_points_regular"] = bool(np.all(taus_out == 0.0))
     # each tau-ball around its witness carries positive mass
     D = _distances(cover.centers, support)
@@ -445,19 +446,25 @@ def potential_many(space: DiscreteMeasureSpace,
 
 
 def _off_ball_floor(centers: np.ndarray, radii: np.ndarray,
-                    points: np.ndarray, values, bound: float) -> tuple:
-    """Check values(off) >= bound, off the mask of the points outside the
-    closed balls.  Returns (number checked, violations, worst margin, None
-    if none is checked); a margin below -FLOOR_RTOL (1 + |bound|) violates.
-    """
-    off = ~_in_balls(centers, radii, points)
-    margins = values(off) - bound
-    worst = float(margins.min()) if len(margins) else None
-    bad = margins < -FLOOR_RTOL * (1.0 + abs(bound))
-    violations = [{"point": list(map(float, pt)), "margin": float(m)}
-                  for pt, m in zip(points[np.flatnonzero(off)[bad]],
-                                   margins[bad])]
-    return len(margins), violations, worst
+                    points: np.ndarray, values, bound: float,
+                    within=lambda p: np.ones(len(p), dtype=bool)) -> tuple:
+    """Check values(p) >= bound at the points p within (all by default)
+    and outside the closed balls, in pieces of BLOCK_ENTRIES // 16 points
+    (a multiple of BOX), each with its own selection, ball mask, values
+    and margins.  Returns (number checked, violations in point order,
+    worst margin or None); margins below -FLOOR_RTOL (1 + |bound|) fail."""
+    checked, violations, lows = 0, [], []
+    step = max(1, BLOCK_ENTRIES // 16)
+    for piece in np.split(points, range(step, len(points), step)):
+        piece = np.compress(within(piece), piece, axis=0)
+        piece = np.compress(~_in_balls(centers, radii, piece), piece, axis=0)
+        margins = values(piece) - bound
+        lows.append(margins.min(initial=np.inf))
+        bad = np.flatnonzero(margins < -FLOOR_RTOL * (1.0 + abs(bound)))
+        violations += [{"point": list(map(float, piece[i])),
+                        "margin": float(margins[i])} for i in bad]
+        checked += len(piece)
+    return checked, violations, float(np.min(lows)) if checked else None
 
 
 # -- corollary: radius-sum budget + potential lower bound -----------------
@@ -501,8 +508,7 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
     bound = k * math.log(H / math.e)
     checked, violations, worst = _off_ball_floor(
         cover.centers, cover.radii, grid,
-        lambda off: potential_many(space, np.compress(off, grid, axis=0)),
-        bound)
+        lambda piece: potential_many(space, piece), bound)
     return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
                                 radius_cap=cap, lower_bound=bound,
                                 num_checked=checked, violations=violations,
@@ -539,6 +545,15 @@ def _circle_max_abs(f: Polynomial, radius: float) -> tuple:
     slack = FFT_ROUNDING * float(np.abs(a).sum())
     return M_N, (M_N + slack) / math.sqrt(
         1.0 - 0.5 * (math.pi * d / CIRCLE_SAMPLES) ** 2)
+
+
+def _horner(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k a_k z^k at each z by Horner's rule, in place on one array."""
+    acc = np.full(len(z), a[-1], dtype=complex)
+    for a_k in a[-2::-1]:
+        acc *= z
+        acc += a_k
+    return acc
 
 
 @dataclass
@@ -588,8 +603,7 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
         raise ValueError("grid must be a 1-D array of complex points")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid points must be finite")
-    grid = np.ascontiguousarray(grid, dtype=complex)
-    pts = grid.view(float).reshape(-1, 2)  # rows (Re z, Im z), no copy
+    pts = np.ascontiguousarray(grid, complex).view(float).reshape(-1, 2)
     f0 = f.eval_many(np.array([0.0 + 0.0j]))[0]
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
@@ -624,15 +638,12 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
             for r in r_extra:
                 radius_sum += float(r)
 
-    inner = np.compress(np.abs(grid) <= R, pts, axis=0)
-    zs = inner.view(complex).reshape(-1)
-
-    def log_abs_f(off):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(f.eval_many(np.compress(off, zs))))
-
-    checked, violations, worst = _off_ball_floor(centers, radii, inner,
-                                                 log_abs_f, lower)
+    a = f.coeffs[: f.degree() + 1]
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at a zero of f
+        checked, violations, worst = _off_ball_floor(
+            centers, radii, pts,
+            lambda p: np.log(np.abs(_horner(a, p.view(complex)[:, 0]))),
+            lower, within=lambda p: np.abs(p.view(complex)[:, 0]) <= R)
 
     half_ok = bool(np.all(_in_balls(centers, radii / 2.0 + 1e-12,
                                     space.points)))

@@ -70,7 +70,13 @@ def golden_section_max(fn, a, b, steps: int) -> np.ndarray:
 
 
 class _Body:
-    """What cubes and balls share: a center and a radius."""
+    """What cubes and balls share: a center and a positive radius."""
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError(f"{type(self).__name__.lower()} radius must be "
+                             f"positive")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
     def dim(self) -> int:
@@ -94,11 +100,6 @@ class Cube(_Body):
 
     center: tuple
     radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cube radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
     def volume(self) -> float:
@@ -127,11 +128,6 @@ class Ball(_Body):
 
     center: tuple
     radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
     def volume(self) -> float:

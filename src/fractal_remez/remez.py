@@ -162,8 +162,7 @@ class RemezReport:
 
 def measure_ratio(omega: FractalSet, V) -> float:
     """lam = mu(omega)^(n/s) / vol(V) in the cloud measure normalization."""
-    n = V.dim
-    return omega.total_mass ** (n / omega.s) / V.volume
+    return omega.total_mass ** (V.dim / omega.s) / V.volume
 
 
 def empirical_remez(p: Polynomial, V, omega: FractalSet, q, r,
@@ -255,14 +254,10 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
     for x in centers:
         d = np.linalg.norm(X.points - x, axis=1)
         for r in scales:
-            mask = d < r
-            if not np.any(mask):
-                continue
-            good = mask & (vals >= LOG_FLOOR)
+            good = (d < r) & (vals >= LOG_FLOOR)
             if not np.any(good):
                 continue
-            w = X.masses[good]
-            w = w / w.sum()
+            w = X.masses[good] / X.masses[good].sum()
             logs = np.log(vals[good])
             mean = float(np.sum(w * logs))
             osc = float(np.sum(w * np.abs(logs - mean)))
@@ -285,8 +280,7 @@ def reverse_holder(p: Polynomial, X: FractalSet, x, r: float, l) -> float:
         vals = np.abs(p.eval_many(_cloud_as_complex(X)[mask]))
     else:
         vals = np.abs(p.eval_many(X.points[mask]))
-    w = X.masses[mask]
-    w = w / w.sum()
+    w = X.masses[mask] / X.masses[mask].sum()
     mean1 = float(np.sum(w * vals))
     if mean1 == 0.0:
         raise ZeroDivisionError("p vanishes on the ball in L1 mean")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from fractal_remez import covering
 from fractal_remez.covering import (BETA, BLOCK_ENTRIES, BOX, DEFAULT_GAMMA,
                                     CartanDiskReport, CoverOutput,
                                     DiscreteMeasureSpace, MajorantFn,
-                                    _circle_max_abs, _distances, _in_balls,
-                                    _near_blocks, _step_scan,
+                                    _circle_max_abs, _distances, _horner,
+                                    _in_balls, _near_blocks, _step_scan,
                                     cartan_exclusion_disks,
                                     greedy_ball_cover, polynomial_zeros,
                                     potential_bound_verify, potential_many,
@@ -91,6 +92,15 @@ def test_tau_rejects_underflowing_inverse():
     space = DiscreteMeasureSpace(np.zeros((1, 1)), np.array([5e-324]))
     with pytest.raises(ValueError, match="underflows"):
         greedy_ball_cover(space, MajorantFn.power(0.2, 1.0), probes=[])
+    # a subnormal mass with a normal phi^{-1}(m) = 2.2e-162: phi(gamma r)
+    # still rounded up to the mass, and the budget audit failed
+    space = DiscreteMeasureSpace([[0.0, 0.0]], [5e-324])
+    phi = MajorantFn.power(1.0, 2.0)
+    assert float(phi.inverse(5e-324)) >= np.finfo(float).tiny
+    for run in (lambda: tau_many(space, phi, [[0.0, 0.0]]),
+                lambda: greedy_ball_cover(space, phi, probes=[[0.0, 0.0]])):
+        with pytest.raises(ValueError, match="underflows"):
+            run()
 
 
 def test_tau_against_brute_force():
@@ -232,8 +242,8 @@ def pruning_cases(draw):
 def test_pruned_tau_matches_unpruned_scan_bitwise(case, box):
     space, phi, probes = case
     keep = space.masses > 0
-    if np.any(keep) and (phi.inverse(space.masses[keep].min())
-                         < np.finfo(float).tiny):
+    low = space.masses[keep].min(initial=np.inf)
+    if min(low, phi.inverse(low)) < np.finfo(float).tiny:
         with pytest.raises(ValueError, match="underflows"):
             tau_many(space, phi, probes)
         return
@@ -420,8 +430,9 @@ def test_metric_cover_audit_and_potential(case):
     except ValueError:
         assume(False)  # a majorant that never exceeds the mass
     keep = space.masses > 0
-    # tau_many rejects a mass whose phi^{-1} underflows below the normal
-    # range (test_tau_rejects_underflowing_inverse)
+    # tau_many rejects a mass that underflows below the normal range, or
+    # whose phi^{-1} does (test_tau_rejects_underflowing_inverse)
+    assume(np.all(space.masses[keep] >= np.finfo(float).tiny))
     assume(np.all(phi.inverse(space.masses[keep]) >= np.finfo(float).tiny))
     cover = greedy_ball_cover(space, phi, probes=probes)
     assert all(verify_cover(space, phi, cover, probes=probes).values())
@@ -886,6 +897,73 @@ def test_cartan_floor_matches_real_pair_grid_bitwise():
     margins = np.log(np.abs(f.eval_many(zs))) - rep.lower_bound
     assert rep.num_checked == int(np.sum(off)) > 0
     assert rep.worst_margin == float(margins.min())
+
+
+@given(st.integers(0, covering.MAX_CARTAN_DEGREE), st.floats(0.05, 20.0),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_horner_agrees_with_eval_many(deg, R, complex_coeffs, seed):
+    # each evaluation is within about 2 (d+1) eps sum |a_k| |z|^k of the
+    # exact value (Higham, Accuracy and Stability, sec. 5.1, with complex
+    # products), so the two agree within twice that
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, deg + 1)
+    if complex_coeffs:
+        a = a + 1j * rng.uniform(-1.0, 1.0, deg + 1)
+    z = R * np.sqrt(rng.random(500)) * np.exp(2j * math.pi * rng.random(500))
+    z[:2] = [0.0, R]
+    scale = np.abs(a) @ np.abs(z)[None, :] ** np.arange(deg + 1)[:, None]
+    err = np.abs(_horner(a, z) - Polynomial(1, deg, a).eval_many(z))
+    assert np.all(err <= 4.0 * (deg + 1) * np.finfo(float).eps * scale)
+
+
+def cartan_grid_400():
+    axis = np.linspace(-2.0, 2.0, 400)
+    gx, gy = np.meshgrid(axis, axis)
+    return (gx + 1j * gy).ravel()
+
+
+def test_cartan_memory_does_not_grow_with_degree():
+    # the floor walks the grid in pieces and evaluates f by Horner's rule,
+    # so a degree-50 call holds no (points x (d + 1)) table; the parent's
+    # monomial table made this peak 42 times the grid's bytes
+    coeffs = np.random.default_rng(50).uniform(-1.0, 1.0, 51)
+    coeffs[0] = 1.0
+    f, grid = Polynomial(1, 50, coeffs), cartan_grid_400()
+    tracemalloc.start()
+    try:
+        rep = cartan_exclusion_disks(f, 2.0, 0.1, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.num_checked > len(grid) // 2
+    assert peak < 2 * grid.nbytes
+
+
+def report_fields(rep):
+    return {name: (v.tobytes() if isinstance(v, np.ndarray) else v)
+            for name, v in vars(rep).items() if name != "cover"}
+
+
+@pytest.mark.parametrize("entries", [16, 16 * 7, 16 * (BOX + 3)])
+def test_floor_pieces_do_not_move_the_reports(entries):
+    # BLOCK_ENTRIES // 16 points per piece of the floor check; the zeros of
+    # f lie near |z| = 2.9, so the disks leave grid points even at eta = 1
+    f = Polynomial(1, 3, np.array([1.0, 0.05j, 0.0, -0.033 + 0.024j]))
+    grid = cartan_grid(R=1.5, n=61)
+    pts = np.column_stack([grid.real, grid.imag])
+    space = DiscreteMeasureSpace(np.random.default_rng(3).random((9, 2)),
+                                 np.ones(9))
+    want = [cartan_exclusion_disks(f, 1.5, eta, grid=grid)
+            for eta in (0.1, 1.0)]
+    want.append(potential_bound_verify(space, H=0.25, s=1.0, grid=pts))
+    with mock.patch.object(covering, "BLOCK_ENTRIES", entries):
+        got = [cartan_exclusion_disks(f, 1.5, eta, grid=grid)
+               for eta in (0.1, 1.0)]
+        got.append(potential_bound_verify(space, H=0.25, s=1.0, grid=pts))
+    for a, b in zip(got, want):
+        assert b.num_checked > 0
+        assert report_fields(a) == report_fields(b)
 
 
 def test_cartan_grid_layout_does_not_move_the_report():
