@@ -32,8 +32,8 @@ M_N <= M sets the floor, which only makes the check stricter.  T = |f|^2 on
 the circle is a trigonometric polynomial of degree d, so Bernstein's
 |T''| <= d^2 max T, with T' = 0 at the max, certifies
 M <= M_N / sqrt(1 - (pi d / N)^2 / 2), M_N widened by the FFT's rounding.
-Both floors stream the grid in pieces, and ln|f| is Horner's rule in place
-on each piece, so their memory grows with neither grid size nor degree.
+Both floors walk the grid in pieces and the off-disk ln|f| is Horner's rule
+in place on each piece, so no floor temporary grows with grid or degree.
 
 Every distance d here is Euclidean: tau, the greedy cover and its audit,
 the potentials and the ball and disk membership tests use _distances.

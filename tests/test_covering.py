@@ -917,19 +917,13 @@ def test_horner_agrees_with_eval_many(deg, R, complex_coeffs, seed):
     assert np.all(err <= 4.0 * (deg + 1) * np.finfo(float).eps * scale)
 
 
-def cartan_grid_400():
-    axis = np.linspace(-2.0, 2.0, 400)
-    gx, gy = np.meshgrid(axis, axis)
-    return (gx + 1j * gy).ravel()
-
-
 def test_cartan_memory_does_not_grow_with_degree():
     # the floor walks the grid in pieces and evaluates f by Horner's rule,
     # so a degree-50 call holds no (points x (d + 1)) table; the parent's
     # monomial table made this peak 42 times the grid's bytes
     coeffs = np.random.default_rng(50).uniform(-1.0, 1.0, 51)
     coeffs[0] = 1.0
-    f, grid = Polynomial(1, 50, coeffs), cartan_grid_400()
+    f, grid = Polynomial(1, 50, coeffs), cartan_grid(n=400)
     tracemalloc.start()
     try:
         rep = cartan_exclusion_disks(f, 2.0, 0.1, grid=grid)
