@@ -475,13 +475,8 @@ def campanato_seminorm(f_values: np.ndarray, family: CubeFamily, k: int, q,
                           fallbacks=int(np.sum(failed)))
 
 
-@dataclass
-class LipschitzEstimate:
-    value: float
-
-
 def lipschitz_seminorm(g, k: int, omega: Majorant, box, h_decades: float,
-                       h_max: float) -> LipschitzEstimate:
+                       h_max: float) -> float:
     """sup |delta_h^k g(x)| / omega(|h|) over LIPSCHITZ_BUDGET Sobol probes.
 
     g must accept an (N, n) array and return (N,).  Base points x are
@@ -509,4 +504,4 @@ def lipschitz_seminorm(g, k: int, omega: Majorant, box, h_decades: float,
         raise ValueError(f"no probe of length up to h_max = {h_max} fits "
                          f"{k} steps inside the box")
     ratios = np.abs(finite_difference_many(g, k, x, Hs)) / omega(mags)
-    return LipschitzEstimate(float(np.max(ratios)))
+    return float(np.max(ratios))

@@ -397,7 +397,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_list_sets(_args) -> int:
-    print(*fractals.list_preset_ids(), sep="\n")
+    print("cantor:<ratio in (0,1/2)>", "dust2d:<ratio in (0,1/2]>",
+          "cube:<dim 1..3>", "<id>*<id> (product)", sep="\n")
     return 0
 
 
@@ -436,7 +437,3 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -52,11 +52,6 @@ from .geometry import Cube
 from .polynomials import Polynomial, affine_matrices, monomials
 from .remez import sup_norm
 
-__all__ = [
-    "Chain", "GridSpec", "ExtensionField", "trace_tilde",
-    "build_chain", "chain_seminorm", "whitney_extend", "verify_extension",
-]
-
 
 @dataclass
 class TraceResult:
@@ -175,18 +170,15 @@ def _max_abs_deg2_square(C: np.ndarray) -> np.ndarray:
     Basis order follows multi_indices(2, 2):
     1, y, x, y^2, xy, x^2.
     """
-    pad = np.zeros((len(C), 6))
-    pad[:, : C.shape[1]] = C
-    a, by, cx, dyy, exy, fxx = (pad[:, j] for j in range(6))
+    a, by, cx, dyy, exy, fxx = (C[:, j] if j < C.shape[1]
+                                else np.zeros(len(C)) for j in range(6))
 
     def val(x, y):
         return np.abs(a + by * y + cx * x + dyy * y ** 2 + exy * x * y
                       + fxx * x ** 2)
 
-    best = np.full(len(C), -np.inf)
-    for x in (-1.0, 1.0):
-        for y in (-1.0, 1.0):
-            best = np.maximum(best, val(x, y))
+    best = np.max([val(x, y) for x in (-1.0, 1.0) for y in (-1.0, 1.0)],
+                  axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for x in (-1.0, 1.0):  # edges x fixed, vertex in y
             ystar = -(by + exy * x) / (2.0 * dyy)
@@ -341,11 +333,7 @@ class ExtensionField:
         interp = RegularGridInterpolator(tuple(self.grid.axes()),
                                          self.values.reshape(self.grid.shape),
                                          method="linear")
-
-        def g(pts):
-            return interp(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-        return g
+        return lambda pts: interp(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def to_csv(self, path) -> None:
         nodes = self.grid.nodes()
@@ -493,7 +481,7 @@ def verify_extension(f_values: np.ndarray, fld: ExtensionField, X: FractalSet,
     hmin = h_min if h_min is not None else 4.0 * fld.grid.spacing
     decades = max(math.log10(hm / hmin), 0.5)
     lip = lipschitz_seminorm(g, k, omega, (lo, hi), h_decades=decades,
-                             h_max=hm).value
+                             h_max=hm)
     camp = campanato_seminorm(f_values, family, k, 2, omega).value
 
     scale = float(np.max(np.abs(f_values))) if len(f_values) else 1.0

@@ -300,15 +300,6 @@ def _cube_ifs(n: int) -> IFS:
     return IFS.from_maps(maps)
 
 
-def _parse_fraction(text: str) -> float:
-    return float(Fraction(text))
-
-
-def list_preset_ids() -> list[str]:
-    return ["cantor:<ratio in (0,1/2)>", "dust2d:<ratio in (0,1/2]>",
-            "cube:<dim 1..3>", "<id>*<id> (product)"]
-
-
 def build_preset(set_id: str, depth: int) -> FractalSet:
     """Build a preset cloud by string id, e.g. "cantor:1/3" or "cube:1"."""
     set_id = set_id.strip()
@@ -322,9 +313,9 @@ def build_preset(set_id: str, depth: int) -> FractalSet:
         raise KeyError(f"unknown set id {set_id!r}")
     name, _, param = set_id.partition(":")
     if name == "cantor":
-        return build_set(_cantor_ifs(_parse_fraction(param)), depth, diam=1.0)
+        return build_set(_cantor_ifs(float(Fraction(param))), depth, diam=1.0)
     if name == "dust2d":
-        return build_set(_dust2d_ifs(_parse_fraction(param)), depth,
+        return build_set(_dust2d_ifs(float(Fraction(param))), depth,
                          diam=math.sqrt(2.0))
     if name == "cube":
         n = int(param)

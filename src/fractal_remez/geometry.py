@@ -3,30 +3,68 @@
 Cubes follow the closed-cube convention: Q_r(x) = {y : max_i |y_i - x_i| <= r}
 with r the half side-length ("radius").  Equal-measure quasi-random samples
 come from an unscrambled Sobol sequence, so sample prefixes are nested and
-anything computed as a max over samples is monotone in the budget.
+anything computed as a max over samples is monotone in the budget.  Its
+direction numbers, for dimensions 1-21 only, are S. Joe and F. Y. Kuo's (SIAM
+J. Sci. Comput. 30, 2008), the table scipy ships, and its points are bit for
+bit those of scipy.stats.qmc.Sobol(dim, scramble=False).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+# Joe-Kuo rows (a, m_1, ..., m_s) of dimensions 2-21: degree s, the middle
+# s - 1 coefficients a of the primitive polynomial, the initial m_i
+JOE_KUO = (
+    (0, 1), (1, 1, 3), (1, 1, 3, 1), (2, 1, 1, 1), (1, 1, 1, 3, 3),
+    (4, 1, 3, 5, 13), (2, 1, 1, 5, 5, 17), (4, 1, 1, 5, 5, 5),
+    (7, 1, 1, 7, 11, 19), (11, 1, 1, 5, 1, 1), (13, 1, 1, 1, 3, 11),
+    (14, 1, 3, 5, 5, 31), (1, 1, 3, 3, 9, 7, 49), (13, 1, 1, 1, 15, 21, 21),
+    (16, 1, 3, 1, 13, 27, 49), (19, 1, 1, 1, 15, 7, 5),
+    (22, 1, 3, 1, 15, 13, 25), (25, 1, 1, 5, 5, 19, 61),
+    (1, 1, 3, 7, 11, 23, 15, 103), (4, 1, 3, 7, 13, 13, 15, 69))
+SOBOL_BITS = 30
+
+
+@cache
+def _direction_numbers() -> np.ndarray:
+    """(21, SOBOL_BITS) direction integers m_k 2^(SOBOL_BITS - k)."""
+    rows = [[1] * SOBOL_BITS]
+    for a, *m in JOE_KUO:
+        s = len(m)
+        for k in range(s, SOBOL_BITS):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                new ^= (a >> (s - 1 - i) & 1) * (m[k - i] << i)
+            m.append(new)
+        rows.append(m)
+    v = np.array(rows, dtype=np.int64) << np.arange(SOBOL_BITS - 1, -1, -1)
+    v.setflags(write=False)  # one array for every caller
+    return v
 
 
 def sobol_unit(dim: int, count: int, skip_zero: bool = False) -> np.ndarray:
-    """First `count` points of the unscrambled Sobol sequence in [0,1]^dim."""
-    from scipy.stats import qmc  # scipy.stats is slow to import
-    eng = qmc.Sobol(d=dim, scramble=False)
-    if skip_zero:
-        eng.fast_forward(1)
-    return eng.random(count)
+    """First `count` points of the unscrambled Sobol sequence in [0,1]^dim
+    (after its zero point with skip_zero), one row per point."""
+    if not 1 <= dim <= len(JOE_KUO) + 1:
+        raise ValueError(f"Sobol dimension must be in 1..{len(JOE_KUO) + 1}")
+    v = _direction_numbers()[:dim]
+    n = count + skip_zero
+    x = np.zeros((dim, n), dtype=np.int64)
+    # the Gray codes of [h, 2h) are those of [0, h) reversed, with bit b set
+    for b in range(max(n - 1, 0).bit_length()):
+        h = 1 << b
+        np.bitwise_xor(x[:, h - 1::-1][:, :n - h], v[:, b, None],
+                       out=x[:, h:2 * h])
+    return np.multiply(x.T[skip_zero:], 2.0 ** -SOBOL_BITS,
+                       out=np.empty((count, dim)))
 
 
 def gaussian_directions(u: np.ndarray) -> np.ndarray:
@@ -131,7 +169,9 @@ class Ball(_Body):
 
     @property
     def volume(self) -> float:
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
+        n = self.dim
+        return (math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+                * self.radius ** n)
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

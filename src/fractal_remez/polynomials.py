@@ -36,17 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "Polynomial",
-    "multi_indices",
-    "exponent_array",
-    "chebyshev",
-    "finite_difference_many",
-    "compose_affine_many",
-    "affine_matrices",
-    "monomials",
-]
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """arr made read-only, as every array kept in a cache here is."""

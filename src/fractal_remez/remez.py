@@ -128,8 +128,7 @@ def _normalized_lq_cloud(p: Polynomial, X: FractalSet, q) -> float:
 def _normalized_lr_volume(p: Polynomial, domain, r, budget: int) -> float:
     if r in (np.inf, math.inf):
         return sup_norm(p, domain, budget)
-    pts = domain.sample(budget)
-    vals = np.abs(p.eval_many(pts))
+    vals = np.abs(p.eval_many(domain.sample(budget)))
     return float(np.mean(vals ** r) ** (1.0 / r))
 
 

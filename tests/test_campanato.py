@@ -674,7 +674,7 @@ def test_lipschitz_vanishes_on_low_degree():
     om = Majorant.power(1.0, 2)
     est = lipschitz_at(2 ** 10, g, 2, om,
                        (np.array([-1.0]), np.array([1.0])), 4.0, 0.5)
-    assert est.value <= 1e-9
+    assert est <= 1e-9
 
 
 def test_lipschitz_identity():
@@ -682,7 +682,7 @@ def test_lipschitz_identity():
     om = Majorant.power(1.0, 1)
     est = lipschitz_at(2 ** 10, g, 1, om,
                        (np.array([-1.0]), np.array([1.0])), 4.0, 1.0)
-    assert est.value == pytest.approx(1.0, abs=1e-9)
+    assert est == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lipschitz_square():
@@ -690,7 +690,7 @@ def test_lipschitz_square():
     om = Majorant.power(2.0, 2)
     est = lipschitz_at(2 ** 11, g, 2, om,
                        (np.array([-1.0]), np.array([1.0])), 4.0, 0.5)
-    assert est.value == pytest.approx(2.0, abs=1e-6)
+    assert est == pytest.approx(2.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -709,7 +709,7 @@ def test_lipschitz_probe_directions_are_finite(n):
     # the first call of g receives the kept base points
     u = sobol_unit(2 * n + 1, 64)[:, :n]
     assert len(seen[0]) == np.sum(np.all((u > 0) & (u < 1), axis=1))
-    assert est.value <= math.sqrt(n) * (1.0 + 1e-6)
+    assert est <= math.sqrt(n) * (1.0 + 1e-6)
 
 
 def test_lipschitz_rejects_a_box_no_probe_fits():
@@ -724,7 +724,7 @@ def test_lipschitz_monotone_in_budget():
     g = lambda pts: np.abs(pts[:, 0])
     om = Majorant.power(1.0, 1)
     box = (np.array([-1.0]), np.array([1.0]))
-    vals = [lipschitz_at(2 ** b, g, 1, om, box, 4.0, 1.0).value
+    vals = [lipschitz_at(2 ** b, g, 1, om, box, 4.0, 1.0)
             for b in (8, 10, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -748,7 +748,7 @@ def test_trace_seminorm_controlled_by_lipschitz():
     recorded = []
     for fv, g in suite:
         trace = campanato_seminorm(fv, fam, 2, 2, om).value
-        lip = lipschitz_seminorm(g, 2, om, box, 4.0, 0.5).value
+        lip = lipschitz_seminorm(g, 2, om, box, 4.0, 0.5)
         assert np.isfinite(trace) and np.isfinite(lip) and lip > 0
         recorded.append(trace / lip)
     assert all(np.isfinite(c) for c in recorded)

@@ -345,6 +345,31 @@ def test_importing_the_cli_leaves_scipy_stats_out():
     assert _fresh_run(code) == "[]"
 
 
+def test_sampling_leaves_scipy_stats_out(tmp_path):
+    # the Sobol points are generated in numpy: a remez run, the extension
+    # check and a 3-D ball sample never load scipy.stats
+    cfg = write_config(tmp_path, {
+        "experiment": "remez", "set": "cantor:1/3", "depth": 6, "seed": 1,
+        "params": {"k": 3, "budget": 256}})
+    code = """
+import sys
+import numpy as np
+from fractal_remez import campanato, cli, extension, fractals, geometry
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+X = fractals.build_preset("cube:1", 6)
+fam = campanato.build_cube_family(X, center_budget=4)
+om = campanato.Majorant.power(1.0, 2)
+fv = np.abs(X.points[:, 0] - 0.3)
+chain = extension.build_chain(fv, X, fam, 2, om)
+fld = extension.whitney_extend(chain, X, extension.GridSpec((-0.1,), (1.1,),
+                                                            (17,)))
+assert extension.verify_extension(fv, fld, X, 2, om, family=fam).lipschitz > 0
+assert geometry.Ball((0.0, 0.0, 0.0), 1.0).sample(64).shape == (64, 3)
+print("scipy.stats" in sys.modules)
+"""
+    assert _fresh_run(code, cfg, str(tmp_path / "o")) == "False"
+
+
 def test_every_deferred_import_runs(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "frobnicate"})
     code = """
