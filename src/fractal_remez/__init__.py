@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .polynomials import Polynomial, chebyshev
-from .fractals import (FractalSet, IFS, Similarity, build_set, build_preset,
-                       ball_measure, estimate_regularity, product_set,
-                       transform)
+from .fractals import (FractalSet, build_set, build_preset, ball_measure,
+                       estimate_regularity, product_set, transform)
 from .geometry import Ball, Cube
 from .remez import (bg_bound, simple_bound, sup_norm, empirical_remez,
                     markov_check, bmo_oscillation, reverse_holder, RemezReport)

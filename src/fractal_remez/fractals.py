@@ -1,4 +1,4 @@
-"""Self-similar s-sets generated by iterated function systems.
+"""Self-similar s-sets: equal-ratio presets of contracting similitudes.
 
 A FractalSet is a weighted point cloud standing in for an Ahlfors-regular
 set X together with its natural self-similar measure: one representative
@@ -7,14 +7,17 @@ presets this measure is a constant multiple of the s-dimensional Hausdorff
 measure restricted to X, and every inequality verified downstream is
 invariant under that normalization.
 
+Every preset is one ratio r and a list of m corners t, the maps
+x -> r x + t.  Under the open-set condition its similarity dimension has
+the closed form s = ln m / ln(1/r) (Hutchinson 1981); no root is solved.
 Representatives are the orbit of the fixed point of the first map, so the
 cloud at depth d is a subset of the cloud at depth d+1 and the measure is
 refined exactly: a parent cell's mass is the sum of its children's.
 
 Shipped presets: "cantor:R" (two maps, ratio R in (0,1/2), on [0,1]),
 "dust2d:R" (four corner maps in the unit square), "cube:N" (the unit
-N-cube, s = N, carrying Lebesgue mass), and products joined with "*",
-e.g. "cantor:1/3*cantor:1/3".
+N-cube with exactly s = N, carrying Lebesgue mass), and products joined
+with "*", e.g. "cantor:1/3*cantor:1/3".
 """
 
 from __future__ import annotations
@@ -34,68 +37,6 @@ REGULARITY_SAMPLES = 1000
 
 class CellCountError(ValueError):
     """Requested refinement would exceed the cell budget."""
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """Contracting similarity x -> ratio * x + translation."""
-
-    ratio: float
-    translation: tuple
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("similarity ratio must lie in (0, 1)")
-        object.__setattr__(self, "translation",
-                           tuple(float(t) for t in self.translation))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.ratio * points + np.asarray(self.translation)
-
-    def fixed_point(self) -> np.ndarray:
-        return np.asarray(self.translation) / (1.0 - self.ratio)
-
-
-def solve_similarity_dim(ratios) -> float:
-    """Solve sum r_i^s = 1 for s by bisection to residual <= 1e-12."""
-    r = np.asarray(ratios, dtype=float)
-    if len(r) < 2:
-        raise ValueError("need at least two maps")
-
-    def g(s):
-        return float(np.sum(r ** s)) - 1.0
-
-    lo, hi = 1e-12, 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValueError("similarity dimension did not bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(g(mid)) <= 1e-12:
-            return mid
-    s = 0.5 * (lo + hi)
-    if abs(g(s)) > 1e-12:
-        raise ValueError("similarity dimension bisection did not converge")
-    return s
-
-
-@dataclass(frozen=True)
-class IFS:
-    maps: tuple
-    similarity_dim: float
-
-    @classmethod
-    def from_maps(cls, maps) -> "IFS":
-        maps = tuple(maps)
-        if len({len(m.translation) for m in maps}) != 1:
-            raise ValueError("maps have inconsistent ambient dimensions")
-        s = solve_similarity_dim([m.ratio for m in maps])
-        return cls(maps=maps, similarity_dim=s)
 
 
 @dataclass
@@ -120,35 +61,30 @@ class FractalSet:
         return self.points.shape[0]
 
 
-def build_set(ifs: IFS, depth: int, diam: float) -> FractalSet:
-    """Refine the IFS to the given depth; diam is the set's diameter.
+def build_set(ratio: float, corners, depth: int, diam: float) -> FractalSet:
+    """Refine the m maps x -> ratio * x + t, t in corners, to the given
+    depth; diam is the set's diameter.
 
-    Cell representatives are S_w(x0) with x0 the fixed point of map 0, and
-    the cell mass is prod p_i over the word (total mass 1), where p_i = 1/m
-    for equal ratios (exact dyadic masses for the shipped presets) and
-    p_i = r_i^s otherwise.
+    Cell representatives are S_w(x0) with x0 the fixed point of the first
+    map, and every depth-d cell carries mass m^-d (exact dyadic masses for
+    the shipped presets).  Under the open-set condition the similarity
+    dimension is s = ln m / ln(1/ratio).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    m = len(ifs.maps)
-    if m ** depth > MAX_CELLS:
+    corners = np.asarray(corners, dtype=float)
+    m = len(corners)
+    # compare logarithms: m ** depth is a huge integer for a huge depth
+    if depth > math.log(MAX_CELLS, m):
         raise CellCountError(f"{m}^{depth} cells exceed the {MAX_CELLS} cap")
-
-    ratios = np.array([mp.ratio for mp in ifs.maps])
-    if np.all(ratios == ratios[0]):
-        probs = np.full(m, 1.0 / m)
-    else:
-        probs = ratios ** ifs.similarity_dim
-        probs = probs / probs.sum()
-
-    points = ifs.maps[0].fixed_point()[None, :]
+    points = corners[:1] / (1.0 - ratio)
     masses = np.array([1.0])
     for _ in range(depth):
-        points = np.concatenate([mp.apply(points) for mp in ifs.maps])
-        masses = np.concatenate([p * masses for p in probs])
-    cell_diam = diam * float(ratios.max()) ** depth
-    return FractalSet(points=points, masses=masses, s=ifs.similarity_dim,
-                      diam=diam, cell_diam=cell_diam, total_mass=1.0)
+        points = np.concatenate([ratio * points + t for t in corners])
+        masses = np.concatenate([1.0 / m * masses] * m)
+    return FractalSet(points=points, masses=masses,
+                      s=math.log(m) / -math.log(ratio), diam=diam,
+                      cell_diam=diam * ratio ** depth, total_mass=1.0)
 
 
 # -- ball queries ------------------------------------------------------
@@ -278,28 +214,6 @@ def transform(X: FractalSet, scale: float, offset) -> FractalSet:
 # -- preset registry ----------------------------------------------------
 
 
-def _cantor_ifs(ratio: float) -> IFS:
-    if not 0.0 < ratio < 0.5:
-        raise ValueError(f"cantor ratio must lie in (0, 1/2), got {ratio}")
-    maps = (Similarity(ratio, (0.0,)), Similarity(ratio, (1.0 - ratio,)))
-    return IFS.from_maps(maps)
-
-def _dust2d_ifs(ratio: float) -> IFS:
-    if not 0.0 < ratio <= 0.5:
-        raise ValueError(f"dust ratio must lie in (0, 1/2], got {ratio}")
-    c = 1.0 - ratio
-    maps = tuple(Similarity(ratio, t) for t in
-                 ((0.0, 0.0), (c, 0.0), (0.0, c), (c, c)))
-    return IFS.from_maps(maps)
-
-def _cube_ifs(n: int) -> IFS:
-    if not 1 <= n <= 3:
-        raise ValueError(f"cube dimension must be 1..3, got {n}")
-    maps = tuple(Similarity(0.5, t)
-                 for t in itertools.product((0.0, 0.5), repeat=n))
-    return IFS.from_maps(maps)
-
-
 def build_preset(set_id: str, depth: int) -> FractalSet:
     """Build a preset cloud by string id, e.g. "cantor:1/3" or "cube:1"."""
     set_id = set_id.strip()
@@ -313,11 +227,21 @@ def build_preset(set_id: str, depth: int) -> FractalSet:
         raise KeyError(f"unknown set id {set_id!r}")
     name, _, param = set_id.partition(":")
     if name == "cantor":
-        return build_set(_cantor_ifs(float(Fraction(param))), depth, diam=1.0)
+        r = float(Fraction(param))
+        if not 0.0 < r < 0.5:
+            raise ValueError(f"cantor ratio must lie in (0, 1/2), got {r}")
+        return build_set(r, [(0.0,), (1.0 - r,)], depth, diam=1.0)
     if name == "dust2d":
-        return build_set(_dust2d_ifs(float(Fraction(param))), depth,
+        r = float(Fraction(param))
+        if not 0.0 < r <= 0.5:
+            raise ValueError(f"dust ratio must lie in (0, 1/2], got {r}")
+        c = 1.0 - r
+        return build_set(r, [(0.0, 0.0), (c, 0.0), (0.0, c), (c, c)], depth,
                          diam=math.sqrt(2.0))
     if name == "cube":
         n = int(param)
-        return build_set(_cube_ifs(n), depth, diam=math.sqrt(n))
+        if not 1 <= n <= 3:
+            raise ValueError(f"cube dimension must be 1..3, got {n}")
+        return build_set(0.5, list(itertools.product((0.0, 0.5), repeat=n)),
+                         depth, diam=math.sqrt(n))
     raise KeyError(f"unknown set id {set_id!r}")

@@ -117,6 +117,8 @@ def test_run_deterministic_bytes(tmp_path):
     pytest.param({"experiment": "remez", "depth": 5,
                   "params": {"V": {"center": [], "radius": 2.0}}},
                  "V center", id="V-center-empty"),
+    pytest.param({"experiment": "remez", "depth": 10 ** 12}, "exceed",
+                 id="depth-beyond-cell-cap"),
 ])
 def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     cfg = write_config(tmp_path, config)

@@ -1,13 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from fractal_remez.fractals import (CellCountError, FractalSet, IFS,
-                                    Similarity, ball_measure, build_preset,
-                                    build_set, estimate_regularity,
-                                    product_set, regularity_samples,
-                                    solve_similarity_dim, transform)
+from fractal_remez.fractals import (CellCountError, FractalSet, ball_measure,
+                                    build_preset, build_set,
+                                    estimate_regularity, product_set,
+                                    regularity_samples, transform)
 
 
 def test_cantor_depth_one():
@@ -34,10 +34,50 @@ def test_dust_preset():
     assert X.ambient_dim == 2
 
 
-def test_similarity_dim_residual():
-    for ratios in ([1 / 3, 1 / 3], [0.25] * 4, [0.5, 0.3]):
-        s = solve_similarity_dim(ratios)
-        assert abs(sum(r ** s for r in ratios) - 1.0) <= 1e-12
+@pytest.mark.parametrize("set_id, s", [
+    ("cube:1", 1.0), ("cube:2", 2.0), ("cube:3", 3.0),
+    ("dust2d:1/4", 1.0), ("dust2d:1/2", 2.0),
+    ("cantor:1/3", math.log(2) / -math.log(1 / 3)),
+])
+def test_similarity_dim_is_closed_form(set_id, s):
+    # m maps of ratio r: s = ln m / ln(1/r), with no solver residual
+    assert build_preset(set_id, 2).s == s
+
+
+def test_transformed_unit_interval_mass_is_exact():
+    # with s = 1 exactly, scale^s is the scale itself
+    Y = transform(build_preset("cube:1", 9), 2.0, [-1.0])
+    assert np.all(Y.masses == 2 / 512)
+    assert Y.total_mass == 2.0
+
+
+def _cloud_digest(X):
+    h = hashlib.sha256()
+    for a in (X.points, X.masses, np.array([X.diam, X.cell_diam])):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("set_id, digest", [
+    ("cantor:1/3",
+     "7d7dae7a2d676d4aeefabca23f0f6ef5266a0e0069204727d938c1d9f48122dd"),
+    ("dust2d:1/4",
+     "500971293c1cbad543e6fe2c42b68bc112c9c5ba9c6e4a3f586f4d1eca8ac045"),
+    ("cube:1",
+     "79633d97318577f69b31d8b92323b5e3e0e9e6f5a8990d4b7c06cde5eb5f636f"),
+    ("cube:2",
+     "a7f7036eca733e9bbf7dc32b1b1909477d100bbeff51eb4b44cf9b5c9d736265"),
+    ("cube:3",
+     "4c52b0c25d3fd9a52eef9b73422ec28dbbfdbc638e5adbbb40f45aa22697e40a"),
+    ("cantor:1/3*cube:1",
+     "9d0f2f03ba982eb7c70b4734981dbf24c7c9882649eddd92729f96547bcb4095"),
+])
+def test_preset_clouds_are_pinned(set_id, digest):
+    # points, masses, diam and cell_diam at depth 5, bit for bit, as the
+    # general iterated-function-system construction built them
+    X = build_preset(set_id, 5)
+    assert _cloud_digest(X) == digest
+    assert X.total_mass == 1.0
 
 
 def test_refinement_mass_conservation_exact():
@@ -271,13 +311,6 @@ def test_cell_count_overflow():
         build_preset("dust2d:1/4", 13)
 
 
-def test_ifs_from_maps_checks_dims():
-    with pytest.raises(ValueError):
-        IFS.from_maps([Similarity(0.4, (0.0,)), Similarity(0.4, (0.0, 0.0))])
-
-
 def test_build_set_depth_validation():
-    ifs = IFS.from_maps([Similarity(1 / 3, (0.0,)),
-                         Similarity(1 / 3, (2 / 3,))])
     with pytest.raises(ValueError):
-        build_set(ifs, 0, diam=1.0)
+        build_set(1 / 3, [(0.0,), (2 / 3,)], 0, diam=1.0)
