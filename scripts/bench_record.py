@@ -34,8 +34,8 @@ from fractal_remez import acceptance
 
 SEED = 101
 # the scipy modules that fractal_remez imports inside functions, on first use
-DEFERRED_IMPORTS = ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
-                    "scipy.spatial", "scipy.special")
+DEFERRED_IMPORTS = ("scipy.optimize", "scipy.sparse", "scipy.spatial",
+                    "scipy.special")
 
 
 def git(*args) -> str:

@@ -63,16 +63,14 @@ def criterion_1_remez_sharpness() -> CriterionResult:
 def criterion_2_bound_ordering() -> CriterionResult:
     """Sharp bound never exceeds the power bound on the parameter grid."""
     lams = np.linspace(0.01, 1.0, 100)
-    worst = -math.inf
-    violations = 0
+    worst, violations = -math.inf, 0
     for n in (1, 2, 3):
         for k in range(1, 9):
             for lam in lams:
                 bg = remez.bg_bound(n, k, lam)
                 sb = remez.simple_bound(n, k, lam)
                 worst = max(worst, bg / sb)
-                if bg > sb * (1.0 + 1e-12):
-                    violations += 1
+                violations += bool(bg > sb * (1.0 + 1e-12))
     return CriterionResult(2, "bound_ordering",
                            {"violations": violations, "max_bg_over_simple": worst},
                            "zero violations of bg <= simple", violations == 0)
@@ -86,8 +84,7 @@ def criterion_3_covering_postconditions() -> CriterionResult:
     rng = np.random.default_rng(2025)
     gx, gy = np.meshgrid(np.linspace(-0.2, 1.2, 15), np.linspace(-0.2, 1.2, 15))
     probes = np.column_stack([gx.ravel(), gy.ravel()])
-    bad_runs = 0
-    max_balls_over_atoms = 0.0
+    bad_runs, max_balls_over_atoms = 0, 0.0
     for _ in range(200):
         m = int(rng.integers(2, 65))
         space = covering.DiscreteMeasureSpace(rng.random((m, 2)),
@@ -98,12 +95,9 @@ def criterion_3_covering_postconditions() -> CriterionResult:
         phi = covering.MajorantFn.power(p, s)
         cover = covering.greedy_ball_cover(space, phi, probes=probes)
         checks = covering.verify_cover(space, phi, cover, probes=probes)
-        ok = (checks["budget_below_total_mass"]
-              and checks["radii_nonincreasing"]
-              and checks["uncovered_points_regular"]
-              and checks["ball_count_le_atoms"])
-        if not ok:
-            bad_runs += 1
+        bad_runs += not all(checks[c] for c in (
+            "budget_below_total_mass", "radii_nonincreasing",
+            "uncovered_points_regular", "ball_count_le_atoms"))
         max_balls_over_atoms = max(max_balls_over_atoms, cover.count / m)
     return CriterionResult(3, "covering_postconditions",
                            {"bad_runs": bad_runs,
@@ -133,8 +127,7 @@ def criterion_4_cartan_certificate() -> CriterionResult:
         for eta in (0.1, 1.0):
             rep = covering.cartan_exclusion_disks(f, R, eta, grid=grid)
             runs += 1
-            if not rep.ok:
-                bad += 1
+            bad += not rep.ok
             if rep.worst_margin is not None:
                 worst_margin = min(worst_margin, rep.worst_margin)
             max_radius_frac = max(max_radius_frac,
@@ -190,9 +183,7 @@ def criterion_6_weak_remez_monotonicity() -> CriterionResult:
     X = fractals.build_preset("cantor:1/3", 10)
     V = Ball((0.5,), 0.5)
     polys = [Polynomial.random(rng, 1, 3) for _ in range(50)]
-    sup_V: list = []
-    cs, lams = [], []
-    ratios: list = []
+    sup_V, cs, lams, ratios = [], [], [], []
     for j in range(5):
         w = 3.0 ** -j
         polys.append(chebyshev(3).compose_affine(2.0 / w, -1.0))
@@ -222,8 +213,7 @@ def criterion_7_markov_boundedness() -> CriterionResult:
     """Gradient-ratio constants on Cantor(1/3)^2 stay bounded."""
     rng = np.random.default_rng(31)
     F = fractals.build_preset("cantor:1/3*cantor:1/3", 6)
-    constants = []
-    failures = 0
+    constants, failures = [], 0
     for _ in range(100):
         p = Polynomial.random(rng, 2, 3)
         centers = F.points[rng.integers(0, F.size, 2)]
@@ -319,8 +309,7 @@ def criterion_8_best_approx_oracle() -> CriterionResult:
 
 def criterion_9_majorant_arithmetic() -> CriterionResult:
     """Dini constants and dyadic ladder sums for power majorants."""
-    worst_c = 0.0
-    max_ratio_frac = 0.0
+    worst_c = max_ratio_frac = 0.0
     ok = True
     for lam in (0.25, 0.5, 1.0):
         rep = campanato.quasipower_check(campanato.Majorant.power(lam, 4))
@@ -400,8 +389,7 @@ def criterion_10_extension_operator() -> CriterionResult:
     lin_err = float(np.max(np.abs(v_fg - (a * v_f + b * v_g)))) / scale
 
     # nonsmooth suite: operator-norm proxy finite, stable under grid halving
-    stabs = []
-    ratios = []
+    stabs, ratios = [], []
     X1sym = fractals.transform(fractals.build_preset("cube:1", 9), 2.0, [-1.0])
     suites = [
         (X1, campanato.build_cube_family(X1),
@@ -411,18 +399,14 @@ def criterion_10_extension_operator() -> CriterionResult:
     ]
     for Xn, famn, fv, lo, hi in suites:
         chain = extension.build_chain(fv, Xn, famn, 2, om2)
-        ga = extension.GridSpec(lo, hi, (129,))
-        gb = extension.GridSpec(lo, hi, (257,))
-        h_min = 4.0 * ga.spacing
-        fa = extension.whitney_extend(chain, Xn, ga)
-        fb = extension.whitney_extend(chain, Xn, gb)
-        holes += len(fa.holes) + len(fb.holes)
-        ra = extension.verify_extension(fv, fa, Xn, 2, om2, family=famn,
-                                        h_min=h_min)
-        rb = extension.verify_extension(fv, fb, Xn, 2, om2, family=famn,
-                                        h_min=h_min)
-        ratios.append((ra.ratio, rb.ratio))
-        stabs.append(rb.ratio / ra.ratio)
+        h_min = 4.0 * extension.GridSpec(lo, hi, (129,)).spacing
+        flds = [extension.whitney_extend(chain, Xn, extension.GridSpec(
+            lo, hi, (m,))) for m in (129, 257)]
+        holes += sum(len(fl.holes) for fl in flds)
+        ra, rb = (extension.verify_extension(fv, fl, Xn, 2, om2, family=famn,
+                                             h_min=h_min).ratio for fl in flds)
+        ratios.append((ra, rb))
+        stabs.append(rb / ra)
     stable = all(0.5 <= st <= 2.0 for st in stabs)
     finite = all(np.isfinite(r) for pair in ratios for r in pair)
     ok = (max_rep <= 1e-8 and lin_err <= 1e-9 and stable and finite

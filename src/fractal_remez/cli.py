@@ -177,9 +177,8 @@ def _run_remez(config: dict, seed: int, out: str):
             p, V, X, q, r, budget=params.get("budget", remez.SUP_BUDGET))
     except ValueError as exc:  # V does not contain the set
         raise ConfigError(str(exc))
-    failures = []
-    if rep.hypothesis_violated:
-        failures.append("polynomial vanishes identically on omega")
+    failures = (["polynomial vanishes identically on omega"]
+                if rep.hypothesis_violated else [])
 
     report = {"experiment": "remez", "config": config, "result": rep.to_json()}
     write_json_report(os.path.join(out, "report.json"), report)
@@ -295,9 +294,8 @@ def _run_extension(config: dict, seed: int, out: str):
     grid = extension.GridSpec(lo, hi, (nodes,) * X.ambient_dim)
     fld = extension.whitney_extend(chain, X, grid)
     rep = extension.verify_extension(fvals, fld, X, k, omega, family=family)
-    failures = []
-    if fld.holes:
-        failures.append(f"{len(fld.holes)} grid nodes not covered at any scale")
+    failures = ([f"{len(fld.holes)} grid nodes not covered at any scale"]
+                if fld.holes else [])
     report = {"experiment": "extension", "config": config,
               "result": {"chain_seminorm": sem.value,
                          "chain_pairs_checked": sem.num_pairs,
@@ -382,9 +380,7 @@ def cmd_suite(args) -> int:
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width + 5}} {'pass':<6} {'time':>8}  "
           f"measured | threshold")
-    total = 0.0
     for r in results:
-        total += r.seconds
         key_figs = ", ".join(f"{k}={v:.4g}" for k, v in r.measured.items()
                              if isinstance(v, (int, float)))
         print(f"[{r.number:2d}] {r.name:<{width}} "
@@ -392,7 +388,7 @@ def cmd_suite(args) -> int:
               f"{key_figs} | {r.threshold}")
         if not r.passed:
             print(f"     measured in full: {r.measured}")
-    print(f"total criterion time: {total:.2f}s")
+    print(f"total criterion time: {sum(r.seconds for r in results):.2f}s")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -426,11 +422,10 @@ def _parser() -> argparse.ArgumentParser:
     p_suite.add_argument("name")
     p_suite.set_defaults(fn=cmd_suite)
 
-    p_ls = sub.add_parser("list-sets", help="list preset set ids")
-    p_ls.set_defaults(fn=cmd_list_sets)
-
-    p_lm = sub.add_parser("list-majorants", help="list majorant ids")
-    p_lm.set_defaults(fn=cmd_list_majorants)
+    sub.add_parser("list-sets", help="list preset set ids").set_defaults(
+        fn=cmd_list_sets)
+    sub.add_parser("list-majorants", help="list majorant ids").set_defaults(
+        fn=cmd_list_majorants)
     return parser
 
 

@@ -329,11 +329,30 @@ class ExtensionField:
     chain_k: int
 
     def as_callable(self):
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator(tuple(self.grid.axes()),
-                                         self.values.reshape(self.grid.shape),
-                                         method="linear")
-        return lambda pts: interp(np.atleast_2d(np.asarray(pts, dtype=float)))
+        """Multilinear interpolant, bit for bit scipy's RegularGridInterpolator
+        (method="linear"): ValueError for a point outside the grid box, a NaN
+        point or a wrong column count; a hole (NaN value) propagates.  At
+        n = 2 a corner term is (value w0) w1, as scipy's 2-D loop forms it,
+        elsewhere value (w0 w1 ...), as its numpy path does."""
+        axes, V = self.grid.axes(), self.values.reshape(self.grid.shape)
+
+        def interp(pts):
+            P = np.atleast_2d(np.asarray(pts, dtype=float))
+            if P.shape[1] != len(axes) or not all(np.all(
+                    (a[0] <= p) & (p <= a[-1])) for a, p in zip(axes, P.T)):
+                raise ValueError(f"points off the grid box {self.grid}")
+            J = [np.clip(np.searchsorted(a, p, "right") - 1, 0, len(a) - 2)
+                 for a, p in zip(axes, P.T)]
+            T = [(p - a[j]) / (a[j + 1] - a[j])
+                 for a, p, j in zip(axes, P.T, J)]
+            out = 0.0
+            for c in np.ndindex((2,) * len(axes)):
+                w = [t if b else 1 - t for b, t in zip(c, T)]
+                v = V[tuple(j + b for j, b in zip(J, c))]
+                out = out + (math.prod(w, start=v) if len(w) == 2
+                             else v * math.prod(w))
+            return out
+        return interp
 
     def to_csv(self, path) -> None:
         nodes = self.grid.nodes()
@@ -342,12 +361,9 @@ class ExtensionField:
                    delimiter=",", header=header, comments="")
 
     def meta_json(self) -> dict:
-        return {
-            "grid": {"lo": list(self.grid.lo), "hi": list(self.grid.hi),
-                     "shape": list(self.grid.shape)},
-            "holes": len(self.holes),
-            "k": self.chain_k,
-        }
+        return {"grid": {"lo": list(self.grid.lo), "hi": list(self.grid.hi),
+                         "shape": list(self.grid.shape)},
+                "holes": len(self.holes), "k": self.chain_k}
 
 
 def _bump(t: np.ndarray) -> np.ndarray:

@@ -215,14 +215,22 @@ def transform(X: FractalSet, scale: float, offset) -> FractalSet:
 
 
 def build_preset(set_id: str, depth: int) -> FractalSet:
-    """Build a preset cloud by string id, e.g. "cantor:1/3" or "cube:1"."""
+    """Build a preset cloud by string id, e.g. "cantor:1/3" or "cube:1"; the
+    cell cap is checked on the sizes m^depth before any factor is built."""
+    specs = [_preset_maps(part) for part in set_id.split("*")]
+    # compare logarithms, as build_set does: m ** depth is a huge integer
+    if depth > math.log(MAX_CELLS) / sum(math.log(len(s[1])) for s in specs):
+        raise CellCountError(f"{set_id} at depth {depth} exceeds the "
+                             f"{MAX_CELLS} cell cap")
+    X = build_set(specs[0][0], specs[0][1], depth, diam=specs[0][2])
+    for r, corners, diam in specs[1:]:
+        X = product_set(X, build_set(r, corners, depth, diam=diam))
+    return X
+
+
+def _preset_maps(set_id: str) -> tuple:
+    """(ratio, corners, diam) of one preset id without products."""
     set_id = set_id.strip()
-    if "*" in set_id:
-        parts = set_id.split("*")
-        X = build_preset(parts[0], depth)
-        for part in parts[1:]:
-            X = product_set(X, build_preset(part, depth))
-        return X
     if ":" not in set_id:
         raise KeyError(f"unknown set id {set_id!r}")
     name, _, param = set_id.partition(":")
@@ -230,18 +238,16 @@ def build_preset(set_id: str, depth: int) -> FractalSet:
         r = float(Fraction(param))
         if not 0.0 < r < 0.5:
             raise ValueError(f"cantor ratio must lie in (0, 1/2), got {r}")
-        return build_set(r, [(0.0,), (1.0 - r,)], depth, diam=1.0)
+        return r, [(0.0,), (1.0 - r,)], 1.0
     if name == "dust2d":
         r = float(Fraction(param))
         if not 0.0 < r <= 0.5:
             raise ValueError(f"dust ratio must lie in (0, 1/2], got {r}")
         c = 1.0 - r
-        return build_set(r, [(0.0, 0.0), (c, 0.0), (0.0, c), (c, c)], depth,
-                         diam=math.sqrt(2.0))
+        return r, [(0.0, 0.0), (c, 0.0), (0.0, c), (c, c)], math.sqrt(2.0)
     if name == "cube":
         n = int(param)
         if not 1 <= n <= 3:
             raise ValueError(f"cube dimension must be 1..3, got {n}")
-        return build_set(0.5, list(itertools.product((0.0, 0.5), repeat=n)),
-                         depth, diam=math.sqrt(n))
+        return 0.5, list(itertools.product((0.0, 0.5), repeat=n)), math.sqrt(n)
     raise KeyError(f"unknown set id {set_id!r}")

@@ -248,8 +248,7 @@ def bmo_oscillation(p: Polynomial, X: FractalSet, scales,
     zs = _cloud_as_complex(X)
     vals = np.abs(p.eval_many(zs))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    best = -math.inf
-    count = 0
+    best, count = -math.inf, 0
     for x in centers:
         d = np.linalg.norm(X.points - x, axis=1)
         for r in scales:

@@ -119,6 +119,8 @@ def test_run_deterministic_bytes(tmp_path):
                  "V center", id="V-center-empty"),
     pytest.param({"experiment": "remez", "depth": 10 ** 12}, "exceed",
                  id="depth-beyond-cell-cap"),
+    pytest.param({"experiment": "remez", "set": "cube:3*cube:3", "depth": 7},
+                 "exceed", id="product-beyond-cell-cap"),
 ])
 def test_run_unknown_set_exits_2(tmp_path, capsys, config, needle):
     cfg = write_config(tmp_path, config)
@@ -370,6 +372,34 @@ assert geometry.Ball((0.0, 0.0, 0.0), 1.0).sample(64).shape == (64, 3)
 print("scipy.stats" in sys.modules)
 """
     assert _fresh_run(code, cfg, str(tmp_path / "o")) == "False"
+
+
+def test_extension_run_leaves_scipy_interpolate_out(tmp_path):
+    # the field's interpolant is numpy: an extension run and the extension
+    # check load scipy.spatial and what it needs, never scipy.interpolate
+    # with the scipy.optimize and scipy.fft that it would pull in
+    cfg = write_config(tmp_path, {
+        "experiment": "extension", "set": "cube:1", "depth": 6, "seed": 1,
+        "params": {"function": "abs", "k": 2, "grid_nodes": 33,
+                   "center_budget": 16}})
+    code = """
+import sys
+import numpy as np
+from fractal_remez import campanato, cli, extension, fractals
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+X = fractals.build_preset("cube:1", 6)
+fam = campanato.build_cube_family(X, center_budget=4)
+om = campanato.Majorant.power(1.0, 2)
+fv = np.abs(X.points[:, 0] - 0.3)
+chain = extension.build_chain(fv, X, fam, 2, om)
+fld = extension.whitney_extend(chain, X, extension.GridSpec((-0.1,), (1.1,),
+                                                            (17,)))
+assert extension.verify_extension(fv, fld, X, 2, om, family=fam).lipschitz > 0
+assert "scipy.spatial" in sys.modules
+print([m for m in ("scipy.interpolate", "scipy.optimize", "scipy.fft")
+       if m in sys.modules])
+"""
+    assert _fresh_run(code, cfg, str(tmp_path / "o")) == "[]"
 
 
 def test_every_deferred_import_runs(tmp_path):

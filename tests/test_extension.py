@@ -6,8 +6,8 @@ from scipy.spatial import cKDTree
 
 from fractal_remez.campanato import (CubeFamily, Majorant, build_cube_family,
                                      local_best_approx)
-from fractal_remez.extension import (Chain, GridSpec, build_chain,
-                                     chain_seminorm, trace_tilde,
+from fractal_remez.extension import (Chain, ExtensionField, GridSpec,
+                                     build_chain, chain_seminorm, trace_tilde,
                                      verify_extension, whitney_extend, _bump,
                                      _max_abs_deg2_interval,
                                      _max_abs_deg2_square)
@@ -776,3 +776,69 @@ def test_verify_extension_rejects_an_empty_probe_box(nodes):
                          GridSpec((-0.25,), (1.25,), (nodes,)))
     with pytest.raises(ValueError, match="probe box"):
         verify_extension(fv, fld, X, 2, om, family=fam)
+
+
+# -- the field's interpolant -----------------------------------------------
+
+
+def _random_field(rng, shape, holes):
+    """A field of random values on a random box, with signed zeros and,
+    if asked, NaN holes."""
+    n = len(shape)
+    grid = GridSpec(tuple(rng.uniform(-2.0, 0.0, n)),
+                    tuple(rng.uniform(0.5, 3.0, n)), shape)
+    values = rng.standard_normal(math.prod(shape))
+    values[rng.random(values.size) < 0.05] = -0.0
+    if holes:
+        values[rng.random(values.size) < 0.05] = np.nan
+        values[values.size // 2] = np.nan
+    return ExtensionField(grid=grid, values=values, holes=[], chain_k=2)
+
+
+def _scipy_interpolant(fld):
+    from scipy.interpolate import RegularGridInterpolator
+    return RegularGridInterpolator(tuple(fld.grid.axes()),
+                                   fld.values.reshape(fld.grid.shape),
+                                   method="linear")
+
+
+@pytest.mark.parametrize("shape", [(129,), (2,), (65, 65), (21, 3),
+                                   (17, 17, 17), (5, 4, 3)])
+@pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+def test_interpolant_is_bitwise_scipys(shape, holes):
+    # random points, every grid node, and both faces of every axis; NaN
+    # values propagate with scipy's payloads and -0.0 keeps scipy's sign
+    rng = np.random.default_rng(sum(shape) + holes)
+    fld = _random_field(rng, shape, holes)
+    lo, hi, n = np.array(fld.grid.lo), np.array(fld.grid.hi), len(shape)
+    parts = [rng.uniform(lo, hi, (4000, n)), fld.grid.nodes()]
+    for i in range(n):
+        for face in (lo[i], hi[i]):
+            P = rng.uniform(lo, hi, (300, n))
+            P[:, i] = face
+            parts.append(P)
+    P = np.concatenate(parts)
+    got, want = fld.as_callable()(P), _scipy_interpolant(fld)(P)
+    assert got.shape == want.shape == (len(P),)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got).any() == holes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_interpolant_raises_where_scipy_raises(n):
+    fld = _random_field(np.random.default_rng(n), (5,) * n, False)
+    lo, hi = np.array(fld.grid.lo), np.array(fld.grid.hi)
+    mid = 0.5 * (lo + hi)
+    bad = [np.zeros((1, n + 1)), np.full((1, n), np.nan)]
+    for i in range(n):
+        for edge, way in ((lo, -np.inf), (hi, np.inf)):
+            P = mid.copy()
+            P[i] = np.nextafter(edge[i], way)  # one ulp outside the box
+            bad.append(P[None])
+            P[i] = np.nan
+            bad.append(P[None])
+    for f in (fld.as_callable(), _scipy_interpolant(fld)):
+        for P in bad:
+            with pytest.raises(ValueError):
+                f(P)
+        assert np.isfinite(f(mid)).all()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ def test_unknown_and_invalid_ids():
 def test_cell_count_overflow():
     with pytest.raises(CellCountError):
         build_preset("dust2d:1/4", 13)
+
+
+def test_product_cell_cap_is_checked_before_any_factor_is_built():
+    # each factor of cube:3*cube:3 at depth 7 has 8^7 = 2,097,152 points
+    # (50 MB of coordinates); the product's 8^14 cells exceed the cap, and
+    # the check uses the factor sizes alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(CellCountError, match="cap"):
+            build_preset("cube:3*cube:3", 7)
+        with pytest.raises(CellCountError, match="cap"):
+            build_preset("cube:3 * cantor:1/3", 10 ** 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_build_set_depth_validation():
