@@ -116,7 +116,7 @@ def criterion_4_cartan_certificate() -> CriterionResult:
     axis = np.linspace(-R, R, 400)
     gx, gy = np.meshgrid(axis, axis)
     grid = (gx + 1j * gy).ravel()
-    runs = bad = 0
+    runs = bad = vacuous = 0  # vacuous: no grid point off the disks
     worst_margin = math.inf
     max_radius_frac = max_M_bracket = 0.0
     for _ in range(50):
@@ -128,6 +128,7 @@ def criterion_4_cartan_certificate() -> CriterionResult:
             rep = covering.cartan_exclusion_disks(f, R, eta, grid=grid)
             runs += 1
             bad += not rep.ok
+            vacuous += rep.num_checked == 0
             if rep.worst_margin is not None:
                 worst_margin = min(worst_margin, rep.worst_margin)
             max_radius_frac = max(max_radius_frac,
@@ -137,6 +138,7 @@ def criterion_4_cartan_certificate() -> CriterionResult:
     return CriterionResult(4, "cartan_disk_certificate",
                            {"runs": runs, "bad_runs": bad,
                             "worst_margin": worst_margin,
+                            "vacuous_floor_runs": vacuous,
                             "max_radius_sum_fraction": max_radius_frac,
                             "max_M_bracket_rel_width": max_M_bracket},
                            "zero violations: grid bound, radius sum, half-disks;"

@@ -32,8 +32,12 @@ M_N <= M sets the floor, which only makes the check stricter.  T = |f|^2 on
 the circle is a trigonometric polynomial of degree d, so Bernstein's
 |T''| <= d^2 max T, with T' = 0 at the max, certifies
 M <= M_N / sqrt(1 - (pi d / N)^2 / 2), M_N widened by the FFT's rounding.
-Both floors walk the grid in pieces and the off-disk ln|f| is Horner's rule
-in place on each piece, so no floor temporary grows with grid or degree.
+Both floors take one ball mask over the grid per call, then walk it in
+pieces, and the off-disk ln|f| is Horner's rule in place on each piece, so
+no floor temporary but that bool mask grows with grid or degree.  When one
+disk has |c| + R < r (1 - 1e-12), the Cartan floor skips the walk: a grid
+point of computed |z| <= R has computed distance to c at most
+(|c| + R)(1 + a few ulps) <= r, so the walk would check none of them.
 
 Every distance d here is Euclidean: tau, the greedy cover and its audit,
 the potentials and the ball and disk membership tests use _distances.
@@ -449,15 +453,18 @@ def _off_ball_floor(centers: np.ndarray, radii: np.ndarray,
                     points: np.ndarray, values, bound: float,
                     within=lambda p: np.ones(len(p), dtype=bool)) -> tuple:
     """Check values(p) >= bound at the points p within (all by default)
-    and outside the closed balls, in pieces of BLOCK_ENTRIES // 16 points
-    (a multiple of BOX), each with its own selection, ball mask, values
-    and margins.  Returns (number checked, violations in point order,
-    worst margin or None); margins below -FLOOR_RTOL (1 + |bound|) fail."""
+    and outside the closed balls: one ball mask over all the points, then
+    pieces of BLOCK_ENTRIES // 16 points (a multiple of BOX), each with its
+    own selection, values and margins.  Returns (number checked, violations
+    in point order, worst margin or None); margins below
+    -FLOOR_RTOL (1 + |bound|) fail."""
     checked, violations, lows = 0, [], []
     step = max(1, BLOCK_ENTRIES // 16)
-    for piece in np.split(points, range(step, len(points), step)):
-        piece = np.compress(within(piece), piece, axis=0)
-        piece = np.compress(~_in_balls(centers, radii, piece), piece, axis=0)
+    outside = ~_in_balls(centers, radii, points)
+    for lo in range(0, len(points), step):
+        piece = points[lo:lo + step]
+        piece = np.compress(within(piece) & outside[lo:lo + step], piece,
+                            axis=0)
         margins = values(piece) - bound
         lows.append(margins.min(initial=np.inf))
         bad = np.flatnonzero(margins < -FLOOR_RTOL * (1.0 + abs(bound)))
@@ -496,23 +503,18 @@ def potential_bound_verify(space: DiscreteMeasureSpace, H: float, s: float,
         raise ValueError(f"need H, s > 0 and 0 < gamma < {ALPHA / BETA:g}")
     grid = _finite_points(space, grid, "grid")
     k = space.A
-    cap = (H / gamma) ** s / s
-    if k == 0.0:
-        empty = CoverOutput(np.zeros((0, space.points.shape[1])),
-                            np.zeros(0), np.zeros(0), gamma, 0.0)
-        return PotentialBoundReport(empty, 0.0, cap, 0.0, len(grid), [], None)
-    p = (k * s) ** (1.0 / s) / H
-    phi = MajorantFn.power(p, s)
-    cover = greedy_ball_cover(space, phi, gamma=gamma, probes=grid)
-    radius_sum_s = float(np.sum(cover.radii ** s))
-    bound = k * math.log(H / math.e)
+    bound = k * math.log(H / math.e) + 0.0  # k = 0 gives 0.0, not -0.0
+    cover = CoverOutput(np.zeros((0, space.points.shape[1])), np.zeros(0),
+                        np.zeros(0), gamma, 0.0)  # no mass: u = 0, no balls
+    if k > 0.0:
+        phi = MajorantFn.power((k * s) ** (1.0 / s) / H, s)
+        cover = greedy_ball_cover(space, phi, gamma=gamma, probes=grid)
     checked, violations, worst = _off_ball_floor(
         cover.centers, cover.radii, grid,
         lambda piece: potential_many(space, piece), bound)
-    return PotentialBoundReport(cover=cover, radius_sum_s=radius_sum_s,
-                                radius_cap=cap, lower_bound=bound,
-                                num_checked=checked, violations=violations,
-                                worst_margin=worst)
+    return PotentialBoundReport(cover, float(np.sum(cover.radii ** s)),
+                                (H / gamma) ** s / s, bound, checked,
+                                violations, worst)
 
 
 # -- corollary: exclusion disks for univariate polynomials ---------------
@@ -639,11 +641,14 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
                 radius_sum += float(r)
 
     a = f.coeffs[: f.degree() + 1]
-    with np.errstate(divide="ignore"):  # ln 0 = -inf at a zero of f
-        checked, violations, worst = _off_ball_floor(
-            centers, radii, pts,
-            lambda p: np.log(np.abs(_horner(a, p.view(complex)[:, 0]))),
-            lower, within=lambda p: np.abs(p.view(complex)[:, 0]) <= R)
+    checked, violations, worst = 0, [], None
+    # a disk holding all of |z| <= R leaves the walk nothing (module doc)
+    if not np.any(np.hypot(*centers.T) + R < radii * (1.0 - 1e-12)):
+        with np.errstate(divide="ignore"):  # ln 0 = -inf at a zero of f
+            checked, violations, worst = _off_ball_floor(
+                centers, radii, pts,
+                lambda p: np.log(np.abs(_horner(a, p.view(complex)[:, 0]))),
+                lower, within=lambda p: np.abs(p.view(complex)[:, 0]) <= R)
 
     half_ok = bool(np.all(_in_balls(centers, radii / 2.0 + 1e-12,
                                     space.points)))

@@ -117,21 +117,6 @@ def sup_norm(p: Polynomial, domain, budget: int = SUP_BUDGET) -> float:
                float(_refine_coordinates(p, domain, pts[order]).max()))
 
 
-def _normalized_lq_cloud(p: Polynomial, X: FractalSet, q) -> float:
-    vals = np.abs(p.eval_many(X.points))
-    if q in (np.inf, math.inf):
-        return float(vals.max())
-    w = X.masses / X.masses.sum()
-    return float(np.sum(w * vals ** q) ** (1.0 / q))
-
-
-def _normalized_lr_volume(p: Polynomial, domain, r, budget: int) -> float:
-    if r in (np.inf, math.inf):
-        return sup_norm(p, domain, budget)
-    vals = np.abs(p.eval_many(domain.sample(budget)))
-    return float(np.mean(vals ** r) ** (1.0 / r))
-
-
 # -- empirical comparison ---------------------------------------------------
 
 
@@ -180,8 +165,12 @@ def empirical_remez(p: Polynomial, V, omega: FractalSet, q, r,
     if q not in (1, 2, np.inf, math.inf) or r not in (1, 2, np.inf, math.inf):
         raise ValueError("q and r are restricted to {1, 2, inf}")
 
-    lhs = _normalized_lr_volume(p, V, r, budget)
-    rhs = _normalized_lq_cloud(p, omega, q)
+    # normalized L_r(V) (volume mean) and L_q(omega) (mass-weighted mean)
+    lhs = sup_norm(p, V, budget) if r == math.inf else float(
+        np.mean(np.abs(p.eval_many(V.sample(budget))) ** r) ** (1.0 / r))
+    vals = np.abs(p.eval_many(omega.points))
+    rhs = float(vals.max() if q == math.inf else np.sum(
+        omega.masses / omega.masses.sum() * vals ** q) ** (1.0 / q))
     violated = rhs == 0.0 and lhs > 0.0
     ratio = math.inf if violated else (0.0 if rhs == 0.0 else lhs / rhs)
 

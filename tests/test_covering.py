@@ -712,8 +712,10 @@ def test_potential_bound_empty_measure_reads_grid():
     # the zero-mass report counts the grid as checked, so it must read it
     sp = DiscreteMeasureSpace(np.zeros((2, 2)), np.zeros(2))
     grid = np.array([[0.5, 0.5], [1.0, -1.0]])
-    assert potential_bound_verify(sp, H=0.25, s=1.0, grid=grid).num_checked \
-        == 2
+    rep = potential_bound_verify(sp, H=0.25, s=1.0, grid=grid)
+    # u = 0 equals the bound 0 ln(H / e), which is +0.0 although H < e
+    assert rep.num_checked == 2 and rep.worst_margin == 0.0
+    assert rep.lower_bound == 0.0 and math.copysign(1.0, rep.lower_bound) > 0
     for bad in (np.array([[0.5, 0.5], [np.nan, 0.0]]),
                 np.array([[0.0, np.inf]])):
         with pytest.raises(ValueError, match="grid points must be finite"):
@@ -958,6 +960,124 @@ def test_floor_pieces_do_not_move_the_reports(entries):
     for a, b in zip(got, want):
         assert b.num_checked > 0
         assert report_fields(a) == report_fields(b)
+
+
+def cartan_walk(f, R, grid, centers, radii, bound, floor=None):
+    """The Cartan floor's grid walk, called directly on the given disks."""
+    a = f.coeffs[: f.degree() + 1]
+    pts = np.ascontiguousarray(grid).view(float).reshape(-1, 2)
+    with np.errstate(divide="ignore"):
+        return (floor or covering._off_ball_floor)(
+            centers, radii, pts,
+            lambda p: np.log(np.abs(_horner(a, p.view(complex)[:, 0]))),
+            bound, within=lambda p: np.abs(p.view(complex)[:, 0]) <= R)
+
+
+def disk_arrays(rep):
+    return (np.array([[c.real, c.imag] for c, _ in rep.disks]).reshape(-1, 2),
+            np.array([r for _, r in rep.disks]))
+
+
+def test_cartan_fast_path_at_its_margin():
+    # one disk around the zero 0.5 of 1 - 2z with |c| + R = 2.5 against
+    # r (1 - 1e-12): r0 = 2.5 / (1 - 1e-12) rounds to equality, so the walk
+    # runs there and one ulp below, and the skip fires one ulp above; at
+    # r = 2.5 and one ulp below the grid point -2 sits on and just off the
+    # circle, and the walk checks nothing and that one point
+    f, R, grid = Polynomial(1, 1, np.array([1.0, -2.0])), 2.0, cartan_grid()
+    r0 = 2.5 / (1.0 - 1e-12)
+    radii = [np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf), 2.5,
+             np.nextafter(2.5, 0.0)]
+    walked = []
+    for r, checked, skips in zip(radii, [0, 0, 0, 0, 1],
+                                 [False, False, True, False, False]):
+        cover = CoverOutput(np.array([[0.5, 0.0]]), np.array([r]),
+                            np.array([r / BETA]), DEFAULT_GAMMA, 0.0)
+        with mock.patch.object(covering, "greedy_ball_cover",
+                               return_value=cover), \
+                mock.patch.object(covering, "_off_ball_floor",
+                                  wraps=covering._off_ball_floor) as floor:
+            rep = cartan_exclusion_disks(f, R, 1.0, grid=grid)
+        assert rep.disks == [(0.5 + 0.0j, r)] and floor.called != skips
+        walk = cartan_walk(f, R, grid, cover.centers, cover.radii,
+                           rep.lower_bound)
+        assert (rep.num_checked, rep.violations, rep.worst_margin) == walk
+        assert walk[0] == checked
+        walked.append(floor.called)
+    assert walked == [True, True, False, True, True]
+
+
+def test_criterion_4_eta_one_floors_skip_the_walk():
+    # criterion 4's 50 polynomials at eta = 1: one disk holds all of
+    # |z| <= R in every call, so the floor is never walked, and the report
+    # equals, field for field, the one the walk would give
+    rng, R = np.random.default_rng(7), 2.0
+    grid = cartan_grid(R=R, n=400)
+    for _ in range(50):
+        deg = int(rng.integers(3, 11))
+        coeffs = rng.uniform(-1.0, 1.0, deg + 1)
+        coeffs[0] = 1.0
+        f = Polynomial(1, deg, coeffs)
+        with mock.patch.object(covering, "_off_ball_floor",
+                               wraps=covering._off_ball_floor) as floor:
+            rep = cartan_exclusion_disks(f, R, 1.0, grid=grid)
+        assert floor.call_count == 0
+        checked, violations, worst = cartan_walk(f, R, grid, *disk_arrays(rep),
+                                                 rep.lower_bound)
+        walked = CartanDiskReport(**{**vars(rep), "num_checked": checked,
+                                     "violations": violations,
+                                     "worst_margin": worst})
+        assert report_fields(rep) == report_fields(walked)
+        assert rep.num_checked == 0 and rep.worst_margin is None
+
+
+def per_piece_floor(centers, radii, points, values, bound,
+                    within=lambda p: np.ones(len(p), dtype=bool)):
+    """The floor with one ball mask per piece instead of one per call."""
+    checked, violations, lows = 0, [], []
+    step = max(1, BLOCK_ENTRIES // 16)
+    for piece in np.split(points, range(step, len(points), step)):
+        piece = np.compress(within(piece), piece, axis=0)
+        piece = np.compress(~_in_balls(centers, radii, piece), piece, axis=0)
+        margins = values(piece) - bound
+        lows.append(margins.min(initial=np.inf))
+        bad = np.flatnonzero(
+            margins < -covering.FLOOR_RTOL * (1.0 + abs(bound)))
+        violations += [{"point": list(map(float, piece[i])),
+                        "margin": float(margins[i])} for i in bad]
+        checked += len(piece)
+    return checked, violations, float(np.min(lows)) if checked else None
+
+
+def test_one_mask_floor_matches_per_piece_reference():
+    # on the 400 x 400 Cartan grid at eta = 0.1, and on the covering CLI's
+    # default grid, at the certified floor and at a raised one that fails
+    # at many points, so the violation lists are long and in point order
+    rng, R = np.random.default_rng(7), 2.0
+    grid = cartan_grid(R=R, n=400)
+    for deg in (3, 7, 10):
+        coeffs = rng.uniform(-1.0, 1.0, deg + 1)
+        coeffs[0] = 1.0
+        f = Polynomial(1, deg, coeffs)
+        rep = cartan_exclusion_disks(f, R, 0.1, grid=grid)
+        for bound in (rep.lower_bound, 1.0):
+            got = cartan_walk(f, R, grid, *disk_arrays(rep), bound)
+            want = cartan_walk(f, R, grid, *disk_arrays(rep), bound,
+                               floor=per_piece_floor)
+            assert got == want and got[0] > len(grid) // 2
+        assert got[1]
+    rng = np.random.default_rng(1)
+    space = DiscreteMeasureSpace(rng.random((32, 2)), np.ones(32))
+    gx, gy = np.meshgrid(np.linspace(-0.5, 1.5, 100),
+                         np.linspace(-0.5, 1.5, 100))
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    cover = potential_bound_verify(space, H=0.25, s=1.0, grid=pts).cover
+    for bound in (32 * math.log(0.25 / math.e), -10.0):
+        got, want = (floor(cover.centers, cover.radii, pts,
+                           lambda p: potential_many(space, p), bound)
+                     for floor in (covering._off_ball_floor, per_piece_floor))
+        assert got == want and got[0] > 0
+    assert got[1]
 
 
 def test_cartan_grid_layout_does_not_move_the_report():
