@@ -4,7 +4,9 @@
 Runs the benchmark of BENCHMARK.json (perfbench/run.py) on every workload
 at seed 101, untraced and traced, each for the declared run_seconds, and
 keeps the last JSON line of each run and the minor page faults of its
-processes (getrusage RUSAGE_CHILDREN, before and after the run).  Then it
+processes (getrusage RUSAGE_CHILDREN, before and after the run), also per
+attempted operation: a faster change runs more passes in the same time,
+so only the per-operation figure compares across runs.  Then it
 imports the scipy modules that the library defers (recorded as import_s),
 so that no criterion's seconds carry them, runs the acceptance suite
 serially in this process and records each criterion's seconds.  The file
@@ -58,6 +60,7 @@ def main():
         "run_seconds": bench["run_seconds"],
         "benchmark": {},
         "minor_faults": {},
+        "minor_faults_per_op": {},
     }
     for workload in bench["workloads"]:
         name = workload["name"]
@@ -71,8 +74,10 @@ def main():
             faults = (resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
                       - before)
             last = json.loads(out.strip().splitlines()[-1])
-            record["benchmark"][f"{name}.trace{trace}"] = last
-            record["minor_faults"][f"{name}.trace{trace}"] = faults
+            key = f"{name}.trace{trace}"
+            record["benchmark"][key] = last
+            record["minor_faults"][key] = faults
+            record["minor_faults_per_op"][key] = faults / last["attempted"]
             print(f"{name} --trace {trace}: correct={last['correct']}, "
                   f"{faults} minor faults", flush=True)
     start = time.perf_counter()

@@ -9,7 +9,7 @@ monotonicity in 1/lambda, gradient-ratio boundedness on a product set,
 best-approximation oracle agreement, majorant arithmetic, the end-to-end
 extension operator, and the BMO / reverse Holder witnesses.
 
-Serially the eleven criteria take 3.1–5.2 s on a shared 2-CPU host (six
+Serially the eleven criteria take 2.2–2.7 s on a shared 2-CPU host (seven
 runs, Python 3.11); everything is deterministic.
 """
 

@@ -9,11 +9,13 @@ Coefficients are stored densely against the graded list of multi-indices
 with |a| <= degree_bound; degrees stay small (<= ~12).  Real and complex
 polynomials share the type; the scalar kind is the dtype of the
 coefficient array (complex is used only for univariate polynomials here).
+The type evaluates, differentiates and re-expands; it has no arithmetic.
 
 Which graded column holds the multi-index a is decided in one place, a
 read-only dense table per (num_vars, degree) indexed by arrays of
-exponents.  Products, partial derivatives, the monomial parents and the
-affine re-expansion each read an index map from it, cached per shape.
+exponents.  Partial derivatives, the monomial parents, the affine
+re-expansion and `Polynomial.from_dict` each read an index map from it,
+cached per shape.
 
 Polynomials are evaluated through one kernel, `monomials(x, degree)`,
 which builds the (N, m) table of every graded monomial at N points: the
@@ -140,27 +142,14 @@ class Polynomial:
             raise ValueError("num_vars must be positive")
         if degree_bound < 0:
             raise ValueError("degree_bound must be non-negative")
-        idx = multi_indices(num_vars, degree_bound)
-        if isinstance(coeffs, dict):
-            arr = np.zeros(len(idx), dtype=complex)
-            table = _column_table(num_vars, degree_bound)
-            for alpha, c in coeffs.items():
-                alpha = tuple(int(e) for e in alpha)
-                if len(alpha) != num_vars:
-                    raise ValueError(f"multi-index {alpha} has wrong arity")
-                if any(e < 0 for e in alpha) or sum(alpha) > degree_bound:
-                    raise ValueError(f"multi-index {alpha} outside degree bound")
-                arr[table[alpha]] += c
-            if np.all(arr.imag == 0.0):
-                arr = arr.real.copy()
-        else:
-            arr = np.asarray(coeffs)
-            if arr.shape != (len(idx),):
-                raise ValueError(
-                    f"expected {len(idx)} coefficients for n={num_vars}, "
-                    f"degree<={degree_bound}, got shape {arr.shape}"
-                )
-            arr = arr.astype(complex if np.iscomplexobj(arr) else float)
+        m = len(multi_indices(num_vars, degree_bound))
+        arr = np.asarray(coeffs)
+        if arr.shape != (m,):
+            raise ValueError(
+                f"expected {m} coefficients for n={num_vars}, "
+                f"degree<={degree_bound}, got shape {arr.shape}"
+            )
+        arr = arr.astype(complex if np.iscomplexobj(arr) else float)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "coeffs", arr)
@@ -172,18 +161,22 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, num_vars: int = 1) -> "Polynomial":
-        return cls(num_vars, 0, {(0,) * num_vars: value})
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The univariate polynomial x."""
-        return cls(1, 1, {(1,): 1.0})
-
-    @classmethod
     def from_dict(cls, num_vars: int, coeffs: dict) -> "Polynomial":
-        deg = max((sum(a) for a in coeffs), default=0)
-        return cls(num_vars, deg, coeffs)
+        """sum_a c_a x^a over the items (a, c_a) of coeffs; real when every
+        imaginary part is 0."""
+        degree = max([0, *(sum(a) for a in coeffs)])
+        table = _column_table(num_vars, degree)
+        arr = np.zeros(len(multi_indices(num_vars, degree)), dtype=complex)
+        for alpha, c in coeffs.items():
+            alpha = tuple(int(e) for e in alpha)
+            if len(alpha) != num_vars:
+                raise ValueError(f"multi-index {alpha} has wrong arity")
+            if min(alpha) < 0:
+                raise ValueError(f"multi-index {alpha} has a negative exponent")
+            arr[table[alpha]] += c
+        if np.all(arr.imag == 0.0):
+            arr = arr.real
+        return cls(num_vars, degree, arr)
 
     @classmethod
     def random(cls, rng, num_vars: int, degree: int) -> "Polynomial":
@@ -220,43 +213,6 @@ class Polynomial:
             )
         return monomials(x, self.degree_bound) @ self.coeffs
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _embedded(self, degree_bound: int) -> np.ndarray:
-        m = len(multi_indices(self.num_vars, degree_bound))
-        out = np.zeros(m, dtype=self.coeffs.dtype)
-        out[: len(self.coeffs)] = self.coeffs
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        d = max(self.degree_bound, other.degree_bound)
-        return Polynomial(self.num_vars, d, self._embedded(d) - other._embedded(d))
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return Polynomial(self.num_vars, self.degree_bound, self.coeffs * other)
-        other = self._coerce(other)
-        d = self.degree_bound + other.degree_bound
-        terms = _outer(self.coeffs, other.coeffs)
-        out = np.zeros(len(multi_indices(self.num_vars, d)), dtype=terms.dtype)
-        # np.add.at adds the terms in row-major order (a, then b), and zero
-        # terms leave a sum unchanged: each column sums as a loop over terms
-        np.add.at(out, _product_columns(self.num_vars, self.degree_bound,
-                                        other.degree_bound), terms)
-        return Polynomial(self.num_vars, d, out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.num_vars != self.num_vars:
-                raise ValueError("mixed numbers of variables")
-            return other
-        if np.isscalar(other):
-            return Polynomial.constant(other, self.num_vars)
-        raise TypeError(f"cannot combine Polynomial with {type(other)!r}")
-
     # -- calculus -----------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
@@ -278,27 +234,6 @@ class Polynomial:
         coeffs = compose_affine_many(self.coeffs[None, :], self.num_vars,
                                      self.degree_bound, scale, offset)[0]
         return Polynomial(self.num_vars, self.degree_bound, coeffs)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer(a, b), with complex products rounded as a scalar product
-    rounds them: re = a_r b_r - a_i b_i, im = a_r b_i + a_i b_r, each
-    product rounded on its own (numpy's vector loops may fuse them)."""
-    if a.dtype.kind != "c" and b.dtype.kind != "c":
-        return a[:, None] * b
-    a, b = a.astype(complex)[:, None], b.astype(complex)
-    out = np.empty((len(a), len(b)), dtype=complex)
-    out.real, out.imag = (a.real * b.real - a.imag * b.imag,
-                          a.real * b.imag + a.imag * b.real)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _product_columns(num_vars: int, deg_a: int, deg_b: int) -> np.ndarray:
-    """(m_a, m_b) table: the graded column of a + b for every column a of
-    degree <= deg_a and b of degree <= deg_b."""
-    Ea, Eb = exponent_array(num_vars, deg_a), exponent_array(num_vars, deg_b)
-    return _columns(num_vars, deg_a + deg_b, Ea[:, None] + Eb)
 
 
 @lru_cache(maxsize=None)
@@ -361,17 +296,15 @@ def compose_affine_many(coeffs, num_vars: int, degree: int, scale,
 
 
 def chebyshev(k: int) -> Polynomial:
-    """Chebyshev polynomial T_k via T_{k+1} = 2 x T_k - T_{k-1}."""
+    """Chebyshev polynomial T_k via T_{k+1} = 2 x T_k - T_{k-1} on the
+    coefficient arrays; its coefficients are integers, exact in float64."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    t_prev = Polynomial.constant(1.0)
-    if k == 0:
-        return t_prev
-    t = Polynomial.variable()
-    two_x = 2.0 * Polynomial.variable()
-    for _ in range(k - 1):
-        t_prev, t = t, two_x * t - t_prev
-    return t
+    t_prev, t = np.zeros(k + 2), np.zeros(k + 2)
+    t_prev[0] = t[1] = 1.0
+    for _ in range(k):
+        t_prev, t = t, np.concatenate(([0.0], 2.0 * t[:-1])) - t_prev
+    return Polynomial(1, k, t_prev[:k + 1])
 
 
 def finite_difference_many(g, k: int, X: np.ndarray, H: np.ndarray) -> np.ndarray:

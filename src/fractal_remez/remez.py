@@ -189,11 +189,11 @@ def empirical_remez(p: Polynomial, V, omega: FractalSet, q, r,
 
 
 def markov_check(p: Polynomial, F: FractalSet, x, r: float) -> float:
-    """r * max_{F cap B}|grad p| / max_{F cap B}|p| over the closed ball."""
+    """r * max_{F cap B}|grad p| / max_{F cap B}|p| over the open ball."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if r <= 0 or r > F.diam * (1 + 1e-9):
         raise ValueError("radius must lie in (0, diam]")
-    mask = np.linalg.norm(F.points - x, axis=1) <= r
+    mask = np.linalg.norm(F.points - x, axis=1) < r
     if not np.any(mask):
         raise ValueError("ball does not meet the set")
     pts = F.points[mask]

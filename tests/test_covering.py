@@ -824,7 +824,7 @@ def test_cartan_degree_cap_before_circle_max():
 
 
 def test_cartan_constant_one():
-    f = Polynomial.constant(1.0)
+    f = Polynomial.from_dict(1, {(0,): 1.0})
     rep = cartan_exclusion_disks(f, R=2.0, eta=1.0, grid=cartan_grid())
     assert rep.disks == []
     assert not rep.violations
@@ -857,12 +857,12 @@ def test_cartan_requires_normalization():
     with pytest.raises(ValueError, match="f\\(0\\) must equal 1"):
         cartan_exclusion_disks(f, R=1.0, eta=1.0, grid=grid)
     with pytest.raises(ValueError, match="eta"):
-        cartan_exclusion_disks(Polynomial.constant(1.0), R=1.0, eta=5.0,
-                               grid=grid)
+        cartan_exclusion_disks(Polynomial.from_dict(1, {(0,): 1.0}), R=1.0,
+                               eta=5.0, grid=grid)
 
 
 def test_cartan_grid_must_be_complex_points():
-    f = Polynomial.constant(1.0)
+    f = Polynomial.from_dict(1, {(0,): 1.0})
     grid = cartan_grid(n=5)
     for bad in (np.column_stack([grid.real, grid.imag]), grid.real,
                 grid.reshape(5, 5)):

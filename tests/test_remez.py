@@ -71,10 +71,10 @@ def test_bg_monotone_in_lambda_and_k():
 
 
 def test_sup_norm_constant():
-    c = Polynomial.constant(-3.5, 2)
+    c = Polynomial.from_dict(2, {(0, 0): -3.5})
     assert sup_norm(c, Ball((0.0, 0.0), 1.0)) == pytest.approx(3.5, abs=1e-12)
     X = build_preset("cantor:1/3", 5)
-    assert sup_norm(Polynomial.constant(2.0, 1), X) == 2.0
+    assert sup_norm(Polynomial.from_dict(1, {(0,): 2.0}), X) == 2.0
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -328,7 +328,7 @@ def test_ascent_stops_one_sweep_after_its_fixed_point(p, domain, start,
 def test_empirical_constant_polynomial():
     X = build_preset("cantor:1/3", 6)
     V = Ball((0.5,), 0.5)
-    one = Polynomial.constant(1.0, 1)
+    one = Polynomial.from_dict(1, {(0,): 1.0})
     for q in (1, 2, INF):
         for r in (1, 2, INF):
             rep = empirical_remez(one, V, X, q, r)
@@ -351,7 +351,8 @@ def test_empirical_scale_invariance():
     V = Ball((0.5,), 0.6)
     p = Polynomial.random(np.random.default_rng(1), 1, 3)
     r1 = empirical_remez(p, V, X, INF, INF).empirical_ratio
-    r2 = empirical_remez(17.0 * p, V, X, INF, INF).empirical_ratio
+    p17 = Polynomial(p.num_vars, p.degree_bound, 17.0 * p.coeffs)
+    r2 = empirical_remez(p17, V, X, INF, INF).empirical_ratio
     assert r2 == pytest.approx(r1, rel=1e-9)
 
 
@@ -382,8 +383,8 @@ def test_empirical_flags_vanishing_polynomial():
 def test_empirical_requires_containment():
     X = build_preset("cantor:1/3", 5)
     with pytest.raises(ValueError):
-        empirical_remez(Polynomial.constant(1.0, 1), Ball((0.0,), 0.25), X,
-                        INF, INF)
+        empirical_remez(Polynomial.from_dict(1, {(0,): 1.0}),
+                        Ball((0.0,), 0.25), X, INF, INF)
 
 
 def test_empirical_full_measure_respects_power_bound():
@@ -414,13 +415,14 @@ def test_empirical_integral_exponents_run():
 
 def test_markov_constant_polynomial():
     X = build_preset("cube:1", 8)
-    assert markov_check(Polynomial.constant(5.0, 1), X, [0.5], 0.25) == 0.0
+    c = Polynomial.from_dict(1, {(0,): 5.0})
+    assert markov_check(c, X, [0.5], 0.25) == 0.0
 
 
 def test_markov_identity_function():
     # cloud representatives stop at 1 - 2^-depth, so allow that gap
     X = build_preset("cube:1", 10)
-    p = Polynomial.variable()
+    p = Polynomial.from_dict(1, {(1,): 1.0})
     c = markov_check(p, X, [0.0], 1.0)
     assert c == pytest.approx(1.0, rel=2.0 ** -10 * 1.5)
 
@@ -446,7 +448,21 @@ def test_markov_zero_division():
 def test_markov_empty_ball():
     X = build_preset("cantor:1/3", 5)
     with pytest.raises(ValueError):
-        markov_check(Polynomial.variable(), X, [0.5], 2.0)
+        markov_check(Polynomial.from_dict(1, {(1,): 1.0}), X, [0.5], 2.0)
+
+
+
+def test_balls_are_open_in_markov_bmo_and_reverse_holder():
+    # the point 0.5 lies at distance exactly r = 0.5 from the center 0
+    X = FractalSet(points=np.array([[0.0], [0.25], [0.5], [1.0]]),
+                   masses=np.full(4, 0.25), s=1.0, diam=1.0, cell_diam=0.1,
+                   total_mass=1.0)
+    p = Polynomial.from_dict(1, {(1,): 1.0})
+    # closed balls would give 1.0, 0.5 ln 2 and 1.291
+    assert markov_check(p, X, [0.0], 0.5) == 2.0
+    assert bmo_oscillation(p, X, [0.5], centers=[[0.0]]).max_oscillation == 0.0
+    assert reverse_holder(p, X, [0.0], 0.5, 2) == pytest.approx(math.sqrt(2.0),
+                                                                rel=1e-15)
 
 
 # -- BMO and reverse Holder ---------------------------------------------------
@@ -454,7 +470,7 @@ def test_markov_empty_ball():
 
 def test_bmo_constant_polynomial_zero():
     X = build_preset("cantor:1/3", 7)
-    p = Polynomial.constant(3.0 + 0.0j, 1)
+    p = Polynomial.from_dict(1, {(0,): 3.0 + 0.0j})
     centers = X.points[np.random.default_rng(0).integers(0, X.size, 8)]
     rep = bmo_oscillation(p, X, [0.5, 1.0], centers=centers)
     assert rep.max_oscillation == pytest.approx(0.0, abs=1e-12)
@@ -465,7 +481,8 @@ def test_bmo_scaling_invariance():
     z = Polynomial(1, 1, np.array([0.0 + 0j, 1.0 + 0j]))
     centers = X.points[:16]
     r1 = bmo_oscillation(z, X, [0.3, 1.0], centers=centers)
-    r2 = bmo_oscillation(2.0 * z, X, [0.3, 1.0], centers=centers)
+    z2 = Polynomial(z.num_vars, z.degree_bound, 2.0 * z.coeffs)
+    r2 = bmo_oscillation(z2, X, [0.3, 1.0], centers=centers)
     assert r2.max_oscillation == pytest.approx(r1.max_oscillation, abs=1e-12)
 
 
@@ -483,14 +500,14 @@ def test_bmo_excludes_zero_of_p():
 
 def test_bmo_all_mass_excluded_raises():
     X = build_preset("cantor:1/3", 5)
-    zero = Polynomial.constant(0.0 + 0.0j, 1)
+    zero = Polynomial.from_dict(1, {(0,): 0.0 + 0.0j})
     with pytest.raises(ValueError):
         bmo_oscillation(zero, X, [1.0], centers=X.points[:4])
 
 
 def test_reverse_holder_constant():
     X = build_preset("cantor:1/3", 6)
-    c = Polynomial.constant(2.0, 1)
+    c = Polynomial.from_dict(1, {(0,): 2.0})
     for l in (2, 4, INF):
         assert reverse_holder(c, X, [0.0], 2.0, l) == pytest.approx(1.0,
                                                                     rel=1e-12)
@@ -518,4 +535,5 @@ def test_reverse_holder_at_least_one():
 def test_reverse_holder_exponent_validation():
     X = build_preset("cantor:1/3", 5)
     with pytest.raises(ValueError):
-        reverse_holder(Polynomial.constant(1.0, 1), X, [0.0], 1.0, 3)
+        reverse_holder(Polynomial.from_dict(1, {(0,): 1.0}), X, [0.0], 1.0,
+                       3)
