@@ -21,6 +21,8 @@ emitted balls B_k satisfy, for any gamma < ALPHA / BETA,
 and every candidate outside their union is regular.  For atomic measures
 the number of balls never exceeds the number of atoms (each ball of radius
 tau_k around its witness carries positive mass; these are pairwise disjoint).
+With equal masses the witnesses of the largest possible tau are found by
+their farthest atom, and tau is taken once for the candidates they leave.
 
 The two corollaries turn this into quantitative statements about the
 log-potential u(x) = sum m_i ln d(x, x_i): a radius-sum budget with a
@@ -252,14 +254,18 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
     relative) and a few ulps of phi^{-1}: the prune may keep extra queries
     but never drops one whose tau is positive.  Each run of _runs takes
     distances only to the atoms in reach of its boxes, so the work scales
-    with those (atom, box) pairs.  A run in reach of every atom is scanned
-    in place; elsewhere these distances only mark the live queries, which
-    are then scanned against every atom, so each scanned column holds the
-    bits of one unpruned array.  Queries must be finite and have the space's
-    dimension, and neither the smallest positive mass nor its phi^{-1} may
-    underflow below the normal range: at 0 the scan would read an
-    irregular atom as regular, and a subnormal mass or radius has too few
-    bits for the cover's budget audit.
+    with those (atom, box) pairs.  A run is scanned in place against its
+    near atoms if they are all atoms or all masses are equal: a far atom
+    lies past reach and every level, so a full scan adds it only as an
+    invalid row or a d_{j+1} that loses the min to its level, and equal
+    masses make the near levels the full ones' first entries.  Unequal
+    masses may reorder tied atoms' running sums, so other runs only mark
+    live queries, scanned against every atom afterwards; each scanned
+    column has the bits of one unpruned array.  Queries must be finite and
+    have the space's dimension, and neither the smallest positive mass
+    nor its phi^{-1} may underflow below the normal range: at 0 the scan
+    would read an irregular atom as regular, and a subnormal mass or
+    radius has too few bits for the cover's budget audit.
     """
     queries = _finite_points(space, queries, "query")
     keep = space.masses > 0
@@ -278,9 +284,9 @@ def tau_many(space: DiscreteMeasureSpace, phi: MajorantFn,
         D = _distances(atoms[near], queries[lo:hi])
         # "not beyond", so that a NaN distance is scanned, not dropped
         live = ~(D.min(axis=0) > reach)
-        if np.all(near):
+        if np.all(near) or np.all(masses == masses[0]):
             out[lo:hi][live] = _step_scan(np.compress(live, D, axis=1),
-                                          masses, phi)
+                                          masses[near], phi)
         else:
             deferred.append(lo + np.flatnonzero(live))
     deferred = np.concatenate(deferred)
@@ -326,14 +332,15 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     witness at each step is the candidate of maximal tau, ties broken by
     lowest index, so runs are reproducible.
 
-    Candidates stream in index order, the atoms as one first block, then
-    the probes (two arrays, never joined), and tau is computed only for
-    those no ball covers yet.  With equal positive masses no tau exceeds
-    top, the largest entry of the level vector phi^{-1}(cumsum(masses))
-    that the step scan reads, so an uncovered candidate whose tau equals
-    top is the next witness and is emitted as soon as its block is
-    scanned.  The argmax loop then runs on the known taus.  The balls are
-    the same bits as the argmax loop's over every tau.
+    tau is taken in one call for the atoms, then in one for the probes
+    no ball covers yet (two arrays, never joined).  With equal positive
+    masses no tau exceeds top, the largest level phi^{-1}(cumsum(masses))
+    of the step scan, so an uncovered candidate of tau top is the next
+    witness, emitted in index order: atoms first, then probes.  If every
+    other level is below top, tau(x) == top exactly when all atoms lie
+    within top of x, so probes are tested by their farthest atom (unless
+    two atoms are over 2 top apart).  The argmax loop then runs on the
+    irregular candidates left, and the balls are its bits over every tau.
     """
     if not 0.0 < gamma < ALPHA / BETA:
         raise ValueError(f"gamma must lie in (0, {ALPHA / BETA:g})")
@@ -342,60 +349,53 @@ def greedy_ball_cover(space: DiscreteMeasureSpace, phi: MajorantFn,
     atoms = space.points
     probes = (_finite_points(space, probes, "probe") if len(probes)
               else atoms[:0])
-    m, total = len(atoms), len(atoms) + len(probes)
-    masses = space.masses[space.masses > 0]
-    top = (float(np.max(phi.inverse(np.cumsum(masses))))
-           if len(masses) and np.all(masses == masses[0]) else np.inf)
-    uncovered = np.ones(total, dtype=bool)
-    centers, radii, taus = [], [], []
+    m = len(atoms)
+    support, masses = atoms[space.masses > 0], space.masses[space.masses > 0]
+    levels = phi.inverse(np.cumsum(masses))
+    equal = len(masses) and np.all(masses == masses[0])
+    top = float(np.max(levels)) if equal else np.inf
+    uncovered = np.ones(m + len(probes), dtype=bool)
+    centers, taus = [], []
 
     def emit(x_k, tau_k, *parts):
         """Record the ball around x_k; mask of parts' points outside it."""
-        t_k = BETA * tau_k
         centers.append(x_k)
-        radii.append(t_k)
         taus.append(tau_k)
-        return np.concatenate([_distances(x_k[None], p)[0] > t_k
+        return np.concatenate([_distances(x_k[None], p)[0] > BETA * tau_k
                                for p in parts])
 
-    # A regular candidate is never a witness and nothing reads whether it
-    # is covered, so only the irregular ones are kept, in index order so
-    # that the lowest-index tie-break still holds.
-    irregular, irregular_taus = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    step = max(1, BLOCK_ENTRIES // max(1, len(masses)))
-    bounds = [0, *range(m, total, step), total]
-    for lo, hi in zip(bounds, bounds[1:]):
-        live = uncovered[lo:hi]
-        if not np.any(live):
-            continue
-        queries = atoms[lo:hi] if lo < m else probes[lo - m:hi - m]
-        if not np.all(live):
-            queries = np.compress(live, queries, axis=0)
-        block_taus = tau_many(space, phi, queries)
-        ids = lo + np.flatnonzero(live)
-        irregular.append(ids[block_taus > 0.0])
-        irregular_taus.append(block_taus[block_taus > 0.0])
-        witnesses = ids[block_taus == top]
+    def emit_top(witnesses):
+        """Emit, in index order, each top-valued witness left uncovered."""
         while len(witnesses):
             k = witnesses[0]
-            uncovered &= emit(atoms[k] if k < m else probes[k - m], top,
-                              atoms, probes)
+            uncovered[:] &= emit(atoms[k] if k < m else probes[k - m], top,
+                                 atoms, probes)
             witnesses = witnesses[uncovered[witnesses]]
 
-    irregular = np.concatenate(irregular)
-    left = uncovered[irregular]
-    ids = irregular[left]
-    cands = np.concatenate([atoms[ids[ids < m]], probes[ids[ids >= m] - m]])
-    taus_all = np.concatenate(irregular_taus)[left]
+    atom_taus = tau_many(space, phi, atoms)
+    emit_top(np.flatnonzero(atom_taus == top))
+    if equal and np.max(levels[:-1], initial=0.0) < top and (
+            _distances(support[:1], support).max() / 2.0
+            <= top * (1.0 + 1e-12)):
+        step = max(1, BLOCK_ENTRIES // len(masses))
+        for lo in range(0, len(probes), step):
+            live = uncovered[m + lo:m + lo + step]
+            queries = np.compress(live, probes[lo:lo + step], axis=0)
+            far = _distances(support, queries).max(axis=0)
+            emit_top(m + lo + np.flatnonzero(live)[far <= top])
+    live = uncovered[m:]
+    probe_taus = tau_many(space, phi, probes if np.all(live)
+                          else probes[live]) if np.any(live) else np.zeros(0)
+    a, p = uncovered[:m] & (atom_taus > 0.0), probe_taus > 0.0
+    cands = np.concatenate([atoms[a], probes[np.flatnonzero(live)[p]]])
+    taus_all = np.concatenate([atom_taus[a], probe_taus[p]])
     uncovered = np.ones(len(cands), dtype=bool)
-    for _ in range(len(cands) + 1):
-        if not np.any(uncovered):
-            break
+    while np.any(uncovered):  # each ball covers its own witness
         k = int(np.argmax(np.where(uncovered, taus_all, -np.inf)))
         uncovered &= emit(cands[k], taus_all[k], cands)
 
     centers = np.array(centers) if centers else np.zeros((0, atoms.shape[1]))
-    radii = np.array(radii)
+    radii = BETA * np.array(taus)
     return CoverOutput(centers, radii, np.array(taus), gamma,
                        float(np.sum(phi(gamma * radii))))
 
@@ -610,9 +610,9 @@ def cartan_exclusion_disks(f: Polynomial, R: float, eta: float,
     if abs(f0 - 1.0) > 1e-12:
         raise ValueError(f"f(0) must equal 1 (got {f0}); normalize caller-side")
 
-    # M_N <= M raises the floor (conservative); f(0) = 1 forces M >= 1
+    # M_N <= M raises the floor; f(0) = 1 forces M >= 1; 0.0 - 0.0 = +0.0
     M_N, M_up = _circle_max_abs(f, 2.0 * math.e * R)
-    lower = -(2.0 + math.log(1.5 * math.e / eta)) * math.log(max(M_N, 1.0))
+    lower = 0.0 - (2.0 + math.log(1.5 * math.e / eta)) * math.log(max(M_N, 1))
 
     roots = polynomial_zeros(f)
     zeros_in = roots[np.abs(roots) <= 2.0 * R]

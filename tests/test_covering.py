@@ -278,6 +278,52 @@ def test_blocked_tau_matches_references_bitwise(masses):
         assert np.any(pruned[lo:lo + step] == 0.0)
 
 
+@st.composite
+def equal_mass_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    coord = st.floats(-6.0, 6.0, allow_nan=False)
+    atoms = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)))
+    masses = np.full(m, draw(st.sampled_from([1.0, 0.5, 0.1, 3.0])))
+    phi = MajorantFn.power(draw(st.floats(0.2, 5.0)),
+                           draw(st.floats(0.3, 3.0)))
+    # queries on an axis through an atom at a jump radius phi^{-1}(level),
+    # one ulp either side of it, and anywhere in the atoms' box
+    levels = phi.inverse(np.cumsum(masses))
+    on = []
+    for i, j, k, sign in draw(st.lists(st.tuples(
+            st.integers(0, m - 1), st.integers(0, m - 1),
+            st.integers(0, n - 1), st.sampled_from([-1.0, 1.0])),
+            max_size=12)):
+        q = atoms[i].copy()
+        q[k] += sign * levels[j]
+        on += [q, q.copy(), q.copy()]
+        on[-2][k] = np.nextafter(q[k], -np.inf)
+        on[-1][k] = np.nextafter(q[k], np.inf)
+    free = draw(st.lists(st.lists(st.floats(-8.0, 8.0, allow_nan=False),
+                                  min_size=n, max_size=n), max_size=24))
+    queries = np.concatenate([np.reshape(on, (-1, n)),
+                              np.reshape(free, (-1, n)), atoms])
+    return DiscreteMeasureSpace(atoms, masses), phi, queries
+
+
+@given(equal_mass_cases(), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 5, 16]))
+@settings(max_examples=200, deadline=None)
+def test_equal_mass_runs_scan_near_atoms_bitwise(case, box, entries):
+    # small boxes and pieces give runs in reach of only some atoms, which
+    # equal masses scan in place against those atoms alone
+    space, phi, queries = case
+    low = space.masses.min()
+    assume(min(low, phi.inverse(low)) >= np.finfo(float).tiny)
+    want = _step_scan(_distances(space.points, queries), space.masses, phi)
+    with mock.patch.object(covering, "BOX", box), \
+            mock.patch.object(covering, "BLOCK_ENTRIES", entries):
+        got = tau_many(space, phi, queries)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- the bounding-box prefilter of the ball queries ---------------------------
 
 
@@ -592,10 +638,11 @@ def count_tau_blocks(space, phi, probes, entries):
 
 def test_streamed_cover_skips_covered_blocks():
     # unit atoms at 0 and 3, phi(t) = t: top = phi^{-1}(2) = 2.  The atoms
-    # have tau 1 and form the first block; the first top-valued candidates,
-    # 1.5 and 1.6, share the second block of four (10, 11, 1.5, 1.6); the
-    # disk of radius 5 around 1.5 covers 1.6 and every probe of the third
-    # and fourth blocks but 7, the only one whose tau is computed there.
+    # have tau 1 and take the first tau call; the first top-valued probe,
+    # 1.5, is found by the farthest-atom test in the first block of four
+    # (10, 11, 1.5, 1.6); the disk of radius 5 around it covers 1.6 and
+    # every later probe but 7, so the one tau call on the probes left
+    # uncovered takes 10, 11 and 7.
     space = unit_atoms([[0.0], [3.0]])
     phi = MajorantFn.power(1.0, 1.0)
     probes = np.array([[10.0], [11.0], [1.5], [1.6], [0.5], [-1.0],
@@ -605,7 +652,7 @@ def test_streamed_cover_skips_covered_blocks():
     top_valued = np.flatnonzero(taus_all == 2.0)
     assert np.array_equal(top_valued[:2], [4, 5]) and np.all(taus_all <= 2.0)
     got, want, seen = count_tau_blocks(space, phi, probes, 8)
-    assert seen == [2, 4, 1]
+    assert seen == [2, 3]
     assert_same_cover(got, want)
     assert got[0][0, 0] == 1.5 and got[2][0] == 2.0
 
@@ -645,6 +692,44 @@ def test_streamed_cover_emits_every_uncovered_top_witness():
     assert_same_cover(got, want)
     assert np.array_equal(got[0][:, 0], [0.0, 10.0, 20.0])
     assert np.all(got[2] == 1.0)
+
+
+def test_streamed_cover_needs_a_strict_top_level():
+    # phi(t) = t^(5e15) rounds the step levels phi^{-1}(1, 2, 3) to
+    # [1, 1 + eps, 1 + eps], so top = 1 + eps is also the second level.
+    # In a triangle of side 1.2, the midpoint of two atoms has tau = top
+    # with the third atom 1.04 > top away, and the centroid has all three
+    # within 0.69.  The farthest-atom test would emit the centroid first;
+    # the reference emits the midpoint, which comes first in index order.
+    h = 0.6 * math.sqrt(3.0)
+    space = unit_atoms([[0.0, 0.0], [1.2, 0.0], [0.6, h]])
+    phi = MajorantFn.power(1.0, 5e15)
+    levels = phi.inverse(np.cumsum(space.masses))
+    assert levels[0] < levels[1] == levels[2]
+    probes = np.array([[3.0, 3.0], [0.6, 0.0], [0.6, h / 3.0], [-2.0, 1.0]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(tau_many(space, phi, probes[1:3]),
+                              [levels[2]] * 2)
+        got = cover_or_error(
+            lambda: greedy_ball_cover(space, phi, probes=probes))
+        want = cover_or_error(
+            lambda: argmax_reference_cover(space, phi, probes))
+    assert_same_cover(got, want)
+    assert np.array_equal(got[0][0], [0.6, 0.0])
+
+
+@pytest.mark.parametrize("deg", [3, 6, 10])
+def test_cartan_farthest_atom_witnesses_are_top_valued(deg):
+    # at eta = 1 the greedy cover finds its top witnesses among the grid
+    # probes by the farthest zero; this is tau == top on the whole grid
+    _, space, phi, pts = cartan_case(1.0, deg=deg)
+    levels = phi.inverse(np.cumsum(space.masses))
+    top = levels.max()
+    assert levels[:-1].max(initial=0.0) < top
+    assert _distances(space.points, space.points).max() <= 2.0 * top
+    far = _distances(space.points, pts).max(axis=0) <= top
+    assert np.any(far) and not np.all(far)
+    assert np.array_equal(far, tau_many(space, phi, pts) == top)
 
 
 def test_parameter_validation():
@@ -829,6 +914,17 @@ def test_cartan_constant_one():
     assert rep.disks == []
     assert not rep.violations
     assert rep.lower_bound == pytest.approx(0.0, abs=1e-9)
+
+
+def test_cartan_zero_floor_is_positive_zero():
+    # M_N <= 1 gives the floor -H ln 1, reported as +0.0, not -0.0
+    f = Polynomial.from_dict(1, {(0,): 1.0})
+    for eta in (0.1, 1.0, 1.5 * math.e):
+        rep = cartan_exclusion_disks(f, R=2.0, eta=eta,
+                                     grid=cartan_grid(n=5))
+        assert rep.M_bracket[0] <= 1.0
+        assert math.copysign(1.0, rep.lower_bound) == 1.0
+        assert rep.lower_bound == 0.0
 
 
 def test_cartan_h_at_max_eta():
